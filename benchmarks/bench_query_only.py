@@ -4,8 +4,7 @@ Paper artifact: the observation that with tuple testing only, TD *is*
 Datalog, so "well-known optimization techniques (such as magic sets or
 tabling) can be applied".  We run transitive closure both ways -- the
 tabled TD engine and the seminaive Datalog engine -- check the answers
-coincide, and compare scaling (seminaive bottom-up wins on total
-materialization; that is exactly why the paper's remark matters).
+coincide, and compare their times and scaling.
 """
 
 import pytest

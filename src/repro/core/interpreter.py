@@ -73,7 +73,7 @@ from ..obs.context import Instrumentation, NOOP, active
 from ..obs.provenance import active_recorder, config_digest
 from .database import Database
 from .errors import AttemptBudgetExceeded, DeadlineExceeded, SearchBudgetExceeded
-from .formulas import TRUTH, Call, Formula, Seq, apply_subst, formula_variables, seq
+from .formulas import TRUTH, Call, Formula, Seq, apply_subst, ordered_variables, seq
 from .parser import as_goal
 from .por import PartialOrderReducer, por_forced_off
 from .program import Program
@@ -445,7 +445,7 @@ class Interpreter:
         goal = self.program.resolve_goal(as_goal(goal))
         obs = active()
         budget = _Budget(self.max_configs, obs)
-        goal_vars = _ordered_vars(goal)
+        goal_vars = ordered_variables(goal)
         attr = self._attr()
 
         def _search():
@@ -491,7 +491,7 @@ class Interpreter:
         goal = self.program.resolve_goal(as_goal(goal))
         obs = active()
         budget = _Budget(self.max_configs, obs)
-        goal_vars = _ordered_vars(goal)
+        goal_vars = ordered_variables(goal)
         attr = self._attr()
 
         def _search():
@@ -616,7 +616,7 @@ class Interpreter:
         obs = active()
         budget = _Budget(self.max_configs, obs)
         rng = random.Random(seed) if seed is not None else None
-        goal_vars = _ordered_vars(goal)
+        goal_vars = ordered_variables(goal)
         attr = self._attr()
         with obs.span("simulate", engine="interpreter", goal=str(goal)), \
                 _hot.engine_frame(attr, "dfs"):
@@ -1283,7 +1283,7 @@ class Interpreter:
         attr=None,
     ):
         def executions(body: Formula, db: Database, sub_budget):
-            body_vars = _ordered_vars(body)
+            body_vars = ordered_variables(body)
             for answers, final_db, trace in self._bfs(
                 body,
                 db,
@@ -1519,11 +1519,3 @@ def _head_call(proc: Formula) -> Optional[Tuple[Atom, Tuple[Formula, ...]]]:
         if isinstance(first, Call):
             return first.atom, proc.parts[1:]
     return None
-
-
-def _ordered_vars(goal: Formula) -> List[Variable]:
-    """Free variables of the goal, first-occurrence order, deduplicated."""
-    seen: Dict[Variable, None] = {}
-    for v in formula_variables(goal):
-        seen.setdefault(v, None)
-    return list(seen)

@@ -37,13 +37,13 @@ from .formulas import (
     Seq,
     Test,
     Truth,
-    formula_variables,
+    ordered_variables,
     walk_formulas,
 )
 from .interpreter import Interpreter, Solution, _resolve_store
 from .parser import as_goal
 from .program import Program
-from .seqeval import _canonical_call
+from .tabling import canonical_call
 from .terms import Atom, Variable
 from .unify import Substitution, apply_atom, unify_atoms, walk
 
@@ -113,7 +113,7 @@ class NonrecursiveEngine:
             )
             yield from fallback.solve(goal, db)
             return
-        goal_vars = _ordered_vars(goal)
+        goal_vars = ordered_variables(goal)
         obs = self._obs = active()
         prov = self._prov_rec = (
             self.provenance if self.provenance is not None else active_recorder()
@@ -232,7 +232,7 @@ class NonrecursiveEngine:
 
     def _eval_call(self, atom: Atom, db: Database, theta: Substitution):
         instantiated = apply_atom(atom, theta)
-        canon_atom, originals = _canonical_call(instantiated)
+        canon_atom, originals = canonical_call(instantiated)
         key = (canon_atom, db)
         answers = self._memo.get(key)
         obs = self._obs
@@ -329,10 +329,3 @@ class NonrecursiveEngine:
                     break
             if consistent:
                 yield out, db_out
-
-
-def _ordered_vars(goal: Formula) -> List[Variable]:
-    seen: Dict[Variable, None] = {}
-    for v in formula_variables(goal):
-        seen.setdefault(v, None)
-    return list(seen)

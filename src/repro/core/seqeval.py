@@ -31,6 +31,7 @@ nothing new and closes the loop.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import hotspots as _hot
@@ -50,13 +51,14 @@ from .formulas import (
     Seq,
     Test,
     Truth,
-    formula_variables,
+    ordered_variables,
     walk_formulas,
 )
 from .interpreter import Solution, _resolve_store
 from .parser import as_goal
 from .program import Program
-from .terms import Atom, Constant, Term, Variable
+from .tabling import canonical_call
+from .terms import Atom, Constant, Variable
 from .unify import Substitution, apply_atom, unify_atoms, walk
 
 __all__ = ["SequentialEngine"]
@@ -66,26 +68,6 @@ _Key = Tuple[Atom, Database]
 #: A table answer: constants for the canonical variables, plus the output
 #: state.
 _Answer = Tuple[Tuple[Constant, ...], Database]
-
-
-def _canonical_call(atom: Atom) -> Tuple[Atom, List[Variable]]:
-    """Rename the atom's variables to V0, V1, ... in order of occurrence.
-
-    Returns the canonical atom and the original variables in index order
-    so answers can be mapped back onto the caller's substitution.
-    """
-    mapping: Dict[Variable, Variable] = {}
-    originals: List[Variable] = []
-    args: List[Term] = []
-    for t in atom.args:
-        if isinstance(t, Variable):
-            if t not in mapping:
-                mapping[t] = Variable("V%d" % len(mapping))
-                originals.append(t)
-            args.append(mapping[t])
-        else:
-            args.append(t)
-    return Atom(atom.pred, tuple(args)), originals
 
 
 class SequentialEngine:
@@ -178,7 +160,7 @@ class SequentialEngine:
                 raise UnsupportedProgramError(
                     "goal uses concurrent composition; use the full interpreter"
                 )
-        goal_vars = _ordered_vars(goal)
+        goal_vars = ordered_variables(goal)
         obs = self._obs = active()
         prov = self._prov_rec = (
             self.provenance if self.provenance is not None else active_recorder()
@@ -532,7 +514,7 @@ class SequentialEngine:
         self, atom: Atom, db: Database, theta: Substitution
     ) -> Iterator[Tuple[Substitution, Database]]:
         instantiated = apply_atom(atom, theta)
-        canon_atom, originals = _canonical_call(instantiated)
+        canon_atom, originals = canonical_call(instantiated)
         key = (canon_atom, db)
         self._consulted.add(key)
         answers = self._table.get(key)
@@ -546,7 +528,7 @@ class SequentialEngine:
             return
         if obs.enabled:
             obs.metrics.inc("table.hits")
-        for values, db_out in sorted(answers, key=_answer_order):
+        for values, db_out in _replay_order(answers):
             out = dict(theta)
             consistent = True
             for v, value in zip(originals, values):
@@ -560,16 +542,36 @@ class SequentialEngine:
                 yield out, db_out
 
 
-def _answer_order(answer: _Answer):
-    values, db = answer
-    return (tuple(str(v) for v in values), tuple(str(f) for f in db))
+def _replay_order(answers: Set[_Answer]) -> List[_Answer]:
+    """A table entry's answers in a fixed order: by the strings of their
+    values, ties broken by the strings of the output database's facts.
 
+    Set iteration order follows ``PYTHONHASHSEED``; a fixed replay order
+    keeps solution order, and everything downstream of it, the same in
+    every process.  Only answers whose value strings tie have their
+    databases rendered, each database at most once: a query-only call's
+    answers share one state and differ in their values, so a table hit
+    costs in proportion to its answers, not to the size of the state.
+    """
+    by_values = sorted(
+        ((tuple(map(str, answer[0])), answer) for answer in answers),
+        key=itemgetter(0),
+    )
+    rendered: Dict[Database, Tuple[str, ...]] = {}
 
-def _ordered_vars(goal: Formula) -> List[Variable]:
-    seen: Dict[Variable, None] = {}
-    for v in formula_variables(goal):
-        seen.setdefault(v, None)
-    return list(seen)
+    def render(answer: _Answer) -> Tuple[str, ...]:
+        db = answer[1]
+        if db not in rendered:
+            rendered[db] = tuple(str(f) for f in db)
+        return rendered[db]
+
+    order: List[_Answer] = []
+    for _, run in itertools.groupby(by_values, key=itemgetter(0)):
+        tied = [answer for _, answer in run]
+        if len(tied) > 1:
+            tied.sort(key=render)
+        order.extend(tied)
+    return order
 
 
 class SearchExhausted_impossible(RuntimeError):

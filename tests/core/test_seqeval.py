@@ -7,10 +7,12 @@ from repro import (
     Interpreter,
     SequentialEngine,
     UnsupportedProgramError,
+    Variable,
     parse_database,
     parse_goal,
     parse_program,
 )
+from repro.store import using_store_provider
 
 
 def engine(text):
@@ -135,3 +137,29 @@ class TestTableBehaviour:
         )
         sols = list(e.solve(parse_goal("dup"), parse_database("p(a).")))
         assert len(sols) == 1
+
+
+class TestAnswerReplay:
+    def test_query_only_hits_never_render_the_state(self, tc_program, monkeypatch):
+        # 30 disjoint diamonds, 120 edges.  A query-only call's answers
+        # all share the input state, so replaying a table entry must
+        # order them by their values alone.
+        edges = [
+            ("%s%d" % (x, k), "%s%d" % (y, k))
+            for k in range(30)
+            for x, y in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))
+        ]
+        db = parse_database(" ".join("e(%s, %s)." % e for e in edges))
+        assert len(db) == 120
+
+        def no_rendering(self):
+            raise AssertionError("a table hit rendered a whole database")
+
+        monkeypatch.setattr(Database, "__iter__", no_rendering)
+        # No ambient store: seeding one from db would iterate it.
+        with using_store_provider(None):
+            sols = list(
+                SequentialEngine(tc_program).solve(parse_goal("path(a7, X)"), db)
+            )
+        assert [str(s.bindings[Variable("X")]) for s in sols] == ["b7", "c7", "d7"]
+        assert all(s.database == db for s in sols)

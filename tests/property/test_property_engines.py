@@ -97,6 +97,20 @@ class TestEngineAgreement:
             assert exe.database in finals
 
 
+class TestSequentialReplayOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(programs(), small_dbs())
+    def test_tied_answers_replay_in_database_order(self, prog, db):
+        # Goal ``t`` has no arguments, so every answer ties on its
+        # bindings and the output databases alone decide the order.
+        finals = [
+            sol.database for sol in SequentialEngine(prog).solve(parse_goal("t"), db)
+        ]
+        assert finals == sorted(
+            set(finals), key=lambda d: tuple(str(f) for f in d)
+        )
+
+
 class TestQueryOnlyVsDatalog:
     @settings(max_examples=40, deadline=None)
     @given(
