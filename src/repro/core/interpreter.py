@@ -1080,9 +1080,13 @@ class Interpreter:
         attr=None,
     ) -> Optional[tuple]:
         insertable, deletable = update_footprint(self.program, goal)
-        failed: Set[object] = set()
-        # The failed-state memo is keyed on (process, database) alone,
-        # which is sound only when enabledness depends on nothing else.
+        # The failed-state memo maps a database to the canonical keys of
+        # the processes that failed from it.  A frame's key is computed
+        # only when the frame fails or a successor lands on a database
+        # with failures, so a run that never backtracks computes none.
+        failed: Dict[Database, Set[object]] = {}
+        # The memo is keyed on (process, database) alone, which is
+        # sound only when enabledness depends on nothing else.
         # A fault injector is *tick*-dependent -- the same configuration
         # can fail now and succeed after a fault window expires -- so
         # the memo starts disabled under faults, and is re-enabled the
@@ -1177,17 +1181,17 @@ class Interpreter:
                 yield from ready
             yield from deferred
 
-        # Each frame: [key, step iterator, answers, hits_before, prov
-        # node, stepped].  The explicit stack avoids Python recursion
-        # limits on long workflow executions.
+        # Each frame: [process, database, canonical key (None until
+        # needed), step iterator, answers, hits_before, prov node,
+        # stepped].  The explicit stack avoids Python recursion limits
+        # on long workflow executions.
         root = (
             prov.record("config", str(goal), disposition="root")
             if prov is not None
             else None
         )
-        start_key = (canonical_key(goal, self.sort_concurrent), db)
         stack: List[list] = [
-            [start_key, expand(goal, db, root), tuple(goal_vars), 0, root, False]
+            [goal, db, None, expand(goal, db, root), tuple(goal_vars), 0, root, False]
         ]
         enabled = obs.enabled
         if enabled:
@@ -1199,7 +1203,7 @@ class Interpreter:
             if not use_memo and getattr(faults, "dormant", False):
                 use_memo = True
             frame = stack[-1]
-            key, steps, answers, hits_before, fnode, _ = frame
+            _, _, _, steps, answers, hits_before, fnode, _ = frame
             advanced = False
             for step, new_proc in steps:
                 new_answers = tuple(walk(t, step.subst) for t in answers)
@@ -1209,7 +1213,7 @@ class Interpreter:
                 child = None
                 if prov is not None:
                     child = prov.record_step(step, fnode)
-                    frame[5] = True
+                    frame[7] = True
                 if is_final(new_proc):
                     if prov is not None:
                         prov.mark(
@@ -1231,8 +1235,11 @@ class Interpreter:
                     if prov is not None:
                         prov.mark(child, "depth-limit")
                     continue
-                new_key = (canonical_key(new_proc, self.sort_concurrent), step.database)
-                if use_memo and new_key in failed:
+                bucket = failed.get(step.database) if use_memo and failed else None
+                new_key = (
+                    canonical_key(new_proc, self.sort_concurrent) if bucket else None
+                )
+                if bucket and new_key in bucket:
                     trace.pop()
                     if times is not None:
                         times.pop()
@@ -1245,6 +1252,8 @@ class Interpreter:
                     continue
                 stack.append(
                     [
+                        new_proc,
+                        step.database,
                         new_key,
                         expand(new_proc, step.database, child),
                         new_answers,
@@ -1261,10 +1270,13 @@ class Interpreter:
                 # Frame exhausted: memoize as failed only if no descendant
                 # was truncated by the depth limit (soundness of the memo).
                 if use_memo and limit_hits == hits_before:
-                    failed.add(key)
+                    proc, state, key = frame[:3]
+                    if key is None:
+                        key = canonical_key(proc, self.sort_concurrent)
+                    failed.setdefault(state, set()).add(key)
                 if prov is not None:
                     prov.mark(
-                        fnode, "backtracked" if frame[5] else "failed-unify"
+                        fnode, "backtracked" if frame[7] else "failed-unify"
                     )
                 stack.pop()
                 if trace:

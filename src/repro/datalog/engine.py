@@ -17,7 +17,7 @@ from ..core.formulas import Call, Conc, Isol, Neg, Seq, Test, Truth, walk_formul
 from ..core.interpreter import _resolve_store
 from ..core.program import Program
 from ..core.terms import Atom, Variable
-from ..core.unify import Substitution, apply_atom, match_atom, unify_atoms
+from ..core.unify import Substitution, apply_atom
 from ..obs import context as _obs
 from ..obs import hotspots as _hot
 from ..obs.provenance import active_recorder
@@ -103,6 +103,9 @@ def _join(
     """
 
     ordered = list(plan) if plan is not None else _order_body(body)
+    # An indexed state for the delta: a literal with a bound argument
+    # probes it instead of trying every delta fact.
+    delta = Database(delta_index[1]) if delta_index is not None else None
 
     def recurse(idx: int, subst: Substitution) -> Iterator[Substitution]:
         if idx == len(ordered):
@@ -110,15 +113,9 @@ def _join(
             return
         lit = ordered[idx]
         if lit.positive:
-            if delta_index is not None and idx == delta_index[0]:
-                pattern = apply_atom(lit.atom, subst)
-                for fact in sorted(delta_index[1]):
-                    theta = match_atom(pattern, fact, subst)
-                    if theta is not None:
-                        yield from recurse(idx + 1, theta)
-            else:
-                for theta in facts.match(lit.atom, subst):
-                    yield from recurse(idx + 1, theta)
+            source = delta if delta is not None and idx == delta_index[0] else facts
+            for theta in source.match(lit.atom, subst):
+                yield from recurse(idx + 1, theta)
         else:
             if not facts.holds(lit.atom, subst):
                 yield from recurse(idx + 1, subst)

@@ -1,9 +1,11 @@
 """Unit tests for immutable database states."""
 
+import weakref
+
 import pytest
 
 from repro.core.database import Database, Schema, SchemaError
-from repro.core.terms import Atom, Variable, atom
+from repro.core.terms import Atom, Constant, Variable, atom
 
 X = Variable("X")
 
@@ -215,6 +217,53 @@ class TestArgIndexes:
         assert list(d1.match(Atom("p", (a_const,)))) == []
         d2 = d1.insert(atom("p", "a"))
         assert list(d2.match(Atom("p", (a_const,)))) == [{}]
+
+
+class TestUpdateCost:
+    """A delete costs what it changes and iteration costs no sort: the
+    warm sorted lists and index buckets are bisected, not scanned, and
+    iteration replays them as they are."""
+
+    Y = Variable("Y")
+
+    @staticmethod
+    def count_atom_comparisons(monkeypatch):
+        counts = {"__eq__": 0, "__ne__": 0, "__lt__": 0}
+        for name in counts:
+
+            def counted(self, other, _name=name, _original=getattr(Atom, name)):
+                counts[_name] += 1
+                return _original(self, other)
+
+            monkeypatch.setattr(Atom, name, counted)
+        return counts
+
+    def test_delete_bisects_and_iteration_does_not_sort(self, monkeypatch):
+        db = Database(atom("balance", "a%04d" % i, i) for i in range(2000))
+        probe = Atom("balance", (Constant("a0042"), X))
+        assert len(list(db.match(probe))) == 1  # warms both caches
+        counts = self.count_atom_comparisons(monkeypatch)
+        smaller = db.delete(atom("balance", "a1000", 1000))
+        assert sum(counts.values()) < 64, counts  # a scan makes 4,002
+        counts["__lt__"] = 0
+        assert len(list(smaller)) == 1999
+        assert counts["__lt__"] == 0
+        assert atom("balance", "a1000", 1000) not in list(smaller)
+
+    def test_delete_finds_equal_fact_sorted_apart(self, monkeypatch):
+        # True == 1, but bool constants sort before int ones, so the
+        # bisected slot of p(1, a) does not hold the stored p(True, a).
+        # A fresh intern table lets p(1, a) be built as its own object.
+        stored = atom("p", True, "a")
+        db = Database([stored, atom("p", 0, "a"), atom("p", 5, "a")])
+        list(db.match(Atom("p", (X, self.Y))))  # warm the sorted list
+        list(db.match(Atom("p", (Constant(0), self.Y))))  # and the index
+        monkeypatch.setattr(Atom, "_interned", weakref.WeakValueDictionary())
+        one = atom("p", 1, "a")
+        assert one == stored and one is not stored
+        smaller = db.delete(one)
+        assert [str(f) for f in smaller] == ["p(0, a)", "p(5, a)"]
+        assert list(smaller.match(Atom("p", (Constant(1), self.Y)))) == []
 
 
 class TestSchema:

@@ -3,6 +3,7 @@ communication through the database, recursion, budgets."""
 
 import pytest
 
+import repro.core.interpreter as interpreter_module
 from repro import (
     Database,
     Interpreter,
@@ -12,6 +13,8 @@ from repro import (
     parse_program,
 )
 from repro.core.errors import SafetyError
+from repro.obs import instrumented
+from repro.obs.provenance import ProvenanceRecorder, recording
 
 
 def run_all(program_text, goal_text, db_text="", **kw):
@@ -233,3 +236,41 @@ class TestSimulate:
         exe = interp.simulate(parse_goal("simulate"), db)
         assert exe is not None
         assert exe.database in interp.final_databases(parse_goal("simulate"), db)
+
+
+class TestFailedMemo:
+    """The DFS failed-state memo: states proven to fail are pruned when
+    another interleaving reaches them, and a run that never backtracks
+    never computes a canonical key."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_failed_states_are_pruned(self, seed):
+        # Every interleaving of the three inserts ends in the same state,
+        # where c(1) fails: after the first failure, each other schedule
+        # reaching a failed state is cut off by the memo.
+        interp = Interpreter(parse_program("r <- ins.c(1)."), por=False)
+        rec = ProvenanceRecorder()
+        goal = parse_goal("(ins.a(1) | ins.b(1) | ins.e(1)) * c(1)")
+        with instrumented() as inst, recording(rec):
+            assert interp.simulate(goal, Database(), seed=seed) is None
+        assert inst.metrics.counter("search.configs_expanded") == 8
+        pruned = [n for n in rec.nodes if n.witness == {"where": "failed-memo"}]
+        assert len(pruned) == 5
+
+    def test_no_key_without_backtracking(self, monkeypatch):
+        calls = []
+        original = interpreter_module.canonical_key
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(interpreter_module, "canonical_key", counted)
+        interp = Interpreter(
+            parse_program(
+                "p <- a(X) * del.a(X) * ins.b(X).\nq <- ins.c(3) * ins.d(4)."
+            )
+        )
+        db = parse_database("a(1). a(2).")
+        assert interp.simulate(parse_goal("p | q"), db, seed=0) is not None
+        assert calls == []

@@ -73,6 +73,80 @@ class TestDatabaseLaws:
         assert (d1 == d2) == (set(d1) == set(d2))
 
 
+# -- incremental updates against a rebuilt state ----------------------------------
+
+# Fixed arities, so a pattern can bind any position of its predicate.
+UPDATE_ARITIES = {"p": 1, "q": 2, "r": 2}
+UPDATE_CONSTANTS = [Constant(c) for c in ("a", "b", "c")] + [
+    Constant(i) for i in range(3)
+]
+
+
+def _update_patterns():
+    """Per predicate: the all-variable pattern, and every pattern that
+    binds one argument position to one constant."""
+    free = (Variable("X"), Variable("Y"))
+    for pred, arity in sorted(UPDATE_ARITIES.items()):
+        yield Atom(pred, free[:arity])
+        for pos in range(arity):
+            for c in UPDATE_CONSTANTS:
+                yield Atom(pred, free[:pos] + (c,) + free[pos + 1 : arity])
+
+
+UPDATE_PATTERNS = list(_update_patterns())
+
+
+@st.composite
+def update_facts(draw):
+    pred = draw(st.sampled_from(sorted(UPDATE_ARITIES)))
+    args = st.sampled_from(UPDATE_CONSTANTS)
+    return Atom(pred, tuple(draw(args) for _ in range(UPDATE_ARITIES[pred])))
+
+
+update_ops = st.one_of(
+    st.tuples(st.sampled_from(["ins", "del"]), update_facts()),
+    st.tuples(st.just("warm"), st.sampled_from(UPDATE_PATTERNS)),
+)
+
+
+def shared_view(db):
+    """A state equal to *db* that reads its query caches but builds any
+    missing ones for itself, so checking it never warms *db*."""
+    view = Database._from_index(db._index)
+    view._sorted = dict(db._sorted)
+    view._argidx = dict(db._argidx)
+    return view
+
+
+class TestIncrementalUpdates:
+    """Copy-on-write updates (bisected deletes, ordered inserts, shared
+    caches) agree with a state rebuilt from a plain set after every
+    step, whichever caches were warm when the step ran."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(update_ops, max_size=40))
+    def test_updates_agree_with_rebuilt_state(self, ops):
+        db, model = Database(), frozenset()
+        history = [(db, model)]
+        for op, item in ops:
+            if op == "ins":
+                db, model = db.insert(item), model | {item}
+            elif op == "del":
+                db, model = db.delete(item), model - {item}
+            else:
+                list(db.match(item))
+            rebuilt, view = Database(model), shared_view(db)
+            assert list(view) == list(rebuilt) == sorted(model)
+            assert len(view) == len(rebuilt) == len(model)
+            assert view == rebuilt and hash(view) == hash(rebuilt)
+            for pattern in UPDATE_PATTERNS:
+                assert list(view.match(pattern)) == list(rebuilt.match(pattern))
+            for earlier, earlier_model in history:
+                assert db.difference(earlier) == model - earlier_model
+                assert earlier.difference(db) == earlier_model - model
+            history.append((db, model))
+
+
 # -- unification laws -----------------------------------------------------------
 
 
