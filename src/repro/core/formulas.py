@@ -304,24 +304,33 @@ def _eval_arith(expr: ArithExpr, subst: Substitution):
 # ---------------------------------------------------------------------------
 
 
+def _flat_node(cls, parts: Tuple[Formula, ...]) -> Formula:
+    """A ``Seq``/``Conc`` over parts that are already flat, built without
+    the constructor's re-flattening pass (equal, hash- and
+    ``str``-identical to ``cls(parts)``)."""
+    node = object.__new__(cls)
+    object.__setattr__(node, "parts", parts)
+    return node
+
+
 def seq(*parts: Formula) -> Formula:
     """Sequential composition; collapses units and singletons."""
-    flat = _flatten(Seq, tuple(parts))
+    flat = _flatten(Seq, parts)
     if not flat:
         return TRUTH
     if len(flat) == 1:
         return flat[0]
-    return Seq(flat)
+    return _flat_node(Seq, flat)
 
 
 def conc(*parts: Formula) -> Formula:
     """Concurrent composition; collapses units and singletons."""
-    flat = _flatten(Conc, tuple(parts))
+    flat = _flatten(Conc, parts)
     if not flat:
         return TRUTH
     if len(flat) == 1:
         return flat[0]
-    return Conc(flat)
+    return _flat_node(Conc, flat)
 
 
 def iso(body: Formula, budget: Optional[int] = None) -> Formula:
@@ -403,10 +412,10 @@ def apply_subst(f: Formula, subst: Substitution) -> Formula:
         return Del(apply_atom(f.atom, subst))
     if isinstance(f, Call):
         return Call(apply_atom(f.atom, subst))
-    if isinstance(f, Seq):
-        return Seq(tuple(apply_subst(p, subst) for p in f.parts))
-    if isinstance(f, Conc):
-        return Conc(tuple(apply_subst(p, subst) for p in f.parts))
+    if isinstance(f, (Seq, Conc)):
+        # Substitution never creates a Seq, Conc or Truth, so the
+        # rebuilt parts are as flat as the originals.
+        return _flat_node(type(f), tuple(apply_subst(p, subst) for p in f.parts))
     if isinstance(f, Isol):
         return Isol(apply_subst(f.body, subst), f.budget)
     if isinstance(f, Builtin):

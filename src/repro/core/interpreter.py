@@ -773,11 +773,13 @@ class Interpreter:
                 for step in steps:
                     budget.spend()
                     stepped = True
-                    new_proc = apply_subst(step.residual, step.subst)
-                    if dead_config(new_proc, step.database, insertable, deletable):
+                    if dead_config(
+                        step.residual, step.database, insertable, deletable, step.subst
+                    ):
                         if prov is not None:
                             prov.record_step(step, parent, "dead-config")
                         continue
+                    new_proc = apply_subst(step.residual, step.subst)
                     new_answers = tuple(walk(t, step.subst) for t in config.answers)
                     succ = Configuration(new_proc, step.database, new_answers)
                     key = self._key(succ)
@@ -1159,27 +1161,30 @@ class Interpreter:
                 steps = faults.perturb(proc, state, steps)
             if attr is not None:
                 steps = attr.meter_steps(steps)
+            # Both checks apply the step's bindings at the leaves; the
+            # substituted residual is built only for a step handed out.
             ready = []
             deferred = []
             for step in steps:
                 budget.spend()
-                new_proc = apply_subst(step.residual, step.subst)
-                if dead_config(new_proc, step.database, insertable, deletable):
+                theta = step.subst
+                if dead_config(
+                    step.residual, step.database, insertable, deletable, theta
+                ):
                     if prov is not None:
                         prov.record_step(step, pnode, "dead-config")
                     continue
-                local = apply_subst(step.local, step.subst)
-                if frontier_blocked(local, step.database):
-                    deferred.append((step, new_proc))
+                if frontier_blocked(step.local, step.database, theta):
+                    deferred.append(step)
                 elif rng is None:
-                    yield step, new_proc
+                    yield step, apply_subst(step.residual, theta)
                 else:
-                    ready.append((step, new_proc))
+                    ready.append(step)
             if rng is not None:
                 rng.shuffle(ready)
                 rng.shuffle(deferred)
-                yield from ready
-            yield from deferred
+            for step in ready + deferred:
+                yield step, apply_subst(step.residual, step.subst)
 
         # Each frame: [process, database, canonical key (None until
         # needed), step iterator, answers, hits_before, prov node,

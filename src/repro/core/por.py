@@ -77,9 +77,7 @@ from .formulas import (
     Seq,
     Test,
     Truth,
-    conc,
     free_variables,
-    seq,
     walk_formulas,
 )
 from .program import Program
@@ -364,22 +362,15 @@ class PartialOrderReducer:
         tracer=None,
         prov=None,
         prov_parent=None,
+        ctx=None,
     ) -> Iterator[Step]:
         if isinstance(proc, Truth) or _never_steps(proc):
             return
         if isinstance(proc, Seq):
-            head, rest = proc.parts[0], proc.parts[1:]
-            for step in self._reduced(
-                head, db, isol_runner, comp_fp, comp_vars, metrics,
-                tracer, prov, prov_parent,
-            ):
-                yield Step(
-                    step.action,
-                    step.subst,
-                    seq(step.residual, *rest),
-                    step.database,
-                    step.local,
-                )
+            yield from self._reduced(
+                proc.parts[0], db, isol_runner, comp_fp, comp_vars, metrics,
+                tracer, prov, prov_parent, (ctx, None, proc.parts[1:]),
+            )
             return
         if isinstance(proc, Conc):
             parts = proc.parts
@@ -396,19 +387,11 @@ class PartialOrderReducer:
                         parts, idx, comp_fp, comp_vars,
                         metrics, tracer, prov, prov_parent, attr, rescued,
                     )
-                branch = parts[idx]
-                before, after = parts[:idx], parts[idx + 1 :]
-                for step in self._reduced(
-                    branch, db, isol_runner, comp_fp, comp_vars, metrics,
+                yield from self._reduced(
+                    parts[idx], db, isol_runner, comp_fp, comp_vars, metrics,
                     tracer, prov, prov_parent,
-                ):
-                    yield Step(
-                        step.action,
-                        step.subst,
-                        conc(*before, step.residual, *after),
-                        step.database,
-                        step.local,
-                    )
+                    (ctx, parts[:idx], parts[idx + 1 :]),
+                )
                 return
             # No ample branch: expand all, and let nested concurrent
             # nodes prove independence against the siblings too.
@@ -424,21 +407,13 @@ class PartialOrderReducer:
                     if j != i:
                         sib_fp = _union(sib_fp, fps[j])
                         sib_vars = sib_vars | fvs[j]
-                before, after = parts[:i], parts[i + 1 :]
-                for step in self._reduced(
+                yield from self._reduced(
                     branch, db, isol_runner, sib_fp, sib_vars, metrics,
-                    tracer, prov, prov_parent,
-                ):
-                    yield Step(
-                        step.action,
-                        step.subst,
-                        conc(*before, step.residual, *after),
-                        step.database,
-                        step.local,
-                    )
+                    tracer, prov, prov_parent, (ctx, parts[:i], parts[i + 1 :]),
+                )
             return
         # Elementary redexes, calls, and iso: no concurrency below here.
-        yield from _steps(self.program, proc, db, isol_runner)
+        yield from _steps(self.program, proc, db, isol_runner, ctx)
 
     def _note_ample(
         self,

@@ -47,7 +47,6 @@ from .formulas import (
     Test,
     TRUTH,
     Truth,
-    apply_subst,
     conc,
     seq,
     walk_formulas,
@@ -256,23 +255,41 @@ def enabled_steps(
         yield from _steps_naive(program, proc, db, isol_runner)
 
 
+def _plug(ctx, f: Formula = TRUTH) -> Formula:
+    """Plug *f* into the stepped redex's place in the whole process.
+
+    *ctx* is the linked chain of compositions enclosing the redex,
+    innermost first: each frame ``(parent, before, after)`` holds a
+    ``Conc``'s parts around the branch or, with ``before`` None, a
+    ``Seq``'s parts behind its head.  Frames apply innermost first, so
+    the result is the tree that wrapping level by level would build.
+    """
+    while ctx is not None:
+        ctx, before, after = ctx
+        f = seq(f, *after) if before is None else conc(*before, f, *after)
+    return f
+
+
 def _steps(
-    program: Program, proc: Formula, db: Database, isol_runner: IsolRunner
+    program: Program, proc: Formula, db: Database, isol_runner: IsolRunner, ctx=None
 ) -> Iterator[Step]:
     if isinstance(proc, Truth) or _never_steps(proc):
         return
     if isinstance(proc, Test):
+        residual = None  # plugged on the first match, shared by the rest
         for theta in db.match(proc.atom):
+            if residual is None:
+                residual = _plug(ctx)
             yield Step(
                 Action("test", _display_atom(apply_atom(proc.atom, theta))),
                 theta,
-                Truth(),
+                residual,
                 db,
             )
         return
     if isinstance(proc, Neg):
         if not db.holds(proc.atom):
-            yield Step(Action("neg", _display_atom(proc.atom)), {}, Truth(), db)
+            yield Step(Action("neg", _display_atom(proc.atom)), {}, _plug(ctx), db)
         return
     if isinstance(proc, Ins):
         if not proc.atom.is_ground():
@@ -281,12 +298,12 @@ def _steps(
             # update is simply not enabled.  Genuinely unsafe programs
             # are flagged by the static analysis instead.
             return
-        yield Step(Action("ins", proc.atom), {}, Truth(), db.insert(proc.atom))
+        yield Step(Action("ins", proc.atom), {}, _plug(ctx), db.insert(proc.atom))
         return
     if isinstance(proc, Del):
         if not proc.atom.is_ground():
             return  # blocked until a sibling binds the variables
-        yield Step(Action("del", proc.atom), {}, Truth(), db.delete(proc.atom))
+        yield Step(Action("del", proc.atom), {}, _plug(ctx), db.delete(proc.atom))
         return
     if isinstance(proc, Builtin):
         try:
@@ -296,7 +313,7 @@ def _steps(
             # (same convention as unbound updates).
             return
         if theta is not None:
-            yield Step(Action("builtin", detail=str(proc)), theta, Truth(), db)
+            yield Step(Action("builtin", detail=str(proc)), theta, _plug(ctx), db)
         return
     if isinstance(proc, Call):
         sig = proc.atom.signature
@@ -311,43 +328,31 @@ def _steps(
             yield Step(
                 Action("call", _display_atom(apply_atom(proc.atom, theta))),
                 theta,
-                rule.body,
+                _plug(ctx, rule.body),
                 db,
                 rule.body,
             )
         return
     if isinstance(proc, Seq):
-        head, rest = proc.parts[0], proc.parts[1:]
-        for step in _steps(program, head, db, isol_runner):
-            yield Step(
-                step.action,
-                step.subst,
-                seq(step.residual, *rest),
-                step.database,
-                step.local,
-            )
+        yield from _steps(
+            program, proc.parts[0], db, isol_runner, (ctx, None, proc.parts[1:])
+        )
         return
     if isinstance(proc, Conc):
-        for i, branch in enumerate(proc.parts):
+        parts = proc.parts
+        for i, branch in enumerate(parts):
             if _never_steps(branch):
                 continue  # provably blocked: a sibling must bind it first
-            others_before = proc.parts[:i]
-            others_after = proc.parts[i + 1 :]
-            for step in _steps(program, branch, db, isol_runner):
-                yield Step(
-                    step.action,
-                    step.subst,
-                    conc(*others_before, step.residual, *others_after),
-                    step.database,
-                    step.local,
-                )
+            yield from _steps(
+                program, branch, db, isol_runner, (ctx, parts[:i], parts[i + 1 :])
+            )
         return
     if isinstance(proc, Isol):
         for theta, final_db, trace in isol_runner(proc.body, db, proc.budget):
             yield Step(
                 Action("iso", subtrace=tuple(trace)),
                 theta,
-                Truth(),
+                _plug(ctx),
                 final_db,
             )
         return
@@ -446,11 +451,6 @@ def _steps_naive(
     raise TypeError("cannot step formula of type %r" % type(proc).__name__)
 
 
-def apply_step(step: Step) -> Formula:
-    """The residual process after applying the step's bindings."""
-    return apply_subst(step.residual, step.subst)
-
-
 # ---------------------------------------------------------------------------
 # Trace replay
 # ---------------------------------------------------------------------------
@@ -505,13 +505,40 @@ def update_footprint(program: Program, *goals: Formula):
     return frozenset(ins_extra), frozenset(del_extra)
 
 
+def _frontier_guards(proc: Formula) -> Tuple[Formula, ...]:
+    """The tests, absence tests and builtins on *proc*'s frontier, in
+    tree order -- the only leaves :func:`dead_config` can find dead.
+    Cached on the (immutable) node, like :func:`_never_steps`."""
+    cached = getattr(proc, "_frontier_guards", None)
+    if cached is not None:
+        return cached
+    if isinstance(proc, (Test, Neg, Builtin)):
+        guards: Tuple[Formula, ...] = (proc,)
+    elif isinstance(proc, Seq):
+        guards = _frontier_guards(proc.parts[0])
+    elif isinstance(proc, Conc):
+        guards = tuple(itertools.chain.from_iterable(map(_frontier_guards, proc.parts)))
+    elif isinstance(proc, Isol):
+        # Every execution of the isolated body starts with the body's
+        # own frontier, so a dead body frontier kills the iso too.
+        guards = _frontier_guards(proc.body)
+    else:
+        # Truth has no frontier; Ins/Del/Call frontiers can always act
+        # (or need deeper search).
+        guards = ()
+    object.__setattr__(proc, "_frontier_guards", guards)
+    return guards
+
+
 def dead_config(
     proc: Formula,
     db: Database,
     insertable: frozenset,
     deletable: frozenset,
+    subst: Substitution = {},
 ) -> bool:
-    """True if *proc* can provably never complete from *db*.
+    """True if ``apply_subst(proc, subst)`` can provably never complete
+    from *db*.
 
     The check looks at each concurrent branch's *frontier* (the next
     formula it must execute).  A branch is permanently stuck -- and the
@@ -528,33 +555,32 @@ def dead_config(
     exploring before the failure is discovered.  Pruning is sound
     because frontier failure of such a branch is invariant under any
     sibling activity.
+
+    *subst* is applied at the leaves, so a search can judge a step's
+    residual before building its substituted tree.  Substitution never
+    creates a ``Seq`` or a ``Truth``, so the substituted tree's frontier
+    is the substituted frontier and the verdict is the same.
     """
-    if isinstance(proc, Truth):
-        return False
-    if isinstance(proc, Test):
-        return proc.atom.pred not in insertable and not db.holds(proc.atom)
-    if isinstance(proc, Neg):
-        return proc.atom.pred not in deletable and db.holds(proc.atom)
-    if isinstance(proc, Builtin):
-        try:
-            return proc.evaluate({}) is None
-        except ValueError:
-            # Unbound variables: a sibling may still bind them.
-            return False
-    if isinstance(proc, Seq):
-        return dead_config(proc.parts[0], db, insertable, deletable)
-    if isinstance(proc, Conc):
-        return any(dead_config(p, db, insertable, deletable) for p in proc.parts)
-    if isinstance(proc, Isol):
-        # Every execution of the isolated body starts with the body's
-        # own frontier, so a dead body frontier kills the iso too.
-        return dead_config(proc.body, db, insertable, deletable)
-    # Ins/Del/Call frontiers can always act (or need deeper search).
+    for guard in _frontier_guards(proc):
+        if isinstance(guard, Test):
+            if guard.atom.pred not in insertable and not db.holds(guard.atom, subst):
+                return True
+        elif isinstance(guard, Neg):
+            if guard.atom.pred not in deletable and db.holds(guard.atom, subst):
+                return True
+        else:
+            try:
+                if guard.evaluate(subst) is None:
+                    return True
+            except ValueError:
+                pass  # unbound variables: a sibling may still bind them
     return False
 
 
-def frontier_blocked(proc: Formula, db: Database) -> bool:
-    """True if *proc* currently has no enabled elementary frontier.
+def frontier_blocked(proc: Formula, db: Database, subst: Substitution = {}) -> bool:
+    """True if ``apply_subst(proc, subst)`` currently has no enabled
+    elementary frontier (*subst* is applied at the leaves, as in
+    :func:`dead_config`).
 
     Weaker than :func:`dead_config`: a blocked configuration may be
     unblocked by facts a sibling inserts later, so it cannot be pruned --
@@ -568,20 +594,20 @@ def frontier_blocked(proc: Formula, db: Database) -> bool:
     if isinstance(proc, Truth):
         return False
     if isinstance(proc, Test):
-        return not db.holds(proc.atom)
+        return not db.holds(proc.atom, subst)
     if isinstance(proc, Neg):
-        return db.holds(proc.atom)
+        return db.holds(proc.atom, subst)
     if isinstance(proc, Builtin):
         try:
-            return proc.evaluate({}) is None
+            return proc.evaluate(subst) is None
         except ValueError:
             return True  # unbound: cannot fire until a sibling binds it
     if isinstance(proc, (Ins, Del)):
-        return not proc.atom.is_ground()
+        return not apply_atom(proc.atom, subst).is_ground()
     if isinstance(proc, Seq):
-        return frontier_blocked(proc.parts[0], db)
+        return frontier_blocked(proc.parts[0], db, subst)
     if isinstance(proc, Conc):
-        return all(frontier_blocked(p, db) for p in proc.parts)
+        return all(frontier_blocked(p, db, subst) for p in proc.parts)
     if isinstance(proc, Isol):
         # An isolated body that cannot currently run should be deferred
         # (e.g. a stop rule's atomic emptiness check taken while work
@@ -589,62 +615,41 @@ def frontier_blocked(proc: Formula, db: Database) -> bool:
         # of that work and poisons the search).  For pure-read bodies we
         # can decide enabledness exactly and cheaply; otherwise fall
         # back to the body's frontier.
-        verdict = _pure_read_satisfiable(proc.body, db)
+        verdict = _pure_read_satisfiable(proc.body, db, subst)
         if verdict is not None:
             return not verdict
-        return frontier_blocked(proc.body, db)
+        return frontier_blocked(proc.body, db, subst)
     return False
 
 
-def _pure_read_satisfiable(body: Formula, db: Database) -> Optional[bool]:
+def _pure_read_satisfiable(
+    body: Formula, db: Database, subst: Substitution = {}
+) -> Optional[bool]:
     """For bodies built only from tests / absence tests / builtins and
-    sequential composition: is the body satisfiable in *db* right now?
-    Returns None when the body contains updates, calls, or concurrency
-    (not decidable by inspection)."""
-
-    def pure(f: Formula) -> bool:
-        if isinstance(f, (Test, Neg, Builtin, Truth)):
-            return True
-        if isinstance(f, Seq):
-            return all(pure(p) for p in f.parts)
-        return False
-
-    if not pure(body):
+    sequential composition: is the body, under *subst*, satisfiable in
+    *db* right now?  Returns None when the body contains updates, calls,
+    or concurrency (not decidable by inspection)."""
+    parts = body.parts if isinstance(body, Seq) else (body,)
+    if not all(isinstance(p, (Test, Neg, Builtin, Truth)) for p in parts):
         return None
 
-    def sat(f: Formula, theta) -> bool:
-        if isinstance(f, Truth):
-            return True
-        if isinstance(f, Test):
-            return any(True for _ in db.match(f.atom, theta))
-        if isinstance(f, Neg):
-            return not db.holds(f.atom, theta)
-        if isinstance(f, Builtin):
-            try:
-                return f.evaluate(theta) is not None
-            except ValueError:
-                return False
-        if isinstance(f, Seq):
-            return _sat_seq(f.parts, 0, theta)
-        raise TypeError  # pragma: no cover - `pure` excludes the rest
-
-    def _sat_seq(parts, idx, theta) -> bool:
+    def sat(idx: int, theta) -> bool:
         if idx == len(parts):
             return True
         part = parts[idx]
         if isinstance(part, Test):
-            return any(
-                _sat_seq(parts, idx + 1, t2) for t2 in db.match(part.atom, theta)
-            )
+            return any(sat(idx + 1, t2) for t2 in db.match(part.atom, theta))
         if isinstance(part, Builtin):
             try:
                 t2 = part.evaluate(theta)
             except ValueError:
                 return False
-            return t2 is not None and _sat_seq(parts, idx + 1, t2)
-        return sat(part, theta) and _sat_seq(parts, idx + 1, theta)
+            return t2 is not None and sat(idx + 1, t2)
+        if isinstance(part, Neg) and db.holds(part.atom, theta):
+            return False
+        return sat(idx + 1, theta)  # ``true``, or an absence test that holds
 
-    return sat(body, {})
+    return sat(0, subst)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from ..core.errors import DeadlineExceeded, SearchBudgetExceeded
-from ..core.formulas import apply_subst
 from ..core.transitions import Action, Step, frontier_blocked
 from ..obs.context import active
 
@@ -116,8 +115,7 @@ class FaultInjector:
         for step in steps:
             if self._dropped(step, tick, obs):
                 continue
-            local = apply_subst(step.local, step.subst)
-            if frontier_blocked(local, step.database):
+            if frontier_blocked(step.local, step.database, step.subst):
                 blocked.append(step)
             else:
                 ready.append(step)

@@ -274,3 +274,37 @@ class TestFailedMemo:
         db = parse_database("a(1). a(2).")
         assert interp.simulate(parse_goal("p | q"), db, seed=0) is not None
         assert calls == []
+
+
+class TestResidualsOnDemand:
+    """A DFS step's substituted residual is built only for a step the
+    search takes: dead successors (``avail(1)``/``avail(2)`` leave
+    ``ok(A)`` unsatisfiable) and the deferral check are judged under the
+    step's substitution instead."""
+
+    TRACES = {
+        None: ["call t", "avail(3)", "ok(3)", "ins.done(3)", "ins.z(1)"],
+        0: ["call t", "avail(3)", "ins.z(1)", "ok(3)", "ins.done(3)"],
+        1: ["ins.z(1)", "call t", "avail(3)", "ok(3)", "ins.done(3)"],
+    }
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_one_residual_per_taken_step(self, seed, monkeypatch):
+        calls = []
+        original = interpreter_module.apply_subst
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(interpreter_module, "apply_subst", counted)
+        interp = Interpreter(
+            parse_program("t <- avail(A) * ok(A) * ins.done(A)."), por=False
+        )
+        exe = interp.simulate(
+            parse_goal("t | ins.z(1)"),
+            parse_database("avail(1). avail(2). avail(3). ok(3)."),
+            seed=seed,
+        )
+        assert [str(a) for a in exe.trace] == self.TRACES[seed]
+        assert len(calls) == len(exe.trace) == 5

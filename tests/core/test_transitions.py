@@ -4,6 +4,7 @@ import pytest
 
 from repro import Database, parse_database, parse_goal, parse_program
 from repro.core.formulas import Conc, Truth
+from repro.core.terms import Constant, Variable
 from repro.core.transitions import (
     canonical_key,
     dead_config,
@@ -206,6 +207,13 @@ class TestDeadConfig:
         goal = prog.resolve_goal(parse_goal("p"))
         assert not dead_config(goal, Database(), ins, dels)
 
+    def test_substitution_applies_at_the_leaves(self):
+        prog, ins, dels = self._ctx("p <- ins.done(a).")
+        goal = prog.resolve_goal(parse_goal("qualified(A, tech) * ins.done(A)"))
+        db = parse_database("qualified(tech0, tech).")
+        assert dead_config(goal, db, ins, dels, {Variable("A"): Constant("clerk0")})
+        assert not dead_config(goal, db, ins, dels)
+
 
 class TestFrontierBlocked:
     def test_failing_test_blocks(self):
@@ -218,3 +226,14 @@ class TestFrontierBlocked:
         prog = parse_program("p <- ins.flag.")
         goal = prog.resolve_goal(parse_goal("flag | ins.other"))
         assert not frontier_blocked(goal, Database())
+
+    def test_substitution_applies_at_the_leaves(self):
+        prog = parse_program("p <- ins.done(a).")
+        db = parse_database("qualified(tech0, tech).")
+        clerk = {Variable("A"): Constant("clerk0")}
+        goal = prog.resolve_goal(parse_goal("qualified(A, tech) * ins.done(A)"))
+        assert frontier_blocked(goal, db, clerk)
+        assert not frontier_blocked(goal, db)
+        update = prog.resolve_goal(parse_goal("ins.done(A)"))
+        assert not frontier_blocked(update, db, clerk)
+        assert frontier_blocked(update, db)

@@ -21,17 +21,20 @@ naive-enumeration oracle, reduction deliberately changes which
 configurations are *visited*, so the equivalence is at the solution
 level -- identical answer sets and identical final databases with the
 reducer on and off, over the profile-suite configs and the six chaos
-workloads.
+workloads.  Step by step, the reducer's transitions must still be a
+sub-multiset of the full enumeration's at every reachable configuration
+(same fingerprints), which pins how it plugs residuals into context.
 """
 
 import re
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 from repro import Database, parse_database, parse_goal, parse_program
 from repro.core.formulas import apply_subst
 from repro.core.interpreter import Interpreter, _Budget
+from repro.core.por import PartialOrderReducer
 from repro.core.transitions import canonical_key, enabled_steps
 from repro.obs.analyze import (
     _BANK_TD,
@@ -163,6 +166,66 @@ class TestTargetedShapes:
             "go <- not stop * ins.mark * stop2.\nstop2 <- mark."
         )
         assert_enumeration_equivalent(program, parse_goal("go"), Database())
+
+
+# -- partial-order reduction: the reduced steps are enabled steps -------------
+
+
+def reduced_step_totals(program, goal, db, max_states=300):
+    """BFS over reachable configurations; at each one, the reducer's
+    steps must be a sub-multiset of the full enumeration's, modulo
+    renaming -- the same transitions, with each residual plugged into
+    the same context.  Returns the (reduced, full) step totals."""
+    goal = program.resolve_goal(goal)
+    interp = Interpreter(program)
+    runner = interp._isol_runner(_Budget(interp.max_configs))
+    reducer = PartialOrderReducer(program)
+    seen = set()
+    frontier = deque([(goal, db)])
+    reduced_total = full_total = 0
+    while frontier and len(seen) < max_states:
+        proc, state = frontier.popleft()
+        key = (canonical_key(proc), state)
+        if key in seen:
+            continue
+        seen.add(key)
+        full = list(enabled_steps(program, proc, state, runner))
+        reduced = list(
+            enabled_steps(program, proc, state, runner, reducer=reducer)
+        )
+        extra = Counter(_fingerprint(s) for s in reduced) - Counter(
+            _fingerprint(s) for s in full
+        )
+        assert not extra, "reducer-only steps at process %s / db %s: %s" % (
+            proc,
+            state,
+            sorted(map(str, extra)),
+        )
+        reduced_total += len(reduced)
+        full_total += len(full)
+        frontier.extend((apply_subst(s.residual, s.subst), s.database) for s in full)
+    return reduced_total, full_total
+
+
+class TestReducedStepsAreEnabled:
+    def test_lab_iterate(self):
+        from repro.core.formulas import Call
+        from repro.core.terms import atom
+        from repro.lims import build_lab_simulator, sample_batch
+
+        sim = build_lab_simulator(iterate=True)
+        reduced, full = reduced_step_totals(
+            sim.program, Call(atom("simulate")), sim.initial_database(sample_batch(3))
+        )
+        assert (reduced, full) == (233, 901)
+
+    def test_genome_simulate(self):
+        reduced, full = reduced_step_totals(
+            parse_program(_GENOME_TD),
+            parse_goal("simulate"),
+            parse_database(_GENOME_FACTS),
+        )
+        assert (reduced, full) == (336, 876)
 
 
 # -- partial-order reduction: solution-level differential ---------------------

@@ -5,11 +5,28 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import Database, Interpreter, parse_goal, parse_program
-from repro.core.formulas import apply_subst, conc, seq
+from repro.core.formulas import (
+    BinOp,
+    Builtin,
+    Call,
+    Conc,
+    Del,
+    Ins,
+    Isol,
+    Neg,
+    Seq,
+    Test,
+    Truth,
+    apply_subst,
+    conc,
+    iso,
+    seq,
+    walk_formulas,
+)
 from repro.core.parser import parse_goal as pg
 from repro.core.terms import Atom, Constant, Variable, atom
-from repro.core.transitions import canonical_key
-from repro.core.unify import apply_atom, match_atom, unify_atoms
+from repro.core.transitions import canonical_key, dead_config, frontier_blocked
+from repro.core.unify import apply_atom, match_atom, unify_atoms, walk
 
 # -- strategies -------------------------------------------------------------
 
@@ -145,6 +162,148 @@ class TestIncrementalUpdates:
                 assert db.difference(earlier) == model - earlier_model
                 assert earlier.difference(db) == earlier_model - model
             history.append((db, model))
+
+
+# -- checks under a step's substitution ------------------------------------------
+
+THETA_ARITIES = {"p": 1, "q": 2, "r": 2}
+THETA_VARS = [Variable(v) for v in ("X", "Y", "Z")]
+THETA_CONSTS = [Constant(i) for i in range(3)]
+theta_terms = st.sampled_from(THETA_VARS + THETA_CONSTS)
+theta_preds = st.sampled_from(sorted(THETA_ARITIES))
+
+
+@st.composite
+def theta_atoms(draw, ground=False):
+    pred = draw(theta_preds)
+    pool = st.sampled_from(THETA_CONSTS) if ground else theta_terms
+    return Atom(pred, tuple(draw(pool) for _ in range(THETA_ARITIES[pred])))
+
+
+theta_exprs = st.recursive(
+    theta_terms,
+    lambda sub: st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+    max_leaves=3,
+)
+theta_leaves = st.one_of(
+    *(st.builds(kind, theta_atoms()) for kind in (Test, Neg, Ins, Del, Call)),
+    st.builds(
+        Builtin,
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "is"]),
+        theta_exprs,
+        theta_exprs,
+    ),
+)
+theta_formulas = st.recursive(
+    theta_leaves,
+    lambda sub: st.one_of(
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: seq(*ps)),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: conc(*ps)),
+        sub.map(iso),
+    ),
+    max_leaves=8,
+)
+pred_sets = st.frozensets(theta_preds)
+
+
+@st.composite
+def thetas(draw):
+    """Idempotent substitutions: each bound variable maps to a constant
+    or to a variable the substitution leaves unbound."""
+    domain = draw(st.sets(st.sampled_from(THETA_VARS)))
+    values = st.sampled_from(THETA_CONSTS + [v for v in THETA_VARS if v not in domain])
+    return {v: draw(values) for v in THETA_VARS if v in domain}
+
+
+@st.composite
+def theta_databases(draw):
+    return Database(draw(st.lists(theta_atoms(ground=True), max_size=8)))
+
+
+def _outcome(check, *args):
+    """A check's verdict, or the type of the exception it raised."""
+    try:
+        return check(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc)
+
+
+def _dead_reference(f, db, ins, dels):
+    """:func:`dead_config`'s definition, by recursion over the frontier."""
+    if isinstance(f, Test):
+        return f.atom.pred not in ins and not db.holds(f.atom)
+    if isinstance(f, Neg):
+        return f.atom.pred not in dels and db.holds(f.atom)
+    if isinstance(f, Builtin):
+        try:
+            return f.evaluate({}) is None
+        except ValueError:
+            return False
+    if isinstance(f, Seq):
+        return _dead_reference(f.parts[0], db, ins, dels)
+    if isinstance(f, Conc):
+        return any(_dead_reference(p, db, ins, dels) for p in f.parts)
+    if isinstance(f, Isol):
+        return _dead_reference(f.body, db, ins, dels)
+    return False
+
+
+def _rebuilt(f, theta):
+    """``apply_subst`` through the flattening constructors."""
+    if isinstance(f, Seq):
+        return Seq(tuple(_rebuilt(p, theta) for p in f.parts))
+    if isinstance(f, Conc):
+        return Conc(tuple(_rebuilt(p, theta) for p in f.parts))
+    if isinstance(f, Isol):
+        return Isol(_rebuilt(f.body, theta), f.budget)
+    if isinstance(f, Builtin):
+        left, right = _rebuilt_expr(f.left, theta), _rebuilt_expr(f.right, theta)
+        return Builtin(f.op, left, right)
+    if isinstance(f, Truth):
+        return f
+    return type(f)(apply_atom(f.atom, theta))
+
+
+def _rebuilt_expr(expr, theta):
+    if isinstance(expr, BinOp):
+        return BinOp(
+            expr.op, _rebuilt_expr(expr.left, theta), _rebuilt_expr(expr.right, theta)
+        )
+    return walk(expr, theta)
+
+
+class TestSubstitutionAwareChecks:
+    """The frontier checks take a step's substitution and apply it at the
+    leaves: the verdict (or the exception raised) equals the check on the
+    substituted tree, and, for dead_config, the recursive definition's;
+    the tree ``apply_subst`` builds equals the one the flattening
+    constructors build."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta_formulas, theta_databases(), thetas(), pred_sets, pred_sets)
+    def test_dead_config_under_theta(self, f, db, theta, ins, dels):
+        applied = apply_subst(f, theta)
+        verdict = _outcome(dead_config, f, db, ins, dels, theta)
+        assert verdict == _outcome(dead_config, applied, db, ins, dels)
+        assert verdict == _outcome(_dead_reference, applied, db, ins, dels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta_formulas, theta_databases(), thetas())
+    def test_frontier_blocked_under_theta(self, f, db, theta):
+        assert _outcome(frontier_blocked, f, db, theta) == _outcome(
+            frontier_blocked, apply_subst(f, theta), db
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta_formulas, thetas())
+    def test_apply_subst_matches_constructors(self, f, theta):
+        applied, reference = apply_subst(f, theta), _rebuilt(f, theta)
+        assert applied == reference
+        assert hash(applied) == hash(reference)
+        assert str(applied) == str(reference)
+        for node in walk_formulas(applied):
+            if isinstance(node, (Seq, Conc)):
+                assert not any(isinstance(p, (type(node), Truth)) for p in node.parts)
 
 
 # -- unification laws -----------------------------------------------------------
