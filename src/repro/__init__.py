@@ -56,7 +56,6 @@ from .core import (
     Execution,
     Formula,
     Interpreter,
-    NonrecursiveEngine,
     ParseError,
     Program,
     ProgramError,
@@ -121,7 +120,6 @@ __all__ = [
     "Formula",
     "Interpreter",
     "MemoryStore",
-    "NonrecursiveEngine",
     "ParseError",
     "Program",
     "ProgramError",

@@ -9,8 +9,9 @@ This subpackage is the paper's primary contribution.  The layering:
 ``transitions`` / ``interpreter``
     the procedural interpretation (small-step semantics) and the full-TD
     engine (BFS semi-decision procedure + DFS simulation scheduler);
-``seqeval`` / ``nonrec``
-    decision procedures for the sequential and nonrecursive sublanguages;
+``seqeval``
+    the tabled decision procedure for the sequential sublanguage, which
+    also evaluates the ``|``-free query-only and nonrecursive programs;
 ``analysis`` / ``engine``
     the sublanguage classifier and the engine façade that routes each
     program to the weakest adequate evaluator.
@@ -46,7 +47,6 @@ from .formulas import (
     seq,
 )
 from .interpreter import Checkpoint, Deadline, Execution, Interpreter, Solution
-from .nonrec import NonrecursiveEngine
 from .parser import (
     ParseError,
     as_goal,
@@ -89,7 +89,6 @@ __all__ = [
     "Interpreter",
     "Isol",
     "Neg",
-    "NonrecursiveEngine",
     "ParseError",
     "Program",
     "ProgramError",

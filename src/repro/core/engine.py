@@ -8,21 +8,31 @@ expressive the sublanguage, the better the evaluation strategy available.
 sublanguage               engine                         termination
 ========================  =============================  ==============
 query-only TD             tabled sequential evaluator    decision proc.
-nonrecursive TD           memoized top-down evaluator    decision proc.
+nonrecursive TD           tabled sequential evaluator;   decision proc.
+                          small-step BFS with ``|``
 fully bounded TD          small-step exhaustive search   decision proc.
 sequential TD             tabled sequential evaluator    decision proc.
 full TD                   small-step BFS                 semi-decision
 ========================  =============================  ==============
 
+Nonrecursive TD has no evaluator of its own: without ``|`` it lies inside
+sequential TD, whose tabled worklist stays polynomial in the data when
+the call graph is acyclic (docs/SEMANTICS.md section 4); with ``|`` the
+configuration space is finite, so the small-step search terminates.  The
+classification -- ``Engine.sublanguage``, ``Engine.decidable`` and the
+``time.<sublanguage>`` timer -- still reports the paper's map.
+
 :class:`Engine` wraps the result with a uniform API (``succeeds``,
 ``solve``, ``final_databases``, ``simulate``) so examples, tests and
-benchmarks do not care which evaluator runs underneath.
+benchmarks do not care which evaluator runs underneath.  Every
+interpreter the façade builds, as the backend or over an analytic one
+for ``simulate``/``resume``, gets the ``max_configs`` and ``tabling``
+that :func:`select_engine` was given.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Set, Union
 
 from ..obs.context import Instrumentation, active
@@ -30,22 +40,14 @@ from .analysis import Analysis, Sublanguage, analyze
 from .database import Database
 from .errors import ReproError
 from .formulas import Formula
-from .interpreter import (
-    Checkpoint,
-    Deadline,
-    Execution,
-    Interpreter,
-    Solution,
-    _simulate_legacy_args,
-)
-from .nonrec import NonrecursiveEngine
+from .interpreter import Checkpoint, Deadline, Execution, Interpreter, Solution
 from .parser import as_goal
 from .program import Program
 from .seqeval import SequentialEngine
 
 __all__ = ["Engine", "select_engine", "solve"]
 
-_Backend = Union[Interpreter, SequentialEngine, NonrecursiveEngine]
+_Backend = Union[Interpreter, SequentialEngine]
 
 
 def _annotate(exc: ReproError, goal: Union[str, Formula]) -> ReproError:
@@ -58,6 +60,10 @@ def _annotate(exc: ReproError, goal: Union[str, Formula]) -> ReproError:
     if getattr(exc, "goal", None) is None:
         exc.goal = goal
     return exc
+
+#: Sublanguages whose ``|``-free programs the tabled sequential evaluator
+#: decides.
+_TABLED = {Sublanguage.QUERY_ONLY, Sublanguage.NONRECURSIVE, Sublanguage.SEQUENTIAL}
 
 #: Sublanguages for which the selected procedure is guaranteed to halt.
 _DECIDABLE = {
@@ -76,6 +82,10 @@ class Engine:
     backend: _Backend
     analysis: Analysis
     sublanguage: Sublanguage
+    #: The small-step options :func:`select_engine` was given; every
+    #: interpreter built over an analytic backend uses them too.
+    max_configs: int = field(default=200_000, init=False)
+    tabling: bool = field(default=True, init=False)
 
     @property
     def decidable(self) -> bool:
@@ -98,6 +108,21 @@ class Engine:
 
     def _timer_name(self) -> str:
         return "time.%s" % self.sublanguage.name.lower()
+
+    def _interpreter(self) -> Interpreter:
+        """The small-step interpreter for traces and checkpoints: the
+        backend itself when it is one, else a fresh interpreter over the
+        same program, recorder and store, with this engine's
+        ``max_configs`` and ``tabling``."""
+        if isinstance(self.backend, Interpreter):
+            return self.backend
+        return Interpreter(
+            self.program,
+            max_configs=self.max_configs,
+            provenance=self.backend.provenance,
+            store=self.backend.store,
+            tabling=self.tabling,
+        )
 
     def succeeds(self, goal: Union[str, Formula], db: Optional[Database] = None) -> bool:
         """Does some execution of *goal* from *db* commit?"""
@@ -165,17 +190,7 @@ class Engine:
         """Continue an interrupted small-step search (see
         :meth:`Interpreter.resume`); checkpoints only come from the
         small-step backend, so an interpreter always handles this."""
-        interp = (
-            self.backend
-            if isinstance(self.backend, Interpreter)
-            else Interpreter(
-                self.program,
-                provenance=getattr(self.backend, "provenance", None),
-                attribution=getattr(self.backend, "attribution", None),
-                tabling=getattr(self.backend, "tabling", True),
-            )
-        )
-        return interp.resume(checkpoint, **kwargs)
+        return self._interpreter().resume(checkpoint, **kwargs)
 
     def final_databases(
         self, goal: Union[str, Formula], db: Optional[Database] = None
@@ -194,7 +209,7 @@ class Engine:
         self,
         goal: Union[str, Formula],
         db: Optional[Database] = None,
-        *legacy,
+        *,
         seed: Optional[int] = None,
         max_depth: int = 100_000,
         deadline: Union[None, float, Deadline] = None,
@@ -206,18 +221,7 @@ class Engine:
         store is attached the winning trace is committed to it (see
         :meth:`Interpreter.simulate`).
         """
-        seed, max_depth = _simulate_legacy_args(legacy, seed, max_depth)
-        interp = (
-            self.backend
-            if isinstance(self.backend, Interpreter)
-            else Interpreter(
-                self.program,
-                provenance=getattr(self.backend, "provenance", None),
-                attribution=getattr(self.backend, "attribution", None),
-                store=getattr(self.backend, "store", None),
-                tabling=getattr(self.backend, "tabling", True),
-            )
-        )
+        interp = self._interpreter()
         obs = self._describe()
         try:
             if not obs.enabled:
@@ -237,64 +241,52 @@ class Engine:
 def select_engine(
     program: Program,
     goal: Union[str, Formula, None] = None,
-    *legacy,
+    *,
     max_configs: int = 200_000,
     provenance=None,
-    attribution=None,
     store=None,
     tabling: bool = True,
 ) -> Engine:
     """Classify *program* (and *goal*, if given) and build the matching
     engine.
 
-    ``max_configs`` bounds the small-step searches (full and fully
-    bounded TD); the big-step evaluators ignore it, as they terminate
-    unconditionally.  ``provenance`` attaches a derivation recorder (see
-    :mod:`repro.obs.provenance`), ``attribution`` a cost attributor
-    (see :mod:`repro.obs.hotspots`), and ``store`` a storage backend
-    (see :class:`repro.store.Store` and docs/STORAGE.md) to whichever
-    backend is selected.  ``tabling=False`` disables answer tabling on
-    the small-step backend (docs/PERFORMANCE.md; the analytic backends
-    table by construction and ignore it).  Options after ``goal`` are
-    keyword-only; positional ``max_configs`` keeps working for one
-    deprecation cycle.
+    Query-only, nonrecursive and sequential programs run on the tabled
+    :class:`SequentialEngine` when neither the program nor the goal uses
+    ``|``; everything else runs on the small-step :class:`Interpreter`
+    (see the table in this module's docstring).  An engine chosen
+    without a goal rejects a later ``|`` goal it cannot evaluate with
+    :class:`UnsupportedProgramError`; pass the goal to route on it.
+
+    ``max_configs`` bounds every small-step search the engine makes:
+    the backend's, and those ``simulate``/``resume`` build over an
+    analytic backend.  ``tabling=False`` disables answer tabling in the
+    same interpreters (docs/PERFORMANCE.md); the sequential evaluator
+    tables by construction and ignores both.  ``provenance`` attaches a
+    derivation recorder (see :mod:`repro.obs.provenance`) and ``store``
+    a storage backend (see :class:`repro.store.Store` and
+    docs/STORAGE.md) to whichever backend is selected; a cost
+    attributor comes from the ambient :func:`repro.obs.attributing`
+    slot.
     """
-    if legacy:
-        if len(legacy) > 1:
-            raise TypeError(
-                "select_engine() takes 2 positional arguments (program, goal) "
-                "but %d were given" % (2 + len(legacy))
-            )
-        warnings.warn(
-            "passing max_configs positionally to select_engine() is "
-            "deprecated; use select_engine(program, goal, max_configs=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        max_configs = legacy[0]
     if goal is not None:
         goal = as_goal(goal)
     analysis = analyze(program, goal)
     sub = analysis.classify()
     backend: _Backend
-    if sub in (Sublanguage.QUERY_ONLY, Sublanguage.SEQUENTIAL):
-        backend = SequentialEngine(
-            program, provenance=provenance, attribution=attribution, store=store
-        )
-    elif sub is Sublanguage.NONRECURSIVE:
-        backend = NonrecursiveEngine(
-            program, provenance=provenance, attribution=attribution, store=store
-        )
+    if sub in _TABLED and not analysis.uses_conc:
+        backend = SequentialEngine(program, provenance=provenance, store=store)
     else:
         backend = Interpreter(
             program,
             max_configs=max_configs,
             provenance=provenance,
-            attribution=attribution,
             store=store,
             tabling=tabling,
         )
-    return Engine(program=program, backend=backend, analysis=analysis, sublanguage=sub)
+    engine = Engine(program=program, backend=backend, analysis=analysis, sublanguage=sub)
+    engine.max_configs = max_configs
+    engine.tabling = tabling
+    return engine
 
 
 def solve(

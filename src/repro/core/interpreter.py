@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -338,7 +337,6 @@ class Interpreter:
         faults=None,
         por: bool = True,
         provenance=None,
-        attribution=None,
         *,
         store=None,
         tabling: bool = True,
@@ -359,11 +357,6 @@ class Interpreter:
         #: each entry point (see :func:`repro.obs.provenance.recording`);
         #: with neither attached the hot loops pay one ``is None`` check.
         self.provenance = provenance
-        #: Optional :class:`repro.obs.hotspots.CostAttributor`, same
-        #: discipline as ``provenance``: explicit beats the ambient one
-        #: installed by :func:`repro.obs.hotspots.attributing`, off by
-        #: default, and the engine counters are byte-identical when off.
-        self.attribution = attribution
         self._reducer = (
             PartialOrderReducer(program) if (por and not por_forced_off()) else None
         )
@@ -377,14 +370,6 @@ class Interpreter:
     def _prov(self):
         """The recorder for this search: explicit beats ambient."""
         return self.provenance if self.provenance is not None else active_recorder()
-
-    def _attr(self):
-        """The cost attributor for this search: explicit beats ambient."""
-        return (
-            self.attribution
-            if self.attribution is not None
-            else _hot.active_attributor()
-        )
 
     def _enabled_steps(
         self, proc, db, isol_runner, obs: Instrumentation, prov=None, parent=None
@@ -446,7 +431,7 @@ class Interpreter:
         obs = active()
         budget = _Budget(self.max_configs, obs)
         goal_vars = ordered_variables(goal)
-        attr = self._attr()
+        attr = _hot.active_attributor()
 
         def _search():
             with obs.span("solve", engine="interpreter", goal=str(goal)):
@@ -492,7 +477,7 @@ class Interpreter:
         obs = active()
         budget = _Budget(self.max_configs, obs)
         goal_vars = ordered_variables(goal)
-        attr = self._attr()
+        attr = _hot.active_attributor()
 
         def _search():
             with obs.span(
@@ -548,7 +533,7 @@ class Interpreter:
         obs = active()
         budget = _Budget(self.max_configs, obs)
         goal_vars = list(checkpoint.goal_vars)
-        attr = self._attr()
+        attr = _hot.active_attributor()
         if checkpoint.table is not None and self._table is not None:
             # Warm-start from the interrupted search's answers.  A fresh
             # restore per resumption keeps resuming the same checkpoint
@@ -590,7 +575,7 @@ class Interpreter:
         self,
         goal: Union[str, Formula],
         db: Optional[Database] = None,
-        *legacy,
+        *,
         seed: Optional[int] = None,
         max_depth: int = 100_000,
         deadline: Union[None, float, Deadline] = None,
@@ -611,13 +596,12 @@ class Interpreter:
         durable state advances iff the simulation succeeded.
         """
         store, db = self._resolve_state(db)
-        seed, max_depth = _simulate_legacy_args(legacy, seed, max_depth)
         goal = self.program.resolve_goal(as_goal(goal))
         obs = active()
         budget = _Budget(self.max_configs, obs)
         rng = random.Random(seed) if seed is not None else None
         goal_vars = ordered_variables(goal)
-        attr = self._attr()
+        attr = _hot.active_attributor()
         with obs.span("simulate", engine="interpreter", goal=str(goal)), \
                 _hot.engine_frame(attr, "dfs"):
             try:
@@ -1414,31 +1398,6 @@ class Interpreter:
                 return
 
         return run_isolated
-
-
-def _simulate_legacy_args(legacy, seed, max_depth):
-    """Map legacy positional ``simulate(goal, db, seed, max_depth)`` calls.
-
-    ``seed`` and ``max_depth`` are keyword-only since the API unification;
-    positional use keeps working for one deprecation cycle.
-    """
-    if not legacy:
-        return seed, max_depth
-    if len(legacy) > 2:
-        raise TypeError(
-            "simulate() takes 2 positional arguments (goal, db) but %d were given"
-            % (2 + len(legacy))
-        )
-    warnings.warn(
-        "passing seed/max_depth positionally to simulate() is deprecated; "
-        "use keyword arguments (seed=..., max_depth=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    seed = legacy[0]
-    if len(legacy) == 2:
-        max_depth = legacy[1]
-    return seed, max_depth
 
 
 def _resolve_store(store, db):

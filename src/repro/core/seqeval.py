@@ -3,7 +3,10 @@
 Sequential TD is the sublanguage without concurrent composition.  The
 paper (Theorem 4.5) shows it is data complete for EXPTIME -- in sharp
 contrast to full TD's RE-completeness -- and in particular *decidable*.
-This module is the decision procedure.
+This module is the decision procedure.  The engine façade also routes
+the ``|``-free query-only and nonrecursive programs here; on an acyclic
+call graph the worklist below stays polynomial in the data
+(docs/SEMANTICS.md section 4).
 
 The semantic insight it implements: the meaning of a sequential TD
 predicate is a binary relation on database states.  For a fixed program
@@ -84,7 +87,6 @@ class SequentialEngine:
         max_rounds: int = 10_000_000,
         join_order: bool = True,
         provenance=None,
-        attribution=None,
         *,
         store=None,
     ):
@@ -99,9 +101,6 @@ class SequentialEngine:
         #: back to the ambient recorder when unset, costs nothing when
         #: neither is attached.
         self.provenance = provenance
-        #: Cost attributor (see :mod:`repro.obs.hotspots`); same
-        #: explicit-beats-ambient resolution as ``provenance``.
-        self.attribution = attribution
         #: Reorder maximal runs of consecutive tuple tests inside each
         #: sequence by bound-argument selectivity before evaluating.
         #: Sound because tests read but never write: a contiguous test
@@ -155,21 +154,22 @@ class SequentialEngine:
         """
         _, db = _resolve_store(self.store, db)
         goal = self.program.resolve_goal(as_goal(goal))
+        # Only a call reads the table: a goal without one needs no
+        # fixpoint, just the one evaluation that enumerates its answers.
+        reads_table = False
         for sub in walk_formulas(goal):
             if isinstance(sub, Conc):
                 raise UnsupportedProgramError(
                     "goal uses concurrent composition; use the full interpreter"
                 )
+            if isinstance(sub, Call):
+                reads_table = True
         goal_vars = ordered_variables(goal)
         obs = self._obs = active()
         prov = self._prov_rec = (
             self.provenance if self.provenance is not None else active_recorder()
         )
-        attr = self._attr_cur = (
-            self.attribution
-            if self.attribution is not None
-            else _hot.active_attributor()
-        )
+        attr = self._attr_cur = _hot.active_attributor()
         self._prov_root = (
             prov.record("config", str(goal), disposition="root")
             if prov is not None
@@ -181,12 +181,13 @@ class SequentialEngine:
 
         def _search():
             with obs.span("solve", engine="seqeval", goal=str(goal)):
-                with obs.span("table-fixpoint"):
-                    if attr is not None:
-                        with attr.frame(phase="fixpoint"):
+                if reads_table:
+                    with obs.span("table-fixpoint"):
+                        if attr is not None:
+                            with attr.frame(phase="fixpoint"):
+                                self._run_fixpoint(goal, db)
+                        else:
                             self._run_fixpoint(goal, db)
-                    else:
-                        self._run_fixpoint(goal, db)
                 if obs.enabled:
                     keys, answers = self.table_size
                     obs.metrics.set_gauge("table.keys", keys)

@@ -148,7 +148,6 @@ def evaluate(
     edb: Optional[Database] = None,
     reorder: bool = True,
     provenance=None,
-    attribution=None,
     *,
     store=None,
 ) -> Database:
@@ -165,11 +164,10 @@ def evaluate(
     IDB fact, parented on the first derived positive premise of its
     first derivation, with the instantiated rule as witness.
 
-    *attribution* (or the ambient attributor, see
-    :mod:`repro.obs.hotspots`) charges each rule's join work to a
-    per-rule frame under a ``seminaive`` phase, plus one
-    ``steps.expansions`` per derived fact and the per-round delta sizes
-    as ``db.delta``.
+    The ambient cost attributor (see :mod:`repro.obs.hotspots`), if
+    any, charges each rule's join work to a per-rule frame under a
+    ``seminaive`` phase, plus one ``steps.expansions`` per derived fact
+    and the per-round delta sizes as ``db.delta``.
 
     *store* (or the ambient provider, see :mod:`repro.store.context`)
     attaches a storage backend: with ``edb=None`` it supplies the EDB,
@@ -179,7 +177,7 @@ def evaluate(
     """
     store, edb = _resolve_store(store, edb)
     prov = provenance if provenance is not None else active_recorder()
-    attr = attribution if attribution is not None else _hot.active_attributor()
+    attr = _hot.active_attributor()
     if attr is not None:
         with _hot.engine_frame(attr, "seminaive"):
             result = _evaluate_seminaive(program, edb, reorder, prov, attr)

@@ -10,10 +10,10 @@ changed, long before wall time shows it on a noisy CI box.
 Three pieces:
 
 * :func:`profile_suite` -- the fixed, named workloads the baselines
-  cover: one per engine family (nonrecursive, tabled sequential,
-  full-TD BFS, fully-bounded search, workflow simulation), built from
-  the paper's own examples so the gate tracks the programs the repo is
-  *about*.
+  cover: one per engine family (tabled sequential on a nonrecursive
+  and a recursive program, full-TD BFS, fully-bounded search, workflow
+  simulation), built from the paper's own examples so the gate tracks
+  the programs the repo is *about*.
 * :func:`write_baselines` -- run each workload instrumented and write
   ``<name>.json`` per config (``tdlog profile baseline``).
 * :func:`diff_baselines` -- re-run and compare against the committed
@@ -44,6 +44,7 @@ __all__ = [
     "DiffReport",
     "profile_suite",
     "capture_snapshot",
+    "deterministic_record",
     "write_baselines",
     "load_baseline",
     "diff_snapshot",
@@ -248,7 +249,7 @@ def profile_suite() -> List[ProfileConfig]:
     return [
         ProfileConfig(
             "bank_transfer",
-            "Examples 2.1-2.2 nested banking transfer (nonrecursive engine, iso)",
+            "Examples 2.1-2.2 nested banking transfer (tabled sequential evaluator, iso)",
             _run_bank,
         ),
         ProfileConfig(
@@ -302,20 +303,25 @@ def suite_config(name: str) -> ProfileConfig:
 # -- capture ------------------------------------------------------------------
 
 
+def deterministic_record(metrics) -> Dict[str, object]:
+    """The counters, gauges and info of *metrics*: the part of a run
+    that is a pure function of the search.  Timers and histograms (the
+    store's fsync latencies) measure the clock and are left out."""
+    snapshot = metrics.snapshot(include_timers=False)
+    return {key: snapshot[key] for key in ("counters", "gauges", "info")}
+
+
 def capture_snapshot(config: ProfileConfig) -> Dict[str, object]:
     """Run *config* under fresh instrumentation; return its baseline
-    record (deterministic parts only -- no timers)."""
+    record (deterministic parts only, see :func:`deterministic_record`)."""
     inst = Instrumentation.create()
     with instrumented(inst):
         config.run()
-    snapshot = inst.metrics.snapshot(include_timers=False)
     return {
         "schema": SCHEMA,
         "config": config.name,
         "description": config.description,
-        "counters": snapshot["counters"],
-        "gauges": snapshot["gauges"],
-        "info": snapshot["info"],
+        **deterministic_record(inst.metrics),
     }
 
 

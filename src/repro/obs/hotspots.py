@@ -19,9 +19,8 @@ their totals agree by construction.
 Discipline (same as :mod:`repro.obs.provenance`): attribution is **off
 by default**; every engine hot loop pays exactly one ``is not None``
 check when it is off, and the engine counters are byte-identical either
-way.  Engines accept an explicit ``attribution=`` argument that beats
-the ambient attributor installed by :func:`attributing` -- explicit
-beats ambient, ambient beats nothing.
+way.  Engines read only the ambient attributor that :func:`attributing`
+installs; there is no per-engine argument.
 
 Wall-time accounting is settle-based: the attributor keeps one global
 mark (`perf_counter` timestamp of the last attribution event) and every
@@ -517,8 +516,8 @@ def _action_delta_size(action) -> int:
 #
 # Same shape as provenance's ambient recorder: a module-level slot the
 # engines consult through one ``is not None`` guard, plus a context
-# manager that installs/restores it.  Explicit ``attribution=`` engine
-# arguments always win over the ambient slot.
+# manager that installs/restores it.  It is the only way to attach an
+# attributor to an engine.
 
 _ACTIVE: Optional[CostAttributor] = None
 

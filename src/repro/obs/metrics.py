@@ -173,8 +173,9 @@ class Metrics:
     def snapshot(self, include_timers: bool = True) -> Dict[str, object]:
         """A plain-dict copy, suitable for JSON serialization.
 
-        With ``include_timers=False`` the snapshot is fully
-        deterministic for a fixed search.
+        With ``include_timers=False`` the counters, gauges and info are
+        deterministic for a fixed search; histograms (the store's fsync
+        latencies) still time the clock.
         """
         out: Dict[str, object] = {
             "counters": dict(self.counters),

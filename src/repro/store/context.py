@@ -2,10 +2,9 @@
 of code without threading ``store=`` through every call.
 
 Mirrors the explicit-beats-ambient pattern of
-:mod:`repro.obs.provenance` and :mod:`repro.obs.hotspots`: engines that
-were not given an explicit ``store=`` consult
-:func:`active_store_provider` at solve entry; an explicit keyword
-always wins.  A *provider* is anything with
+:mod:`repro.obs.provenance`: engines that were not given an explicit
+``store=`` consult :func:`active_store_provider` at solve entry; an
+explicit keyword always wins.  A *provider* is anything with
 ``provide(db) -> Store | None`` -- it may hand out one shared store, or
 mint a fresh one per solve (what the backend-differential test and the
 ``STORE=sqlite`` CI matrix do, so each engine run gets its own file).

@@ -137,14 +137,6 @@ class TestQueries:
         d2 = Database([atom("p", "a")])
         assert d1.difference(d2) == frozenset({atom("p", "b")})
 
-    def test_union_deprecated(self):
-        d1 = Database([atom("p", "a")])
-        d2 = Database([atom("q", "b")])
-        with pytest.warns(DeprecationWarning, match="insert_all"):
-            merged = d1.union(d2)
-        assert merged == Database([atom("p", "a"), atom("q", "b")])
-        assert d1.insert_all(d2) == merged
-
     def test_public_arg_index(self):
         db = Database([atom("e", "a", "b"), atom("e", "a", "c")])
         idx = db.arg_index("e", 0)

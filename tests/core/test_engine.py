@@ -5,9 +5,10 @@ import pytest
 from repro import (
     Database,
     Interpreter,
-    NonrecursiveEngine,
+    SearchBudgetExceeded,
     SequentialEngine,
     Sublanguage,
+    UnsupportedProgramError,
     parse_database,
     parse_goal,
     parse_program,
@@ -22,10 +23,29 @@ class TestRouting:
         assert isinstance(eng.backend, SequentialEngine)
         assert eng.decidable
 
-    def test_nonrecursive_routes_to_nonrec(self):
+    def test_nonrecursive_routes_by_concurrency(self):
+        # Nonrecursive TD has no evaluator of its own: without | it runs
+        # on the tabled sequential evaluator, with | on the interpreter.
+        # Either way the façade reports the paper's classification.
         eng = select_engine(parse_program("p <- q(X) * ins.r(X)."))
         assert eng.sublanguage is Sublanguage.NONRECURSIVE
-        assert isinstance(eng.backend, NonrecursiveEngine)
+        assert eng.decidable
+        assert isinstance(eng.backend, SequentialEngine)
+        eng = select_engine(parse_program("p <- ins.a | ins.b."))
+        assert eng.sublanguage is Sublanguage.NONRECURSIVE
+        assert eng.decidable
+        assert isinstance(eng.backend, Interpreter)
+        # A | in the goal alone is enough.
+        eng = select_engine(parse_program("m(X) <- ins.k(X)."), "m(a) | m(b)")
+        assert eng.sublanguage is Sublanguage.NONRECURSIVE
+        assert isinstance(eng.backend, Interpreter)
+
+    def test_goalless_sequential_engine_rejects_concurrent_goal(self):
+        # Routing sees only what it is given: without the goal, a |-free
+        # program gets the sequential evaluator, which cannot run |.
+        eng = select_engine(parse_program("m(X) <- ins.k(X)."))
+        with pytest.raises(UnsupportedProgramError):
+            list(eng.solve("m(a) | m(b)", Database()))
 
     def test_sequential_routes_to_tabled(self):
         eng = select_engine(parse_program("p <- p * ins.x.\np <- del.go."))
@@ -83,16 +103,42 @@ class TestUniformAPI:
 
     def test_all_backends_agree(self):
         # one program expressible in several fragments, forced through
-        # each backend explicitly
+        # each backend explicitly and through the façade
         prog = parse_program("t <- q(X) * not r(X) * ins.r(X).")
         goal = parse_goal("t")
         db = parse_database("q(a). q(b). r(b).")
         finals = [
             Interpreter(prog).final_databases(goal, db),
             SequentialEngine(prog).final_databases(goal, db),
-            NonrecursiveEngine(prog).final_databases(goal, db),
+            select_engine(prog, goal).final_databases(goal, db),
         ]
         assert finals[0] == finals[1] == finals[2]
+
+
+class TestFacadeOptions:
+    """``max_configs`` and ``tabling`` reach every interpreter the
+    façade builds: the backend, and the one behind ``simulate``."""
+
+    BOTH = "both <- left | right. left <- ins.l * ins.l2. right <- ins.r * ins.r2."
+
+    def test_max_configs_bounds_concurrent_nonrecursive_search(self):
+        eng = select_engine(parse_program(self.BOTH), "both", max_configs=3)
+        with pytest.raises(SearchBudgetExceeded):
+            list(eng.solve("both", Database()))
+
+    def test_tabling_off_reaches_concurrent_nonrecursive_backend(self):
+        eng = select_engine(parse_program(self.BOTH), "both", tabling=False)
+        assert isinstance(eng.backend, Interpreter)
+        assert eng.backend.tabling is False
+
+    def test_simulate_over_analytic_backend_honours_options(self, tc_program, chain_db):
+        eng = select_engine(tc_program, max_configs=2, tabling=False)
+        assert isinstance(eng.backend, SequentialEngine)
+        oracle = Interpreter(tc_program, max_configs=2, tabling=False)
+        with pytest.raises(SearchBudgetExceeded):
+            oracle.simulate("path(a, d)", chain_db)
+        with pytest.raises(SearchBudgetExceeded):
+            eng.simulate("path(a, d)", chain_db)
 
 
 class TestUnifiedGoalAPI:
@@ -123,8 +169,8 @@ class TestUnifiedGoalAPI:
         assert len(list(SequentialEngine(tc_program).solve("path(a, X)", chain_db))) == 3
 
     def test_nonrec_engine_accepts_string_goals(self):
-        prog = parse_program("t <- q(X) * ins.r(X).")
-        eng = NonrecursiveEngine(prog)
+        eng = select_engine(parse_program("t <- q(X) * ins.r(X)."))
+        assert eng.sublanguage is Sublanguage.NONRECURSIVE
         assert len(list(eng.solve("t", parse_database("q(a). q(b).")))) == 2
 
     def test_blessed_module_level_solve(self, tc_program, chain_db):
@@ -141,12 +187,8 @@ class TestUnifiedGoalAPI:
 
 
 class TestDeprecationShims:
-    """Pre-PR positional call shapes keep working, with a warning."""
-
-    def test_select_engine_positional_max_configs_warns(self, tc_program):
-        with pytest.warns(DeprecationWarning, match="max_configs"):
-            eng = select_engine(tc_program, "path(a, d)", 10_000)
-        assert isinstance(eng.backend, SequentialEngine)
+    """The positional call shapes deprecated by the keyword-only API are
+    gone: ``seed``/``max_depth``/``max_configs`` are keyword-only."""
 
     def test_select_engine_keyword_max_configs_is_silent(self, tc_program):
         import warnings
@@ -155,31 +197,10 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             select_engine(tc_program, "path(a, d)", max_configs=10_000)
 
-    def test_select_engine_positional_value_is_used(self):
-        prog = parse_program("loop <- ins.a | loop.")  # full TD -> Interpreter
-        with pytest.warns(DeprecationWarning):
-            eng = select_engine(prog, None, 1234)
-        assert isinstance(eng.backend, Interpreter)
-        assert eng.backend.max_configs == 1234
-
-    def test_interpreter_simulate_positional_seed_warns(self, tc_program, chain_db):
-        interp = Interpreter(tc_program)
-        with pytest.warns(DeprecationWarning, match="seed"):
-            exe = interp.simulate(parse_goal("path(a, d)"), chain_db, 3)
-        assert exe is not None
-        with pytest.warns(DeprecationWarning):
-            exe = interp.simulate(parse_goal("path(a, d)"), chain_db, None, 50_000)
-        assert exe is not None
-
-    def test_engine_simulate_positional_seed_warns(self, tc_program, chain_db):
-        eng = select_engine(tc_program)
-        with pytest.warns(DeprecationWarning):
-            exe = eng.simulate("path(a, d)", chain_db, 3)
-        assert exe is not None
-
     def test_too_many_positionals_still_a_type_error(self, tc_program, chain_db):
-        interp = Interpreter(tc_program)
         with pytest.raises(TypeError):
-            interp.simulate(parse_goal("path(a, d)"), chain_db, 1, 2, 3)
+            Interpreter(tc_program).simulate(parse_goal("path(a, d)"), chain_db, 3)
         with pytest.raises(TypeError):
-            select_engine(tc_program, "path(a, d)", 1, 2)
+            select_engine(tc_program).simulate("path(a, d)", chain_db, 3)
+        with pytest.raises(TypeError):
+            select_engine(tc_program, "path(a, d)", 10_000)

@@ -1,19 +1,28 @@
-"""Tests for the nonrecursive-TD evaluator."""
+"""Nonrecursive TD through the engine façade.
+
+Nonrecursive programs have no evaluator of their own: ``select_engine``
+runs the ``|``-free ones on the tabled sequential evaluator and the
+others on the interpreter, and still classifies both as nonrecursive.
+"""
 
 import pytest
 
 from repro import (
     Database,
     Interpreter,
-    NonrecursiveEngine,
+    SequentialEngine,
+    Sublanguage,
     parse_database,
     parse_goal,
     parse_program,
+    select_engine,
 )
 
 
-def engine(text):
-    return NonrecursiveEngine(parse_program(text))
+def engine(text, goal=None):
+    eng = select_engine(parse_program(text), goal)
+    assert eng.sublanguage is Sublanguage.NONRECURSIVE
+    return eng
 
 
 class TestEvaluation:
@@ -40,19 +49,22 @@ class TestEvaluation:
         assert sol.database == parse_database("dst(a).")
 
     def test_negation_and_builtins(self):
-        e = engine("ok(X) <- val(X, V) * V >= 10 * not banned(X).")
+        e = engine("ok(X) <- val(X, V) * V >= 10 * not banned(X) * ins.passed(X).")
         db = parse_database("val(a, 5). val(b, 20). val(c, 30). banned(c).")
         sols = list(e.solve(parse_goal("ok(X)"), db))
         assert sorted(str(t) for s in sols for t in s.bindings.values()) == ["b"]
 
     def test_memoization_shares_subcalls(self):
-        # Same subquery twice: memo means answers stay consistent.
+        # The same subcall twice in one body: the table serves the
+        # second from the first, and every combination still comes out.
         e = engine(
             """
             pairup <- widget(X) * widget(Y) * ins.pair(X, Y).
+            widget(X) <- part(X).
             """
         )
-        sols = list(e.solve(parse_goal("pairup"), parse_database("widget(a). widget(b).")))
+        sols = list(e.solve(parse_goal("pairup"), parse_database("part(a). part(b).")))
+        assert isinstance(e.backend, SequentialEngine)
         assert len(sols) == 4
 
 
@@ -65,11 +77,13 @@ class TestConcurrentFallback:
             right <- ins.r.
             """
         )
+        assert isinstance(e.backend, Interpreter)
         (sol,) = e.solve(parse_goal("both"), Database())
         assert sol.database == parse_database("l. r.")
 
     def test_concurrent_goal_on_sequential_program(self):
-        e = engine("mark(X) <- ins.m(X).")
+        e = engine("mark(X) <- ins.m(X).", "mark(a) | mark(b)")
+        assert isinstance(e.backend, Interpreter)
         sols = list(e.solve(parse_goal("mark(a) | mark(b)"), Database()))
         assert sols[0].database == parse_database("m(a). m(b).")
 
@@ -85,6 +99,6 @@ class TestAgreementWithInterpreter:
     def test_same_final_databases(self, prog_text, goal_text, db_text):
         prog = parse_program(prog_text)
         goal, db = parse_goal(goal_text), parse_database(db_text)
-        assert NonrecursiveEngine(prog).final_databases(goal, db) == Interpreter(
+        assert engine(prog_text, goal).final_databases(goal, db) == Interpreter(
             prog
         ).final_databases(goal, db)

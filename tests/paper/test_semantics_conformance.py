@@ -11,13 +11,12 @@ import pytest
 
 from repro import (
     Interpreter,
-    NonrecursiveEngine,
     SequentialEngine,
     Sublanguage,
-    classify,
     parse_database,
     parse_goal,
     parse_program,
+    select_engine,
 )
 
 # Each case: (name, program, goal, db, expected final databases)
@@ -116,23 +115,15 @@ def test_interpreter_conformance(name, prog_text, goal_text, db_text, expected):
 )
 def test_analytic_engines_agree(name, prog_text, goal_text, db_text, expected):
     """Where the fragment allows, the analytic engines must reproduce
-    the interpreter's verdict exactly."""
+    the interpreter's verdict exactly: the sequential evaluator on every
+    ``|``-free case below full TD, and the engine ``select_engine``
+    routes to on every decidable case."""
     program = parse_program(prog_text)
     goal = parse_goal(goal_text)
     db = parse_database(db_text)
     want = _expected_dbs(expected)
-    sub = classify(program, goal)
-    if sub is not Sublanguage.FULL and not _uses_conc(program, goal):
+    engine = select_engine(program, goal)
+    if engine.sublanguage is not Sublanguage.FULL and not engine.analysis.uses_conc:
         assert SequentialEngine(program).final_databases(goal, db) == want
-    if sub is Sublanguage.NONRECURSIVE:
-        assert NonrecursiveEngine(program).final_databases(goal, db) == want
-
-
-def _uses_conc(program, goal):
-    from repro.core.formulas import Conc, walk_formulas
-
-    if any(isinstance(s, Conc) for s in walk_formulas(program.resolve_goal(goal))):
-        return True
-    return any(
-        isinstance(s, Conc) for r in program.rules for s in walk_formulas(r.body)
-    )
+    if engine.decidable:
+        assert engine.final_databases(goal, db) == want

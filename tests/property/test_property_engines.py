@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from repro import (
     Database,
     Interpreter,
-    NonrecursiveEngine,
     SequentialEngine,
     parse_database,
     parse_goal,
     parse_program,
+    select_engine,
 )
 
 # Random *sequential nonrecursive* programs over a tiny vocabulary:
@@ -72,10 +72,12 @@ class TestEngineAgreement:
     @settings(max_examples=60, deadline=None)
     @given(programs(), small_dbs())
     def test_interpreter_vs_nonrecursive(self, prog, db):
+        # The generated programs are nonrecursive (or query-only); the
+        # façade routes them, and its backend must agree with BFS.
         goal = parse_goal("t")
         bfs = Interpreter(prog, max_configs=200_000).final_databases(goal, db)
-        nr = NonrecursiveEngine(prog).final_databases(goal, db)
-        assert bfs == nr
+        routed = select_engine(prog, goal).final_databases(goal, db)
+        assert bfs == routed
 
     @settings(max_examples=40, deadline=None)
     @given(programs(), small_dbs())
