@@ -21,9 +21,8 @@ from repro.complexity.runner import recorded_series
 from repro.obs import Instrumentation, instrumented
 
 #: (test id, deterministic metrics snapshot) per benchmark, in run
-#: order.  BENCH_*.json writers read this to attach the explanatory
-#: counters (configurations expanded, table hits, budget spent, ...)
-#: alongside each timing entry.
+#: order: the explanatory counters (configurations expanded, table
+#: hits, budget spent, ...) behind each timing entry.
 _METRIC_SNAPSHOTS = []
 
 
@@ -38,8 +37,8 @@ def bench_instrumentation(request):
 
     The deterministic snapshot (counters/gauges, no wall clock) is
     attached to the test report via ``user_properties`` -- so any
-    result consumer, including future BENCH_*.json emitters, can
-    explain *why* a configuration was fast or slow -- and kept in
+    result consumer can explain *why* a configuration was fast or
+    slow -- and kept in
     :func:`recorded_metrics` for the terminal summary.
     """
     inst = Instrumentation.create()
@@ -58,7 +57,7 @@ def pytest_addoption(parser):
         metavar="FILE",
         help="write every benchmark's deterministic metrics snapshot "
              "to FILE as JSON (consumed by perf tooling alongside "
-             "BENCH_*.json timings)",
+             "the timings)",
     )
     parser.addoption(
         "--quick",

@@ -19,8 +19,6 @@ Usage examples::
     tdlog explain --audit-por
     tdlog solve workflow.td --goal 'simulate' --db lab.facts --progress 2
     tdlog bench --repeat 5
-    tdlog bench trend
-    tdlog bench trend --check --threshold 1.0
     tdlog profile baseline
     tdlog profile diff
     tdlog profile hotspots --top 10 --speedscope profile.speedscope.json
@@ -36,8 +34,7 @@ wait, critical path) from an event log or a demo simulation; ``explain``
 records derivation provenance and renders proof trees, why-not failure
 summaries, and the partial-order-reduction pruning audit; ``bench``
 times the profile-suite workloads (wall clock, best/mean over repeats;
-``bench trend`` diffs the latest snapshot against the committed
-trajectory);
+``perfbench/`` is the calibrated benchmark);
 ``profile`` manages counter baselines (``baseline``/``diff``, the CI
 regression gate) and exports traces/metrics as OTLP JSON
 (``export-otlp``); ``store inspect`` prints a durable ``.tdlog``
@@ -469,25 +466,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     deterministically; this reports what that work costs on this
     machine.  Each repeat runs a workload from scratch (fresh program,
     fresh engine), so per-program caches do not flatter later repeats.
+    The timings are unscaled and machine-local; speed claims cite
+    ``perfbench/`` runs, which carry a machine fingerprint and
+    probe-scaled spreads.
     """
     import time
 
     from .obs.analyze import profile_suite, suite_config
-
-    if args.action == "trend":
-        from .obs.analyze import parse_tolerance_overrides
-
-        try:
-            overrides = parse_tolerance_overrides(args.threshold_for or [])
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        return _bench_trend(
-            args.out or "benchmarks/trajectory",
-            check=args.check,
-            threshold=args.threshold,
-            overrides=overrides,
-        )
 
     configs = (
         [suite_config(name) for name in args.only] if args.only else profile_suite()
@@ -524,130 +509,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             json.dump(rows, handle, indent=2)
             handle.write("\n")
         print("bench results written to %s" % args.json, file=sys.stderr)
-    if args.out is not None:
-        path = _next_bench_snapshot(args.out)
-        with open(path, "w") as handle:
-            json.dump(rows, handle, indent=2)
-            handle.write("\n")
-        print("bench snapshot written to %s" % path)
-    return 0
-
-
-def _next_bench_snapshot(out_dir: str) -> str:
-    """The next free ``BENCH_<n>.json`` path in *out_dir* (1-based).
-
-    Numbered snapshots accumulate instead of overwriting, so successive
-    local runs -- or CI artifacts from successive builds -- can be
-    compared side by side.
-    """
-    import os
-    import re
-
-    os.makedirs(out_dir, exist_ok=True)
-    taken = []
-    for name in os.listdir(out_dir):
-        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
-        if match:
-            taken.append(int(match.group(1)))
-    return os.path.join(out_dir, "BENCH_%d.json" % (max(taken, default=0) + 1))
-
-
-def _bench_trend(
-    trend_dir: str,
-    check: bool = False,
-    threshold: float = 1.0,
-    overrides=None,
-) -> int:
-    """Diff the latest bench snapshot against the committed series.
-
-    Reads every ``BENCH_<n>.json`` under *trend_dir* in numeric order
-    and reports, per config, the latest best-of timing against the
-    best and mean of the earlier snapshots.  Timings are machine-local:
-    the trend is for spotting one build's regression against its own
-    history, not for cross-machine comparison.
-
-    With *check*, a config whose latest best-of exceeds its series best
-    by more than *threshold* (a fraction: 1.0 = 100% slower) fails the
-    gate and the command exits nonzero.  The default is deliberately
-    generous -- wall clock on shared CI is noisy; the counter baselines
-    (``profile diff``) are the precise gate, this one only catches
-    gross timing cliffs.  *overrides* maps config names to per-config
-    thresholds (``--threshold-for NAME=FRAC``).
-    """
-    import os
-    import re
-
-    overrides = overrides or {}
-
-    if not os.path.isdir(trend_dir):
-        print("error: no bench trajectory at %s (run `tdlog bench --out %s` "
-              "first)" % (trend_dir, trend_dir), file=sys.stderr)
-        return 2
-    snapshots = []
-    for name in sorted(os.listdir(trend_dir)):
-        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
-        if match:
-            with open(os.path.join(trend_dir, name)) as handle:
-                rows = json.load(handle)
-            if not isinstance(rows, list) or not all(
-                isinstance(r, dict) and "config" in r and "best_ms" in r
-                for r in rows
-            ):
-                print("error: %s is not a bench snapshot (expected a list of "
-                      "rows with config/best_ms)" % name, file=sys.stderr)
-                return 2
-            snapshots.append((int(match.group(1)), rows))
-    snapshots.sort()
-    if not snapshots:
-        print("error: no BENCH_<n>.json snapshots in %s" % trend_dir,
-              file=sys.stderr)
-        return 2
-    latest_n, latest = snapshots[-1]
-    earlier = snapshots[:-1]
-    print("bench trend: %d snapshot(s), latest BENCH_%d" % (len(snapshots), latest_n))
-    width = max(len(str(row["config"])) for row in latest)
-    if not earlier:
-        print("%-*s  %12s" % (width, "config", "latest (ms)"))
-        for row in latest:
-            print("%-*s  %12.2f" % (width, row["config"], row["best_ms"]))
-        print("(single snapshot; run `tdlog bench --out` again to get a trend)")
-        if check:
-            print("bench trend check: ok (single snapshot, nothing to compare)")
-        return 0
-    history = {}
-    for _, rows in earlier:
-        for row in rows:
-            history.setdefault(row["config"], []).append(float(row["best_ms"]))
-    print("%-*s  %12s  %12s  %12s  %8s" % (
-        width, "config", "latest (ms)", "series best", "series mean", "delta"))
-    regressions = []
-    for row in latest:
-        series = history.get(row["config"])
-        if not series:
-            print("%-*s  %12.2f  %12s  %12s  %8s"
-                  % (width, row["config"], row["best_ms"], "-", "-", "new"))
-            continue
-        best = min(series)
-        mean = sum(series) / len(series)
-        delta = (float(row["best_ms"]) - best) / best * 100.0 if best else 0.0
-        allowed = overrides.get(str(row["config"]), threshold)
-        flag = ""
-        if check and best and delta > allowed * 100.0:
-            flag = "  REGRESSED (> +%.0f%%)" % (allowed * 100.0)
-            regressions.append(
-                "%s: %.2fms vs series best %.2fms (%+.1f%%, threshold +%.0f%%)"
-                % (row["config"], row["best_ms"], best, delta, allowed * 100.0)
-            )
-        print("%-*s  %12.2f  %12.2f  %12.2f  %+7.1f%%%s"
-              % (width, row["config"], row["best_ms"], best, mean, delta, flag))
-    if check:
-        if regressions:
-            print("bench trend check: %d regression(s)" % len(regressions),
-                  file=sys.stderr)
-            for line in regressions:
-                print("  " + line, file=sys.stderr)
-            return 1
-        print("bench trend check: ok (threshold +%.0f%%)" % (threshold * 100.0))
     return 0
 
 
@@ -1052,11 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="wall-clock timings for the profile-suite workloads"
     )
     p_bench.add_argument(
-        "action", nargs="?", choices=["trend"],
-        help="'trend': diff the latest BENCH_<n>.json snapshot against "
-             "the series (default dir benchmarks/trajectory, or --out DIR)",
-    )
-    p_bench.add_argument(
         "--repeat", type=int, default=5, metavar="N",
         help="runs per config; best and mean are reported (default 5)",
     )
@@ -1067,28 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--json", metavar="FILE",
         help="also write the timing rows as JSON to FILE",
-    )
-    p_bench.add_argument(
-        "--out", metavar="DIR",
-        help="snapshot mode: write the rows to the next free "
-        "BENCH_<n>.json under DIR (numbered snapshots accumulate; "
-        "CI uploads them as build artifacts)",
-    )
-    p_bench.add_argument(
-        "--check", action="store_true",
-        help="with 'trend': exit nonzero when a config's latest best-of "
-             "exceeds its series best by more than the threshold",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=1.0, metavar="FRAC",
-        help="with 'trend --check': allowed relative slowdown vs the "
-             "series best (default 1.0 = 100%%; wall clock is noisy, "
-             "the counter gate is the precise one)",
-    )
-    p_bench.add_argument(
-        "--threshold-for", action="append", metavar="CONFIG=FRAC",
-        help="with 'trend --check': per-config threshold override "
-             "(repeatable)",
     )
     p_bench.set_defaults(fn=_cmd_bench)
 

@@ -112,14 +112,13 @@ class Engine:
     def _interpreter(self) -> Interpreter:
         """The small-step interpreter for traces and checkpoints: the
         backend itself when it is one, else a fresh interpreter over the
-        same program, recorder and store, with this engine's
-        ``max_configs`` and ``tabling``."""
+        same program and store, with this engine's ``max_configs`` and
+        ``tabling``."""
         if isinstance(self.backend, Interpreter):
             return self.backend
         return Interpreter(
             self.program,
             max_configs=self.max_configs,
-            provenance=self.backend.provenance,
             store=self.backend.store,
             tabling=self.tabling,
         )
@@ -149,25 +148,16 @@ class Engine:
         and ignore it.  With ``db=None`` the initial state comes from
         the backend's attached store (``store=`` on
         :func:`select_engine`, or the ambient provider).
+
+        Like the backends, the façade reports to the instrumentation
+        active at the first pull: that is where it stamps the backend
+        and accrues the ``time.<sublanguage>`` timer, which covers time
+        spent *inside* the backend iterator, not whatever the consumer
+        does between answers.  Engine errors escaping the backend cross
+        this façade as the same exception object (``spent``/
+        ``checkpoint`` intact), with the user's goal stamped on.
         """
         obs = self._describe()
-        return self._timed_solve(goal, db, obs, deadline)
-
-    def _timed_solve(
-        self,
-        goal: Union[str, Formula],
-        db: Optional[Database],
-        obs: Instrumentation,
-        deadline: Union[None, float, Deadline] = None,
-    ) -> Iterator[Solution]:
-        """Enumerate solutions, accruing wall time per sublanguage.
-
-        The timer covers time spent *inside* the backend iterator, not
-        whatever the consumer does between answers.  Engine errors
-        escaping the backend cross this façade as the same exception
-        object (``spent``/``checkpoint`` intact), with the user's goal
-        stamped on.
-        """
         name = self._timer_name()
         if deadline is not None and isinstance(self.backend, Interpreter):
             inner = self.backend.solve(self._goal(goal), db, deadline=deadline)
@@ -243,7 +233,6 @@ def select_engine(
     goal: Union[str, Formula, None] = None,
     *,
     max_configs: int = 200_000,
-    provenance=None,
     store=None,
     tabling: bool = True,
 ) -> Engine:
@@ -261,12 +250,13 @@ def select_engine(
     the backend's, and those ``simulate``/``resume`` build over an
     analytic backend.  ``tabling=False`` disables answer tabling in the
     same interpreters (docs/PERFORMANCE.md); the sequential evaluator
-    tables by construction and ignores both.  ``provenance`` attaches a
-    derivation recorder (see :mod:`repro.obs.provenance`) and ``store``
-    a storage backend (see :class:`repro.store.Store` and
-    docs/STORAGE.md) to whichever backend is selected; a cost
-    attributor comes from the ambient :func:`repro.obs.attributing`
-    slot.
+    tables by construction and ignores both.  ``store`` attaches a
+    storage backend (see :class:`repro.store.Store` and
+    docs/STORAGE.md) to whichever backend is selected.  Observers are
+    not options: every search the engine runs reports to the metrics,
+    derivation recorder and cost attributor active at its first pull
+    (:func:`repro.obs.instrumented`, :func:`repro.obs.recording`,
+    :func:`repro.obs.attributing`).
     """
     if goal is not None:
         goal = as_goal(goal)
@@ -274,14 +264,10 @@ def select_engine(
     sub = analysis.classify()
     backend: _Backend
     if sub in _TABLED and not analysis.uses_conc:
-        backend = SequentialEngine(program, provenance=provenance, store=store)
+        backend = SequentialEngine(program, store=store)
     else:
         backend = Interpreter(
-            program,
-            max_configs=max_configs,
-            provenance=provenance,
-            store=store,
-            tabling=tabling,
+            program, max_configs=max_configs, store=store, tabling=tabling
         )
     engine = Engine(program=program, backend=backend, analysis=analysis, sublanguage=sub)
     engine.max_configs = max_configs
@@ -295,7 +281,6 @@ def solve(
     db: Optional[Database] = None,
     *,
     max_configs: int = 200_000,
-    provenance=None,
     store=None,
     tabling: bool = True,
 ) -> Iterator[Solution]:
@@ -308,11 +293,6 @@ def solve(
     ``db=None`` the store supplies the initial state.
     """
     engine = select_engine(
-        program,
-        goal,
-        max_configs=max_configs,
-        provenance=provenance,
-        store=store,
-        tabling=tabling,
+        program, goal, max_configs=max_configs, store=store, tabling=tabling
     )
     return engine.solve(goal, db)

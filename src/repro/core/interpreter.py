@@ -67,9 +67,10 @@ from typing import (
     Union,
 )
 
+from ..obs import context as _context
 from ..obs import hotspots as _hot
-from ..obs.context import Instrumentation, NOOP, active
-from ..obs.provenance import active_recorder, config_digest
+from ..obs.context import Instrumentation, NOOP
+from ..obs.provenance import config_digest
 from .database import Database
 from .errors import AttemptBudgetExceeded, DeadlineExceeded, SearchBudgetExceeded
 from .formulas import TRUTH, Call, Formula, Seq, apply_subst, ordered_variables, seq
@@ -336,7 +337,6 @@ class Interpreter:
         sort_concurrent: bool = True,
         faults=None,
         por: bool = True,
-        provenance=None,
         *,
         store=None,
         tabling: bool = True,
@@ -352,11 +352,6 @@ class Interpreter:
         #: neither, searches run over plain in-memory states exactly as
         #: before.
         self.store = store
-        #: Optional :class:`repro.obs.provenance.ProvenanceRecorder`.
-        #: ``None`` (the default) also consults the ambient recorder at
-        #: each entry point (see :func:`repro.obs.provenance.recording`);
-        #: with neither attached the hot loops pay one ``is None`` check.
-        self.provenance = provenance
         self._reducer = (
             PartialOrderReducer(program) if (por and not por_forced_off()) else None
         )
@@ -367,10 +362,6 @@ class Interpreter:
         self.tabling = tabling and not tabling_forced_off()
         self._table = AnswerTable() if self.tabling else None
 
-    def _prov(self):
-        """The recorder for this search: explicit beats ambient."""
-        return self.provenance if self.provenance is not None else active_recorder()
-
     def _enabled_steps(
         self, proc, db, isol_runner, obs: Instrumentation, prov=None, parent=None
     ):
@@ -379,15 +370,13 @@ class Interpreter:
         full enumeration otherwise.  ``prov``/``parent`` flow to the
         reducer so ample-set decisions land in the derivation record."""
         reducer = self._reducer if self.faults is None else None
-        enabled = obs.enabled
         return enabled_steps(
             self.program,
             proc,
             db,
             isol_runner,
             reducer=reducer,
-            metrics=obs.metrics if enabled else None,
-            tracer=obs.tracer if enabled else None,
+            obs=obs if obs.enabled else None,
             prov=prov,
             prov_parent=parent,
         )
@@ -428,31 +417,10 @@ class Interpreter:
         """
         _, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
-        obs = active()
-        budget = _Budget(self.max_configs, obs)
-        goal_vars = ordered_variables(goal)
-        attr = _hot.active_attributor()
-
-        def _search():
-            with obs.span("solve", engine="interpreter", goal=str(goal)):
-                try:
-                    for answers, final_db, _ in self._bfs(
-                        goal,
-                        db,
-                        goal_vars,
-                        budget,
-                        want_trace=False,
-                        obs=obs,
-                        deadline=_as_deadline(deadline),
-                        prov=self._prov(),
-                        attr=attr,
-                    ):
-                        yield Solution(dict(zip(goal_vars, answers)), final_db)
-                finally:
-                    _note_budget(obs, budget)
-                    self._note_table(obs)
-
-        yield from _hot.meter_engine(attr, _search(), "bfs")
+        yield from self._bfs_entry(
+            "solve", {"goal": str(goal)}, goal, db, ordered_variables(goal),
+            want_trace=False, deadline=deadline,
+        )
 
     def succeeds(self, goal: Union[str, Formula], db: Database) -> bool:
         """True iff some execution of *goal* from *db* commits."""
@@ -474,35 +442,10 @@ class Interpreter:
         """Like :meth:`solve` but with execution traces attached."""
         _, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
-        obs = active()
-        budget = _Budget(self.max_configs, obs)
-        goal_vars = ordered_variables(goal)
-        attr = _hot.active_attributor()
-
-        def _search():
-            with obs.span(
-                "solve", engine="interpreter", mode="run", goal=str(goal)
-            ):
-                try:
-                    for answers, final_db, trace in self._bfs(
-                        goal,
-                        db,
-                        goal_vars,
-                        budget,
-                        want_trace=True,
-                        obs=obs,
-                        deadline=_as_deadline(deadline),
-                        prov=self._prov(),
-                        attr=attr,
-                    ):
-                        yield Execution(
-                            dict(zip(goal_vars, answers)), final_db, trace
-                        )
-                finally:
-                    _note_budget(obs, budget)
-                    self._note_table(obs)
-
-        yield from _hot.meter_engine(attr, _search(), "bfs")
+        yield from self._bfs_entry(
+            "solve", {"mode": "run", "goal": str(goal)}, goal, db,
+            ordered_variables(goal), want_trace=True, deadline=deadline,
+        )
 
     def resume(
         self,
@@ -530,38 +473,51 @@ class Interpreter:
                 "summary is not comparable"
                 % (checkpoint.sort_concurrent, self.sort_concurrent)
             )
-        obs = active()
-        budget = _Budget(self.max_configs, obs)
-        goal_vars = list(checkpoint.goal_vars)
-        attr = _hot.active_attributor()
         if checkpoint.table is not None and self._table is not None:
             # Warm-start from the interrupted search's answers.  A fresh
             # restore per resumption keeps resuming the same checkpoint
             # twice idempotent (the table is never shared between them).
             self._table = AnswerTable.restore(checkpoint.table)
+        yield from self._bfs_entry(
+            "resume",
+            {
+                "goal": str(checkpoint.goal),
+                "frontier": str(checkpoint.frontier_size),
+            },
+            checkpoint.goal, None, list(checkpoint.goal_vars),
+            want_trace=checkpoint.want_trace, deadline=deadline,
+            state=checkpoint,
+        )
+
+    def _bfs_entry(
+        self, span, span_attrs, goal, db, goal_vars, want_trace, deadline,
+        state=None,
+    ) -> Iterator[Union[Solution, Execution]]:
+        """The breadth-first entry :meth:`solve`, :meth:`run` and
+        :meth:`resume` share, called from their first pull.  It captures
+        the observers and re-installs them around every pull, so the
+        search reports to them however the caller drains it."""
+        observers = _context.capture()
+        obs = observers.inst
+        budget = _Budget(self.max_configs, obs)
 
         def _search():
-            with obs.span(
-                "resume",
-                engine="interpreter",
-                goal=str(checkpoint.goal),
-                frontier=str(checkpoint.frontier_size),
-            ):
+            with obs.span(span, engine="interpreter", **span_attrs):
                 try:
                     for answers, final_db, trace in self._bfs(
-                        checkpoint.goal,
-                        None,
+                        goal,
+                        db,
                         goal_vars,
                         budget,
-                        want_trace=checkpoint.want_trace,
+                        want_trace=want_trace,
                         obs=obs,
                         deadline=_as_deadline(deadline),
-                        state=checkpoint,
-                        prov=self._prov(),
-                        attr=attr,
+                        state=state,
+                        prov=observers.recorder,
+                        attr=observers.attributor,
                     ):
                         bindings = dict(zip(goal_vars, answers))
-                        if checkpoint.want_trace:
+                        if want_trace:
                             yield Execution(bindings, final_db, trace)
                         else:
                             yield Solution(bindings, final_db)
@@ -569,7 +525,7 @@ class Interpreter:
                     _note_budget(obs, budget)
                     self._note_table(obs)
 
-        yield from _hot.meter_engine(attr, _search(), "bfs")
+        return _context.observed_pulls(observers, _search(), "bfs")
 
     def simulate(
         self,
@@ -597,13 +553,13 @@ class Interpreter:
         """
         store, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
-        obs = active()
+        observers = _context.capture()
+        obs = observers.inst
         budget = _Budget(self.max_configs, obs)
         rng = random.Random(seed) if seed is not None else None
         goal_vars = ordered_variables(goal)
-        attr = _hot.active_attributor()
         with obs.span("simulate", engine="interpreter", goal=str(goal)), \
-                _hot.engine_frame(attr, "dfs"):
+                _context.observing(observers, "dfs"):
             try:
                 result = self._dfs(
                     goal,
@@ -614,8 +570,8 @@ class Interpreter:
                     max_depth,
                     obs=obs,
                     deadline=_as_deadline(deadline),
-                    prov=self._prov(),
-                    attr=attr,
+                    prov=observers.recorder,
+                    attr=observers.attributor,
                 )
             except (SearchBudgetExceeded, DeadlineExceeded) as exc:
                 exc.goal = goal

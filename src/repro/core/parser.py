@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
-from ..obs import hotspots as _hot
+from ..obs import context as _context
 from .database import Database
 from .formulas import (
     ArithExpr,
@@ -399,7 +399,7 @@ def parse_program(text: str, strict: bool = False) -> Program:
     # Parse time is attributed (under a "parse" phase) when a cost
     # attributor is ambient, so profile-run coverage excludes it from
     # engine phases instead of leaving it unattributed.
-    with _hot.engine_frame(_hot.active_attributor(), "parse"):
+    with _context.observing(_context.capture(), "parse"):
         rules, base = _Parser(text).parse_program_items()
         return Program(rules, base=base, strict=strict)
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..obs import hotspots as _hot
+from ..obs import context as _context
 from .database import Database
 from .formulas import (
     Builtin,
@@ -325,28 +325,20 @@ class PartialOrderReducer:
         proc: Formula,
         db: Database,
         isol_runner: IsolRunner,
-        metrics=None,
-        tracer=None,
+        obs=None,
         prov=None,
         prov_parent=None,
     ) -> Iterator[Step]:
-        """The reduced step set.  ``tracer`` (when attached) receives
-        one ``por.pruned`` event per ample decision that actually
-        deferred siblings; ``prov``/``prov_parent`` (a
+        """The reduced step set.  ``obs`` (an enabled instrumentation
+        bundle) receives the ``por.*`` counters and one ``por.pruned``
+        tracer event per ample decision that actually deferred
+        siblings; ``prov``/``prov_parent`` (a
         :class:`repro.obs.provenance.ProvenanceRecorder` and the node
         of the configuration being expanded) additionally record the
         full ample-set witness -- frontier and closure footprints,
         shared variables -- that ``explain --audit-por`` cross-checks."""
         return self._reduced(
-            proc,
-            db,
-            isol_runner,
-            EMPTY_FOOTPRINT,
-            _EMPTY,
-            metrics,
-            tracer,
-            prov,
-            prov_parent,
+            proc, db, isol_runner, EMPTY_FOOTPRINT, _EMPTY, obs, prov, prov_parent
         )
 
     # -- internals ------------------------------------------------------------
@@ -358,8 +350,7 @@ class PartialOrderReducer:
         isol_runner: IsolRunner,
         comp_fp: Footprint,
         comp_vars: frozenset,
-        metrics,
-        tracer=None,
+        obs=None,
         prov=None,
         prov_parent=None,
         ctx=None,
@@ -368,29 +359,24 @@ class PartialOrderReducer:
             return
         if isinstance(proc, Seq):
             yield from self._reduced(
-                proc.parts[0], db, isol_runner, comp_fp, comp_vars, metrics,
-                tracer, prov, prov_parent, (ctx, None, proc.parts[1:]),
+                proc.parts[0], db, isol_runner, comp_fp, comp_vars, obs,
+                prov, prov_parent, (ctx, None, proc.parts[1:]),
             )
             return
         if isinstance(proc, Conc):
             parts = proc.parts
             idx, rescued = self._ample_index(parts, comp_fp, comp_vars)
             if idx is not None:
-                attr = _hot._ACTIVE
-                if (
-                    metrics is not None
-                    or tracer is not None
-                    or prov is not None
-                    or attr is not None
-                ):
+                observers = _context._ACTIVE
+                attr = observers.attributor if observers is not None else None
+                if obs is not None or prov is not None or attr is not None:
                     self._note_ample(
                         parts, idx, comp_fp, comp_vars,
-                        metrics, tracer, prov, prov_parent, attr, rescued,
+                        obs, prov, prov_parent, attr, rescued,
                     )
                 yield from self._reduced(
-                    parts[idx], db, isol_runner, comp_fp, comp_vars, metrics,
-                    tracer, prov, prov_parent,
-                    (ctx, parts[:idx], parts[idx + 1 :]),
+                    parts[idx], db, isol_runner, comp_fp, comp_vars, obs,
+                    prov, prov_parent, (ctx, parts[:idx], parts[idx + 1 :]),
                 )
                 return
             # No ample branch: expand all, and let nested concurrent
@@ -408,8 +394,8 @@ class PartialOrderReducer:
                         sib_fp = _union(sib_fp, fps[j])
                         sib_vars = sib_vars | fvs[j]
                 yield from self._reduced(
-                    branch, db, isol_runner, sib_fp, sib_vars, metrics,
-                    tracer, prov, prov_parent, (ctx, parts[:i], parts[i + 1 :]),
+                    branch, db, isol_runner, sib_fp, sib_vars, obs,
+                    prov, prov_parent, (ctx, parts[:i], parts[i + 1 :]),
                 )
             return
         # Elementary redexes, calls, and iso: no concurrency below here.
@@ -421,8 +407,7 @@ class PartialOrderReducer:
         idx: int,
         comp_fp: Footprint,
         comp_vars: frozenset,
-        metrics,
-        tracer,
+        obs,
         prov,
         prov_parent,
         attr=None,
@@ -440,19 +425,19 @@ class PartialOrderReducer:
         pruned = [
             p for j, p in enumerate(parts) if j != idx and not _never_steps(p)
         ]
-        if metrics is not None:
-            metrics.inc("por.ample_configs")
+        if obs is not None:
+            obs.metrics.inc("por.ample_configs")
             if rescued:
-                metrics.inc("por.recheck_rescued")
+                obs.metrics.inc("por.recheck_rescued")
             if pruned:
-                metrics.inc("por.steps_pruned", len(pruned))
+                obs.metrics.inc("por.steps_pruned", len(pruned))
         if attr is not None and pruned:
             attr.charge("por.pruned_credit", len(pruned))
         if not pruned:
             return
         ample = parts[idx]
-        if tracer is not None:
-            tracer.event("por.pruned", ample=str(ample), pruned=len(pruned))
+        if obs is not None:
+            obs.tracer.event("por.pruned", ample=str(ample), pruned=len(pruned))
         if prov is not None:
             program = self.program
             ample_vars = free_variables(ample)

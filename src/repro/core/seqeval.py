@@ -37,9 +37,10 @@ import itertools
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from ..obs import context as _context
 from ..obs import hotspots as _hot
-from ..obs.context import Instrumentation, NOOP, active
-from ..obs.provenance import active_recorder, db_delta, render_bindings
+from ..obs.context import Instrumentation, NOOP
+from ..obs.provenance import db_delta, render_bindings
 from .database import Database
 from .errors import SafetyError, UnsupportedProgramError
 from .formulas import (
@@ -72,6 +73,11 @@ _Key = Tuple[Atom, Database]
 #: state.
 _Answer = Tuple[Tuple[Constant, ...], Database]
 
+#: Safety bound on worklist drains and goal-seeding passes.  The table is
+#: finite for safe programs, so a fixpoint never comes near it; reaching
+#: it raises :class:`SearchExhausted_impossible`.
+_MAX_ROUNDS = 10_000_000
+
 
 class SequentialEngine:
     """Decision procedure for sequential TD via tabled evaluation.
@@ -81,26 +87,13 @@ class SequentialEngine:
     with no siblings to interleave, isolation is a no-op.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        max_rounds: int = 10_000_000,
-        join_order: bool = True,
-        provenance=None,
-        *,
-        store=None,
-    ):
+    def __init__(self, program: Program, *, join_order: bool = True, store=None):
         self.program = program
-        self.max_rounds = max_rounds
         #: Optional storage backend (see :class:`repro.store.Store` and
         #: docs/STORAGE.md), duck-typed; supplies the initial state when
         #: ``solve`` is called without a database.  Explicit beats the
-        #: ambient provider, as for ``provenance``.
+        #: ambient provider.
         self.store = store
-        #: Derivation recorder (see :mod:`repro.obs.provenance`); falls
-        #: back to the ambient recorder when unset, costs nothing when
-        #: neither is attached.
-        self.provenance = provenance
         #: Reorder maximal runs of consecutive tuple tests inside each
         #: sequence by bound-argument selectivity before evaluating.
         #: Sound because tests read but never write: a contiguous test
@@ -165,11 +158,10 @@ class SequentialEngine:
             if isinstance(sub, Call):
                 reads_table = True
         goal_vars = ordered_variables(goal)
-        obs = self._obs = active()
-        prov = self._prov_rec = (
-            self.provenance if self.provenance is not None else active_recorder()
-        )
-        attr = self._attr_cur = _hot.active_attributor()
+        observers = _context.capture()
+        obs = self._obs = observers.inst
+        prov = self._prov_rec = observers.recorder
+        attr = self._attr_cur = observers.attributor
         self._prov_root = (
             prov.record("config", str(goal), disposition="root")
             if prov is not None
@@ -221,7 +213,7 @@ class SequentialEngine:
                             )
                         yield Solution(bindings, final_db)
 
-        yield from _hot.meter_engine(attr, _search(), "seqeval")
+        yield from _context.observed_pulls(observers, _search(), "seqeval")
 
     def succeeds(self, goal: Formula, db: Database) -> bool:
         for _ in self.solve(goal, db):
@@ -258,7 +250,7 @@ class SequentialEngine:
             steps = 0
             while worklist:
                 steps += 1
-                if steps > self.max_rounds:  # pragma: no cover - bound
+                if steps > _MAX_ROUNDS:  # pragma: no cover - bound
                     raise SearchExhausted_impossible()
                 key = worklist.pop()
                 in_worklist.discard(key)
@@ -279,7 +271,7 @@ class SequentialEngine:
         # grow answers that let the *goal* reach call patterns it could
         # not instantiate before, so re-seed until the goal discovers
         # nothing new.
-        for _ in range(self.max_rounds):  # pragma: no branch - returns inside
+        for _ in range(_MAX_ROUNDS):  # pragma: no branch - returns inside
             self._consulted = set()
             self._new_keys = []
             for _ in self._eval(goal, db, {}):

@@ -218,8 +218,7 @@ def enabled_steps(
     *,
     optimized: bool = True,
     reducer=None,
-    metrics=None,
-    tracer=None,
+    obs=None,
     prov=None,
     prov_parent=None,
 ) -> Iterator[Step]:
@@ -238,17 +237,15 @@ def enabled_steps(
     ``reducer`` (a :class:`repro.core.por.PartialOrderReducer`) selects
     the partial-order-reduced enumeration instead: a sound *subset* of
     the full step set that preserves every reachable (answers, final
-    database) pair.  ``metrics`` (a :class:`repro.obs.metrics.Metrics`)
-    lets the reducer report ``por.*`` counters; ``tracer`` additionally
-    receives one ``por.pruned`` event per deferring ample decision and
-    ``prov``/``prov_parent`` (a provenance recorder plus the node of
-    the configuration under expansion) the full ample-set witness.
-    All three are ignored on the unreduced paths.
+    database) pair.  ``obs`` (an enabled
+    :class:`repro.obs.context.Instrumentation`) lets the reducer report
+    ``por.*`` counters and one ``por.pruned`` tracer event per deferring
+    ample decision; ``prov``/``prov_parent`` (a provenance recorder plus
+    the node of the configuration under expansion) receive the full
+    ample-set witness.  All are ignored on the unreduced paths.
     """
     if reducer is not None:
-        yield from reducer.steps(
-            proc, db, isol_runner, metrics, tracer, prov, prov_parent
-        )
+        yield from reducer.steps(proc, db, isol_runner, obs, prov, prov_parent)
     elif optimized:
         yield from _steps(program, proc, db, isol_runner)
     else:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..obs import context as _obs
-from ..obs import hotspots as _hot
 from .terms import Atom, Constant, Term, Variable
 
 __all__ = [
@@ -103,14 +102,14 @@ def unify_atoms(
     a1: Atom, a2: Atom, subst: Substitution = EMPTY_SUBST
 ) -> Optional[Substitution]:
     """Unify two atoms; they must agree on predicate and arity."""
-    # Hot path: the instrumentation guard is one module-attribute load
-    # plus a None check (see repro.obs.context).
-    inst = _obs._ACTIVE
-    if inst is not None:
-        inst.metrics.inc("unify.attempts")
-    attr = _hot._ACTIVE
-    if attr is not None:
-        attr.charge("unify.attempts", predicate=a1.pred)
+    # Hot path: with no observer active the guard is one module-attribute
+    # load plus a None check (see repro.obs.context).
+    observers = _obs._ACTIVE
+    if observers is not None:
+        if observers.instrumentation is not None:
+            observers.instrumentation.metrics.inc("unify.attempts")
+        if observers.attributor is not None:
+            observers.attributor.charge("unify.attempts", predicate=a1.pred)
     if a1.pred != a2.pred or len(a1.args) != len(a2.args):
         return None
     out: Dict[Variable, Term] = dict(subst)
@@ -132,12 +131,12 @@ def match_atom(
     into ``unify.attempts`` alongside full rule-head unification (which
     the per-shape match cache already made search-size independent).
     """
-    inst = _obs._ACTIVE
-    if inst is not None:
-        inst.metrics.inc("unify.attempts")
-    attr = _hot._ACTIVE
-    if attr is not None:
-        attr.charge("unify.attempts", predicate=pattern.pred)
+    observers = _obs._ACTIVE
+    if observers is not None:
+        if observers.instrumentation is not None:
+            observers.instrumentation.metrics.inc("unify.attempts")
+        if observers.attributor is not None:
+            observers.attributor.charge("unify.attempts", predicate=pattern.pred)
     if pattern.pred != fact.pred or len(pattern.args) != len(fact.args):
         return None
     out: Dict[Variable, Term] = dict(subst)

@@ -18,9 +18,8 @@ from ..core.interpreter import _resolve_store
 from ..core.program import Program
 from ..core.terms import Atom, Variable
 from ..core.unify import Substitution, apply_atom
-from ..obs import context as _obs
+from ..obs import context as _context
 from ..obs import hotspots as _hot
-from ..obs.provenance import active_recorder
 from .ast import DatalogProgram, DatalogRule, Literal
 
 __all__ = ["evaluate", "evaluate_naive", "query", "from_td"]
@@ -82,9 +81,9 @@ def _plan_body(
     plan += negatives
 
     if plan != positives + negatives:
-        inst = _obs._ACTIVE
-        if inst is not None:
-            inst.metrics.inc("join.reorders")
+        obs = _context.active()
+        if obs.enabled:
+            obs.metrics.inc("join.reorders")
     return plan
 
 
@@ -147,7 +146,6 @@ def evaluate(
     program: DatalogProgram,
     edb: Optional[Database] = None,
     reorder: bool = True,
-    provenance=None,
     *,
     store=None,
 ) -> Database:
@@ -159,10 +157,10 @@ def evaluate(
     ``reorder=False`` to pin the textual order (the differential tests
     compare the two, and both against :func:`evaluate_naive`).
 
-    *provenance* (or the ambient recorder, see
-    :mod:`repro.obs.provenance`) records one ``fact`` node per derived
-    IDB fact, parented on the first derived positive premise of its
-    first derivation, with the instantiated rule as witness.
+    The ambient recorder (see :func:`repro.obs.recording`), if any,
+    records one ``fact`` node per derived IDB fact, parented on the
+    first derived positive premise of its first derivation, with the
+    instantiated rule as witness.
 
     The ambient cost attributor (see :mod:`repro.obs.hotspots`), if
     any, charges each rule's join work to a per-rule frame under a
@@ -176,13 +174,11 @@ def evaluate(
     The fixpoint itself runs over in-memory states either way.
     """
     store, edb = _resolve_store(store, edb)
-    prov = provenance if provenance is not None else active_recorder()
-    attr = _hot.active_attributor()
-    if attr is not None:
-        with _hot.engine_frame(attr, "seminaive"):
-            result = _evaluate_seminaive(program, edb, reorder, prov, attr)
-    else:
-        result = _evaluate_seminaive(program, edb, reorder, prov, None)
+    observers = _context.capture()
+    with _context.observing(observers, "seminaive"):
+        result = _evaluate_seminaive(
+            program, edb, reorder, observers.recorder, observers.attributor
+        )
     if store is not None:
         # Sorted so the WAL records the derived delta deterministically.
         store.insert_all(sorted(result.difference(edb)))

@@ -12,9 +12,10 @@ Observability for the Transaction Datalog engines.  Three pieces:
   ``table-fixpoint``; finished spans serialize as JSON lines with parent
   ids so external tools can rebuild the search tree.
 * :func:`~repro.obs.context.instrumented` -- the activation context.
-  Instrumentation is **off by default**: the engines consult a single
-  module-level slot, and every hot-path increment is guarded by one
-  ``enabled`` check, so the uninstrumented paths stay at full speed.
+  Instrumentation is **off by default**: the engines capture a single
+  module-level observer slot (metrics, derivation recorder, cost
+  attributor) at entry, and every hot-path increment is guarded by one
+  check, so the uninstrumented paths stay at full speed.
 
 Typical use::
 

@@ -1,11 +1,22 @@
-"""Activation context: which instrumentation (if any) is live.
+"""Activation context: the one observer slot.
 
-The engines do not take an instrumentation argument through every call;
-they consult a single module-level slot at operation entry and hold the
-reference for the duration of the search.  Hot loops then guard each
-increment behind one ``enabled`` attribute check, so with
-instrumentation off (the default) the cost is one ``is``-comparison per
-entry point and nothing in the inner loops.
+A search has three observers -- an :class:`Instrumentation` (metrics and
+tracer), a derivation recorder (:mod:`repro.obs.provenance`) and a cost
+attributor (:mod:`repro.obs.hotspots`) -- and they are three views of
+one execution, so they live in one module-level slot: an
+:class:`Observers` triple, or ``None`` when all three are off.
+:func:`instrumented`, :func:`repro.obs.recording` and
+:func:`repro.obs.attributing` each fill one channel of it, and they nest
+in any order.
+
+Every engine entry captures the triple once (:func:`capture`) and holds
+it for the whole search.  A generator entry re-installs it around each
+pull (:func:`observed_pulls`) and a plain function installs it for its
+block (:func:`observing`), so every deep report -- unification, POR,
+join planning, ``ProvenanceRecorder.record``, the store and fault
+counters -- lands on the observers the search started with, however
+the caller drains it.  With nothing active the hottest call sites pay
+one module-attribute load and one ``None`` check.
 
 ::
 
@@ -23,7 +34,10 @@ from typing import Iterator, Optional
 from .metrics import Metrics
 from .tracer import Span, Tracer
 
-__all__ = ["Instrumentation", "NOOP", "active", "instrumented"]
+__all__ = [
+    "Instrumentation", "NOOP", "Observers", "active", "capture",
+    "instrumented", "observed_pulls", "observing",
+]
 
 
 class Instrumentation:
@@ -71,15 +85,68 @@ class Instrumentation:
 #: either way the hot-path guard is the same ``.enabled`` check.
 NOOP = Instrumentation(Metrics(), Tracer(), enabled=False)
 
-#: The live instrumentation, or None when off.  Read directly (as
-#: ``context._ACTIVE``) only by the hottest call sites; everyone else
-#: goes through :func:`active`.
-_ACTIVE: Optional[Instrumentation] = None
+
+class Observers:
+    """The observer triple one search reports to.
+
+    Each channel is ``None`` when off.  Triples are never mutated:
+    filling a channel installs a new one, so an engine that captured a
+    triple keeps exactly the observers it started with.
+    """
+
+    __slots__ = ("instrumentation", "recorder", "attributor")
+
+    def __init__(self, instrumentation=None, recorder=None, attributor=None):
+        self.instrumentation = instrumentation
+        self.recorder = recorder
+        self.attributor = attributor
+
+    @property
+    def inst(self) -> Instrumentation:
+        """The instrumentation channel, or :data:`NOOP` when it is off."""
+        inst = self.instrumentation
+        return inst if inst is not None else NOOP
+
+
+#: What :func:`capture` returns when nothing is active.
+OFF = Observers()
+
+#: The live triple, or None when every channel is off.  Read directly
+#: (as ``context._ACTIVE``) only by the hottest call sites; everyone
+#: else goes through :func:`active` or :func:`capture`.
+_ACTIVE: Optional[Observers] = None
+
+_SENTINEL = object()
 
 
 def active() -> Instrumentation:
     """The live instrumentation, or :data:`NOOP` when none is active."""
-    return _ACTIVE if _ACTIVE is not None else NOOP
+    observers = _ACTIVE
+    if observers is None or observers.instrumentation is None:
+        return NOOP
+    return observers.instrumentation
+
+
+def capture() -> Observers:
+    """The live triple (:data:`OFF` when nothing is active): what an
+    engine entry holds for the whole search."""
+    return _ACTIVE if _ACTIVE is not None else OFF
+
+
+@contextmanager
+def filled(channel: str, value):
+    """Fill one channel of the slot with *value* for a block; the
+    previous triple comes back on exit, so channels nest in any order."""
+    global _ACTIVE
+    previous = _ACTIVE
+    base = capture()
+    channels = {name: getattr(base, name) for name in Observers.__slots__}
+    channels[channel] = value
+    _ACTIVE = Observers(**channels)
+    try:
+        yield value
+    finally:
+        _ACTIVE = previous
 
 
 @contextmanager
@@ -90,11 +157,58 @@ def instrumented(
 
     Nests: the previous activation is restored on exit.
     """
-    global _ACTIVE
     inst = instrumentation if instrumentation is not None else Instrumentation.create()
-    previous = _ACTIVE
-    _ACTIVE = inst
-    try:
+    with filled("instrumentation", inst):
         yield inst
-    finally:
-        _ACTIVE = previous
+
+
+class observing:
+    """Engine entry helper for *plain-function* engine bodies: install
+    the captured *observers* for the ``with`` block, with a *phase*
+    frame pushed on its attributor.  A class rather than a generator
+    context manager: every ``simulate``, ``evaluate`` and
+    ``parse_program`` call enters one."""
+
+    __slots__ = ("observers", "phase", "previous", "token")
+
+    def __init__(self, observers: Observers, phase: str):
+        self.observers = observers
+        self.phase = phase
+
+    def __enter__(self) -> None:
+        global _ACTIVE
+        self.previous = _ACTIVE
+        observers = self.observers
+        _ACTIVE = observers if observers is not OFF else None
+        attr = observers.attributor
+        self.token = attr.push(phase=self.phase) if attr is not None else None
+
+    def __exit__(self, *exc) -> None:
+        global _ACTIVE
+        if self.token is not None:
+            self.observers.attributor.pop(self.token)
+        _ACTIVE = self.previous
+
+
+def observed_pulls(observers: Observers, gen, phase: str) -> Iterator:
+    """Engine entry helper for *generator* engine bodies: each pull of
+    *gen* runs with the captured *observers* installed and a *phase*
+    frame pushed on its attributor, so nothing leaks over the consumer
+    while the generator is suspended, and nothing the consumer installs
+    in between reaches the search."""
+    global _ACTIVE
+    live = observers if observers is not OFF else None
+    attr = observers.attributor
+    while True:
+        previous = _ACTIVE
+        _ACTIVE = live
+        token = attr.push(phase=phase) if attr is not None else None
+        try:
+            item = next(gen, _SENTINEL)
+        finally:
+            if token is not None:
+                attr.pop(token)
+            _ACTIVE = previous
+        if item is _SENTINEL:
+            return
+        yield item

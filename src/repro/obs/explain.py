@@ -93,20 +93,18 @@ def explain_goal(
     from ..core.parser import as_goal
 
     goal = as_goal(goal)
-    recorder = ProvenanceRecorder()
-    if mode == "dfs":
-        interp = Interpreter(program, max_configs=max_configs, provenance=recorder)
-        execution = interp.simulate(goal, db)
-        return recorder, [execution] if execution is not None else []
-    if mode == "bfs":
-        interp = Interpreter(program, max_configs=max_configs, provenance=recorder)
-        return recorder, list(interp.run(goal, db))
-    if mode != "auto":
+    if mode not in ("auto", "bfs", "dfs"):
         raise ValueError("mode must be auto, bfs, or dfs (got %r)" % (mode,))
-    engine = select_engine(
-        program, goal, max_configs=max_configs, provenance=recorder
-    )
-    return recorder, list(engine.solve(goal, db))
+    with recording() as recorder:
+        if mode == "dfs":
+            interp = Interpreter(program, max_configs=max_configs)
+            execution = interp.simulate(goal, db)
+            return recorder, [execution] if execution is not None else []
+        if mode == "bfs":
+            interp = Interpreter(program, max_configs=max_configs)
+            return recorder, list(interp.run(goal, db))
+        engine = select_engine(program, goal, max_configs=max_configs)
+        return recorder, list(engine.solve(goal, db))
 
 
 def verify_execution(execution, db) -> bool:
@@ -444,19 +442,13 @@ def audit_por_goal(program, goal, db, *, max_configs: int = 200_000) -> PorAudit
     from ..core.parser import as_goal
 
     goal = as_goal(goal)
-    recorder = ProvenanceRecorder()
     # The audit targets the small-step reducer: run untabled so every
     # ample-set decision happens in the recorded top-level search
     # (tabling big-steps head calls into nested, unrecorded searches
     # and has its own differential oracle).
-    reduced = Interpreter(
-        program,
-        max_configs=max_configs,
-        por=True,
-        provenance=recorder,
-        tabling=False,
-    )
-    reduced_solutions = _normalized(reduced.solve(goal, db))
+    reduced = Interpreter(program, max_configs=max_configs, por=True, tabling=False)
+    with recording() as recorder:
+        reduced_solutions = _normalized(reduced.solve(goal, db))
     full = Interpreter(program, max_configs=max_configs, por=False, tabling=False)
     full_solutions = _normalized(full.solve(goal, db))
 

@@ -19,8 +19,11 @@ their totals agree by construction.
 Discipline (same as :mod:`repro.obs.provenance`): attribution is **off
 by default**; every engine hot loop pays exactly one ``is not None``
 check when it is off, and the engine counters are byte-identical either
-way.  Engines read only the ambient attributor that :func:`attributing`
-installs; there is no per-engine argument.
+way.  :func:`attributing` fills the attributor channel of the observer
+slot (:mod:`repro.obs.context`); engines capture it at entry with the
+other two channels, and their entry helpers push one phase frame
+(``bfs``, ``dfs``, ``seqeval``, ``seminaive``, ``statespace``,
+``parse``) around the search.  There is no per-engine argument.
 
 Wall-time accounting is settle-based: the attributor keeps one global
 mark (`perf_counter` timestamp of the last attribution event) and every
@@ -31,7 +34,7 @@ Frames are popped by *token* (removed wherever they sit in the stack),
 so non-LIFO teardown of abandoned generators cannot corrupt the stack.
 
 This module deliberately imports nothing from :mod:`repro.core` --
-``repro.core.unify`` reads the ambient slot at module level, so the
+``repro.core.unify`` reads the observer slot at module level, so the
 dependency must point one way only.
 """
 
@@ -43,12 +46,12 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from . import context as _context
+
 __all__ = [
     "CostAttributor",
     "active_attributor",
     "attributing",
-    "engine_frame",
-    "meter_engine",
     "rule_label",
     "UNATTRIBUTED",
 ]
@@ -514,70 +517,21 @@ def _action_delta_size(action) -> int:
 
 # -- ambient attributor ------------------------------------------------------------
 #
-# Same shape as provenance's ambient recorder: a module-level slot the
-# engines consult through one ``is not None`` guard, plus a context
-# manager that installs/restores it.  It is the only way to attach an
-# attributor to an engine.
-
-_ACTIVE: Optional[CostAttributor] = None
+# The attributor is one channel of the observer slot in repro.obs.context:
+# engines capture it at entry with the instrumentation and recorder.  It
+# is the only way to attach an attributor to an engine.
 
 
 def active_attributor() -> Optional[CostAttributor]:
     """The ambient attributor installed by :func:`attributing`, or None."""
-    return _ACTIVE
+    observers = _context._ACTIVE
+    return observers.attributor if observers is not None else None
 
 
 @contextmanager
 def attributing(attributor: Optional[CostAttributor] = None):
     """Install *attributor* (default: a fresh one) as the ambient
     attributor for the dynamic extent of the ``with`` block."""
-    global _ACTIVE
     attr = attributor if attributor is not None else CostAttributor()
-    previous = _ACTIVE
-    _ACTIVE = attr
-    try:
+    with _context.filled("attributor", attr):
         yield attr
-    finally:
-        _ACTIVE = previous
-
-
-@contextmanager
-def engine_frame(attr: Optional[CostAttributor], phase: str):
-    """Engine entry helper for *plain-function* engine bodies: install
-    *attr* ambiently (so deep charge sites like unification see it) and
-    push a phase frame for the block.  No-op when *attr* is None."""
-    if attr is None:
-        yield
-        return
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = attr
-    token = attr.push(phase=phase)
-    try:
-        yield
-    finally:
-        attr.pop(token)
-        _ACTIVE = previous
-
-
-def meter_engine(attr: Optional[CostAttributor], gen, phase: str) -> Iterator:
-    """Engine entry helper for *generator* engine bodies: each pull of
-    *gen* runs with *attr* installed ambiently and a phase frame pushed,
-    so nothing leaks over the consumer while the generator is suspended.
-    Passes *gen* through untouched when *attr* is None."""
-    if attr is None:
-        yield from gen
-        return
-    global _ACTIVE
-    while True:
-        previous = _ACTIVE
-        _ACTIVE = attr
-        token = attr.push(phase=phase)
-        try:
-            item = next(gen, _SENTINEL)
-        finally:
-            attr.pop(token)
-            _ACTIVE = previous
-        if item is _SENTINEL:
-            return
-        yield item

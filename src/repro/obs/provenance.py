@@ -26,12 +26,14 @@ Each :class:`ProvNode` records:
   ``dead-config``, ``depth-limit``, ``backtracked``,
   ``budget-exhausted`` / ``deadline-exhausted``.
 
-Recording is **off by default** and costs nothing when off: every
-engine takes ``provenance=None`` and guards the hot loop with a single
+Recording is **off by default** and costs nothing when off: a recorder
+is attached only through :func:`recording`, which fills the recorder
+channel of the observer slot (:mod:`repro.obs.context`); every engine
+captures that slot at entry and guards the hot loop with a single
 ``is not None`` check, exactly the discipline the metrics layer uses
 (the zero-overhead test asserts byte-identical counter snapshots).
 When a recorder *is* attached it reports ``prov.nodes`` /
-``prov.dropped`` counters through the active instrumentation.
+``prov.dropped`` counters through the instrumentation captured with it.
 
 Serialization reuses the tracer's span model: :meth:`to_jsonl` emits
 one span-shaped JSON object per node (``span_id`` ``p<n>``,
@@ -323,17 +325,14 @@ class ProvenanceRecorder:
 
 # -- ambient activation --------------------------------------------------------
 #
-# Mirrors repro.obs.context: engines consult one module slot at entry
-# (``provenance=None`` on the engine falls back to the ambient
-# recorder), so callers that cannot thread a keyword argument through
-# -- the profile suite's fixed workloads, chiefly -- can still record.
-
-_ACTIVE_RECORDER: Optional[ProvenanceRecorder] = None
+# The recorder is one channel of the observer slot in repro.obs.context:
+# engines capture it at entry with the instrumentation and attributor.
 
 
 def active_recorder() -> Optional[ProvenanceRecorder]:
     """The ambient recorder, or ``None`` (recording off)."""
-    return _ACTIVE_RECORDER
+    observers = _context._ACTIVE
+    return observers.recorder if observers is not None else None
 
 
 @contextmanager
@@ -341,14 +340,9 @@ def recording(
     recorder: Optional[ProvenanceRecorder] = None,
 ) -> Iterator[ProvenanceRecorder]:
     """Activate *recorder* (a fresh one if none) for a block; nests."""
-    global _ACTIVE_RECORDER
     rec = recorder if recorder is not None else ProvenanceRecorder()
-    previous = _ACTIVE_RECORDER
-    _ACTIVE_RECORDER = rec
-    try:
+    with _context.filled("recorder", rec):
         yield rec
-    finally:
-        _ACTIVE_RECORDER = previous
 
 
 # -- helpers -------------------------------------------------------------------

@@ -20,8 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.database import Database
 from ..core.errors import SearchBudgetExceeded
-from ..obs import hotspots as _hot
-from ..obs.context import active
+from ..obs import context as _context
 from ..core.formulas import Formula, apply_subst
 from ..core.interpreter import Interpreter
 from ..core.parser import parse_goal
@@ -130,7 +129,8 @@ def explore(
 
     # Isolation needs an executor for iso bodies; reuse the interpreter's
     # nested-search machinery with its own budget.
-    obs = active()
+    observers = _context.capture()
+    obs = observers.inst
     interp = Interpreter(program, max_configs=max_states * 10)
     budget = interp._make_budget(obs)
 
@@ -153,9 +153,9 @@ def explore(
         edges[node_id] = []
         return node_id, True
 
-    attr = _hot.active_attributor()
+    attr = observers.attributor
     with obs.span("statespace.explore", goal=str(goal)), \
-            _hot.engine_frame(attr, "statespace"):
+            _context.observing(observers, "statespace"):
         start, _ = intern(goal, db)
         frontier = deque([start])
         while frontier:

@@ -579,19 +579,17 @@ class TestTableHitProvenance:
         # The repeated head call must appear at the *top level* of the
         # goal: hits inside nested generation searches run without a
         # recorder (their work is summarized by the answer they yield).
-        from repro.obs import ProvenanceRecorder
+        from repro.obs import recording
         from repro.obs.provenance import DISPOSITIONS
 
-        rec = ProvenanceRecorder()
-        interp = Interpreter(
-            parse_program("probe <- item(X)."), provenance=rec
-        )
-        sols = list(
-            interp.solve(
-                parse_goal("probe * probe * ins.done"),
-                parse_database("item(a). item(b)."),
+        interp = Interpreter(parse_program("probe <- item(X)."))
+        with recording() as rec:
+            sols = list(
+                interp.solve(
+                    parse_goal("probe * probe * ins.done"),
+                    parse_database("item(a). item(b)."),
+                )
             )
-        )
         assert sols
         hits = [n for n in rec.nodes if n.disposition == "table-hit"]
         assert hits, "the second probe call must be served from the table"

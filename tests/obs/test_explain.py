@@ -3,7 +3,7 @@
 import pytest
 
 from repro import parse_database, parse_goal, parse_program
-from repro.obs import ProvenanceRecorder
+from repro.obs import recording
 from repro.obs.analyze import profile_suite
 from repro.obs.explain import (
     audit_por_goal,
@@ -56,8 +56,8 @@ class TestProofTrees:
         from repro.core.terms import atom
         from repro.datalog import evaluate, from_td
 
-        recorder = ProvenanceRecorder()
-        facts = evaluate(from_td(tc_program), chain_db, provenance=recorder)
+        with recording() as recorder:
+            facts = evaluate(from_td(tc_program), chain_db)
         assert atom("path", "a", "d") in facts
         derived = [n for n in recorder.nodes if n.kind == "fact"]
         assert derived

@@ -15,13 +15,8 @@ from repro import (
 from repro.cli import main
 from repro.obs import CostAttributor, Instrumentation, attributing, instrumented
 from repro.obs.analyze import deterministic_record
-from repro.obs.hotspots import (
-    UNATTRIBUTED,
-    active_attributor,
-    engine_frame,
-    meter_engine,
-    rule_label,
-)
+from repro.obs.context import OFF, observed_pulls, observing
+from repro.obs.hotspots import UNATTRIBUTED, active_attributor, rule_label
 
 
 class FakeClock:
@@ -193,12 +188,12 @@ class TestAccounting:
                 attr.charge("steps.expansions", 1, predicate="p")
         assert attr.by_key[("r(X)", "p", "solve")]["steps.expansions"] == 1
 
-    def test_meter_engine_passthrough_when_off(self):
+    def test_observed_pulls_passthrough_when_off(self):
         gen = iter([1, 2, 3])
-        assert list(meter_engine(None, gen, "x")) == [1, 2, 3]
+        assert list(observed_pulls(OFF, gen, "x")) == [1, 2, 3]
 
-    def test_engine_frame_noop_when_off(self):
-        with engine_frame(None, "x"):
+    def test_observing_noop_when_off(self):
+        with observing(OFF, "x"):
             assert active_attributor() is None
 
     def test_rule_label_strips_renaming(self):

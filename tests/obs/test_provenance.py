@@ -39,8 +39,11 @@ def bank_run(provenance):
     own provenance coverage in tests/core/test_tabling.py."""
     program = parse_program(BANK_TEXT)
     db = parse_database("balance(a, 100). balance(b, 10).")
-    interp = Interpreter(program, provenance=provenance, tabling=False)
-    return list(interp.solve(parse_goal("transfer(a, b, 30)"), db))
+    interp = Interpreter(program, tabling=False)
+    if provenance is None:
+        return list(interp.solve(parse_goal("transfer(a, b, 30)"), db))
+    with recording(provenance):
+        return list(interp.solve(parse_goal("transfer(a, b, 30)"), db))
 
 
 class TestRecorder:
@@ -169,7 +172,7 @@ class TestAmbientActivation:
 
 
 class TestZeroOverheadOff:
-    """provenance=None must leave the counter stream byte-identical."""
+    """Recording off must leave the counter stream byte-identical."""
 
     def _counters(self, provenance):
         inst = Instrumentation.create()

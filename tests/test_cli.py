@@ -161,70 +161,12 @@ class TestBench:
         assert rows[0]["repeat"] == 1
         assert rows[0]["best_ms"] > 0
 
-    def test_out_writes_numbered_snapshots(self, tmp_path, capsys):
-        # Each run claims the next free BENCH_<n>.json in the directory,
-        # so CI artifacts from successive runs never clobber each other.
-        snapdir = tmp_path / "snaps"
-        args = ["bench", "--only", "bank_transfer", "--repeat", "1",
-                "--out", str(snapdir)]
-        assert main(args) == 0
-        assert main(args) == 0
-        first = json.loads((snapdir / "BENCH_1.json").read_text())
-        assert (snapdir / "BENCH_2.json").exists()
-        assert first[0]["config"] == "bank_transfer"
-        assert first[0]["best_ms"] > 0
-        assert "bench snapshot written to" in capsys.readouterr().out
-
-    def test_out_skips_over_foreign_files(self, tmp_path):
-        snapdir = tmp_path / "snaps"
-        snapdir.mkdir()
-        (snapdir / "BENCH_7.json").write_text("[]")
-        (snapdir / "notes.txt").write_text("ignored")
-        assert main(["bench", "--only", "bank_transfer", "--repeat", "1",
-                     "--out", str(snapdir)]) == 0
-        assert (snapdir / "BENCH_8.json").exists()
-
     def test_bad_repeat_rejected(self, capsys):
         assert main(["bench", "--repeat", "0", "--only", "bank_transfer"]) == 2
 
     def test_unknown_config_raises(self):
         with pytest.raises(KeyError):
             main(["bench", "--only", "not_a_config", "--repeat", "1"])
-
-
-class TestBenchTrend:
-    def test_trend_needs_snapshots(self, tmp_path, capsys):
-        assert main(["bench", "trend", "--out", str(tmp_path / "none")]) == 2
-        captured = capsys.readouterr()
-        assert "no bench trajectory" in captured.out + captured.err
-
-    def test_single_snapshot_lists_latest(self, tmp_path, capsys):
-        snapdir = tmp_path / "snaps"
-        base = ["bench", "--only", "bank_transfer", "--repeat", "1",
-                "--out", str(snapdir)]
-        assert main(base) == 0
-        capsys.readouterr()
-        assert main(["bench", "trend", "--out", str(snapdir)]) == 0
-        out = capsys.readouterr().out
-        assert "1 snapshot(s)" in out
-        assert "bank_transfer" in out
-
-    def test_trend_compares_latest_against_series(self, tmp_path, capsys):
-        snapdir = tmp_path / "snaps"
-        base = ["bench", "--only", "bank_transfer", "--repeat", "1",
-                "--out", str(snapdir)]
-        assert main(base) == 0
-        assert main(base) == 0
-        capsys.readouterr()
-        assert main(["bench", "trend", "--out", str(snapdir)]) == 0
-        out = capsys.readouterr().out
-        assert "latest BENCH_2" in out
-        assert "bank_transfer" in out
-        assert "%" in out  # delta column against the series best
-
-    def test_committed_trajectory_parses(self):
-        # The repo ships its own trajectory; trend must accept it.
-        assert main(["bench", "trend"]) == 0
 
 
 class TestExplainCli:
