@@ -125,11 +125,8 @@ class Engine:
 
     def succeeds(self, goal: Union[str, Formula], db: Optional[Database] = None) -> bool:
         """Does some execution of *goal* from *db* commit?"""
-        obs = self._describe()
         try:
-            if not obs.enabled:
-                return self.backend.succeeds(self._goal(goal), db)
-            with obs.metrics.timer(self._timer_name()):
+            with self._describe().timer(self._timer_name()):
                 return self.backend.succeeds(self._goal(goal), db)
         except ReproError as exc:
             raise _annotate(exc, goal)
@@ -186,11 +183,8 @@ class Engine:
         self, goal: Union[str, Formula], db: Optional[Database] = None
     ) -> Set[Database]:
         """All states the transaction can leave the database in."""
-        obs = self._describe()
         try:
-            if not obs.enabled:
-                return self.backend.final_databases(self._goal(goal), db)
-            with obs.metrics.timer(self._timer_name()):
+            with self._describe().timer(self._timer_name()):
                 return self.backend.final_databases(self._goal(goal), db)
         except ReproError as exc:
             raise _annotate(exc, goal)
@@ -212,14 +206,8 @@ class Engine:
         :meth:`Interpreter.simulate`).
         """
         interp = self._interpreter()
-        obs = self._describe()
         try:
-            if not obs.enabled:
-                return interp.simulate(
-                    self._goal(goal), db, seed=seed, max_depth=max_depth,
-                    deadline=deadline,
-                )
-            with obs.metrics.timer(self._timer_name()):
+            with self._describe().timer(self._timer_name()):
                 return interp.simulate(
                     self._goal(goal), db, seed=seed, max_depth=max_depth,
                     deadline=deadline,

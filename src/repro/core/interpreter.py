@@ -68,9 +68,6 @@ from typing import (
 )
 
 from ..obs import context as _context
-from ..obs import hotspots as _hot
-from ..obs.context import Instrumentation, NOOP
-from ..obs.provenance import config_digest
 from .database import Database
 from .errors import AttemptBudgetExceeded, DeadlineExceeded, SearchBudgetExceeded
 from .formulas import TRUTH, Call, Formula, Seq, apply_subst, ordered_variables, seq
@@ -231,29 +228,23 @@ def _as_deadline(deadline) -> Optional[Deadline]:
 class _Budget:
     """A mutable step budget shared by a search and its nested searches.
 
-    When instrumentation is active the budget reports each spend as the
-    ``search.steps`` counter and, on exhaustion, records the final
-    figure in both the raised exception and the ``budget.spent`` gauge.
-    The extra work is guarded by a single ``None`` check so the
-    uninstrumented path stays two instructions.
+    With an observer handle *ev* the budget reports each spend (the
+    ``spend`` event); the exhausted figure also lands in the raised
+    exception.  One ``None`` check keeps the unobserved path cheap.
     """
 
-    __slots__ = ("limit", "used", "obs")
+    __slots__ = ("limit", "used", "ev")
 
-    def __init__(self, limit: int, obs: Optional[Instrumentation] = None):
+    def __init__(self, limit: int, ev: Optional[_context.Observers] = None):
         self.limit = limit
         self.used = 0
-        self.obs = obs if (obs is not None and obs.enabled) else None
+        self.ev = ev
 
     def spend(self) -> None:
         self.used += 1
-        obs = self.obs
-        if obs is not None:
-            obs.metrics.inc("search.steps")
+        if self.ev is not None:
+            self.ev.spend(self.used, self.limit)
         if self.used > self.limit:
-            if obs is not None:
-                obs.metrics.inc("budget.exceeded")
-                obs.metrics.gauge_max("budget.spent", self.used)
             raise SearchBudgetExceeded(self.used, self.limit, spent=self.used)
 
 
@@ -362,29 +353,21 @@ class Interpreter:
         self.tabling = tabling and not tabling_forced_off()
         self._table = AnswerTable() if self.tabling else None
 
-    def _enabled_steps(
-        self, proc, db, isol_runner, obs: Instrumentation, prov=None, parent=None
-    ):
+    def _enabled_steps(self, proc, db, isol_runner, ev=None, parent=None):
         """The transition relation this search uses: partial-order
         reduced when enabled and no fault injector is attached, the
-        full enumeration otherwise.  ``prov``/``parent`` flow to the
-        reducer so ample-set decisions land in the derivation record."""
+        full enumeration otherwise.  ``ev``/``parent`` flow to the
+        reducer so ample-set decisions are reported."""
         reducer = self._reducer if self.faults is None else None
         return enabled_steps(
-            self.program,
-            proc,
-            db,
-            isol_runner,
-            reducer=reducer,
-            obs=obs if obs.enabled else None,
-            prov=prov,
-            prov_parent=parent,
+            self.program, proc, db, isol_runner, reducer=reducer, ev=ev,
+            parent=parent,
         )
 
-    def _make_budget(self, obs: Optional[Instrumentation] = None) -> "_Budget":
+    def _make_budget(self, ev: Optional[_context.Observers] = None) -> "_Budget":
         """A fresh step budget (used by the verifier, which drives the
         transition relation directly but reuses the isolation runner)."""
-        return _Budget(self.max_configs, obs)
+        return _Budget(self.max_configs, ev)
 
     def _resolve_state(self, db: Optional[Database]):
         """Resolve ``(store, initial db)`` for one search entry (see
@@ -497,35 +480,28 @@ class Interpreter:
         :meth:`resume` share, called from their first pull.  It captures
         the observers and re-installs them around every pull, so the
         search reports to them however the caller drains it."""
-        observers = _context.capture()
-        obs = observers.inst
-        budget = _Budget(self.max_configs, obs)
+        ev = _context.capture()
+        budget = _Budget(self.max_configs, ev)
 
         def _search():
-            with obs.span(span, engine="interpreter", **span_attrs):
+            with _context.span(ev, span, engine="interpreter", **span_attrs):
                 try:
                     for answers, final_db, trace in self._bfs(
-                        goal,
-                        db,
-                        goal_vars,
-                        budget,
-                        want_trace=want_trace,
-                        obs=obs,
-                        deadline=_as_deadline(deadline),
-                        state=state,
-                        prov=observers.recorder,
-                        attr=observers.attributor,
+                        goal, db, goal_vars, budget, want_trace, ev,
+                        _as_deadline(deadline), state,
                     ):
+                        if ev is not None:
+                            ev.answer()
                         bindings = dict(zip(goal_vars, answers))
                         if want_trace:
                             yield Execution(bindings, final_db, trace)
                         else:
                             yield Solution(bindings, final_db)
                 finally:
-                    _note_budget(obs, budget)
-                    self._note_table(obs)
+                    if ev is not None:
+                        ev.finished(budget.used, budget.limit, self._table)
 
-        return _context.observed_pulls(observers, _search(), "bfs")
+        return _context.observed_pulls(ev, _search(), "bfs")
 
     def simulate(
         self,
@@ -553,32 +529,23 @@ class Interpreter:
         """
         store, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
-        observers = _context.capture()
-        obs = observers.inst
-        budget = _Budget(self.max_configs, obs)
+        ev = _context.capture()
+        budget = _Budget(self.max_configs, ev)
         rng = random.Random(seed) if seed is not None else None
         goal_vars = ordered_variables(goal)
-        with obs.span("simulate", engine="interpreter", goal=str(goal)), \
-                _context.observing(observers, "dfs"):
+        with _context.span(ev, "simulate", engine="interpreter", goal=str(goal)), \
+                _context.observing(ev, "dfs"):
             try:
                 result = self._dfs(
-                    goal,
-                    db,
-                    goal_vars,
-                    budget,
-                    rng,
-                    max_depth,
-                    obs=obs,
-                    deadline=_as_deadline(deadline),
-                    prov=observers.recorder,
-                    attr=observers.attributor,
+                    goal, db, goal_vars, budget, rng, max_depth, ev,
+                    _as_deadline(deadline),
                 )
             except (SearchBudgetExceeded, DeadlineExceeded) as exc:
                 exc.goal = goal
                 raise
             finally:
-                _note_budget(obs, budget)
-                self._note_table(obs)
+                if ev is not None:
+                    ev.finished(budget.used, budget.limit, self._table)
         if result is None:
             return None
         answers, final_db, trace, times = result
@@ -595,12 +562,9 @@ class Interpreter:
         goal_vars: Sequence[Variable],
         budget,
         want_trace: bool,
-        obs: Instrumentation = NOOP,
+        ev: Optional[_context.Observers] = None,
         deadline: Optional[Deadline] = None,
         state: Optional[Checkpoint] = None,
-        prov=None,
-        attr=None,
-        count_solutions: bool = True,
     ) -> Iterator[Tuple[Tuple[Term, ...], Database, Tuple[Action, ...]]]:
         insertable, deletable = update_footprint(self.program, goal)
         # Answer tabling is bypassed under fault injection, exactly like
@@ -634,25 +598,17 @@ class Interpreter:
             emitted = set(state.emitted)
         naive_keys = set(state.naive) if state is not None else set()
         queued = {key for _, key in frontier}
-        enabled = obs.enabled
         faults = self.faults
         # Provenance bookkeeping maps canonical config keys to node ids
-        # in the derivation DAG; ``prov`` is None on uninstrumented runs
-        # (and for the inner searches of ``iso``), so every touch below
-        # is guarded by a single ``prov is not None`` check.
+        # in the derivation DAG (all None when no recorder is on).
         node_ids: Dict[object, Optional[int]] = {}
-        if prov is not None:
+        if ev is not None:
             if state is None:
-                root = prov.record("config", str(goal), disposition="root")
-                node_ids[frontier[0][1]] = root
+                node_ids[frontier[0][1]] = ev.config(goal)
             else:
-                root = prov.record(
-                    "config", "(resume) " + str(goal), disposition="root"
-                )
+                root = ev.config(goal, prefix="(resume) ")
                 for c, key in frontier:
-                    node_ids[key] = prov.record(
-                        "config", "(resumed) " + str(c.process), parent=root
-                    )
+                    node_ids[key] = ev.config(c.process, root, "(resumed) ")
 
         while frontier:
             config, config_key = frontier.popleft()
@@ -662,21 +618,14 @@ class Interpreter:
                 result = (config.answers, config.database)
                 if result not in emitted:
                     emitted.add(result)
-                    if enabled and count_solutions:
-                        obs.metrics.inc("search.solutions")
-                    if prov is not None:
-                        prov.mark(
-                            node_ids.get(config_key),
-                            "solution",
-                            witness={
-                                "answers": [str(a) for a in config.answers]
-                            },
-                        )
+                    if ev is not None:
+                        ev.solution(node_ids.get(config_key), config.answers)
                     yield config.answers, config.database, traces.get(config_key, ())
                 continue
-            if enabled:
-                obs.metrics.inc("search.configs_expanded")
-            parent = node_ids.get(config_key) if prov is not None else None
+            parent = None
+            if ev is not None:
+                ev.expanded()
+                parent = node_ids.get(config_key)
             stepped = False
             head = None
             try:
@@ -686,90 +635,50 @@ class Interpreter:
                     head = _head_call(config.process)
                 if head is not None:
                     steps = self._table_steps(
-                        head[0],
-                        head[1],
-                        config.process,
-                        config.database,
-                        budget,
-                        obs,
-                        deadline,
-                        attr,
-                        prov,
-                        parent,
+                        head[0], head[1], config.process, config.database,
+                        budget, ev, deadline, parent,
                     )
                 else:
                     steps = self._enabled_steps(
                         config.process,
                         config.database,
-                        self._isol_runner(budget, obs, deadline, attr),
-                        obs,
-                        prov,
+                        self._isol_runner(budget, ev, deadline),
+                        ev,
                         parent,
                     )
                 if faults is not None:
                     steps = faults.perturb(config.process, config.database, steps)
-                if attr is not None:
-                    steps = attr.meter_steps(steps)
+                if ev is not None:
+                    steps = ev.metered(steps)
                 for step in steps:
                     budget.spend()
                     stepped = True
                     if dead_config(
                         step.residual, step.database, insertable, deletable, step.subst
                     ):
-                        if prov is not None:
-                            prov.record_step(step, parent, "dead-config")
+                        if ev is not None:
+                            ev.child(step, parent, "dead-config")
                         continue
                     new_proc = apply_subst(step.residual, step.subst)
                     new_answers = tuple(walk(t, step.subst) for t in config.answers)
                     succ = Configuration(new_proc, step.database, new_answers)
                     key = self._key(succ)
-                    if key in queued:
-                        if enabled:
-                            obs.metrics.inc("frontier.subsumed")
-                            obs.tracer.event(
-                                "frontier.subsumed",
-                                config=str(new_proc),
-                                by="queued",
-                            )
-                        if prov is not None:
-                            prov.record_step(
-                                step,
-                                parent,
-                                "frontier-subsumed",
-                                witness={
-                                    "subsumed_by": node_ids.get(key),
-                                    "where": "queued",
-                                    "config": config_digest(
-                                        new_proc, step.database
-                                    ),
-                                },
-                            )
-                        continue
-                    if key in seen:
-                        if prov is not None:
-                            prov.record_step(
-                                step,
-                                parent,
-                                "frontier-subsumed",
-                                witness={
-                                    "subsumed_by": node_ids.get(key),
-                                    "where": "seen",
-                                    "config": config_digest(
-                                        new_proc, step.database
-                                    ),
-                                },
+                    if key in queued or key in seen:
+                        if ev is not None:
+                            ev.subsumed(
+                                step, parent, new_proc, node_ids.get(key),
+                                "queued" if key in queued else "seen",
                             )
                         continue
                     queued.add(key)
-                    if prov is not None:
-                        node_ids[key] = prov.record_step(step, parent)
                     if want_trace:
                         traces[key] = traces.get(config_key, ()) + (step.action,)
                     frontier.append((succ, key))
-                    if enabled:
-                        obs.metrics.gauge_max("search.frontier_peak", len(frontier))
-                if prov is not None and not stepped:
-                    prov.mark(node_ids.get(config_key), "failed-unify")
+                    if ev is not None:
+                        node_ids[key] = ev.child(step, parent)
+                        ev.frontier(len(frontier))
+                if ev is not None and not stepped:
+                    ev.mark(node_ids.get(config_key), "failed-unify")
             except (SearchBudgetExceeded, DeadlineExceeded) as exc:
                 # Interrupted mid-expansion: re-queue the current
                 # configuration (successors already discovered stay in
@@ -801,14 +710,10 @@ class Interpreter:
                     ),
                     naive=frozenset(naive_keys),
                 )
-                if enabled:
-                    obs.metrics.inc("search.checkpoints")
-                if prov is not None:
-                    prov.mark(
+                if ev is not None:
+                    ev.interrupted(
                         node_ids.get(config_key),
-                        "budget-exhausted"
-                        if isinstance(exc, SearchBudgetExceeded)
-                        else "deadline-exhausted",
+                        isinstance(exc, SearchBudgetExceeded),
                     )
                 raise
 
@@ -823,9 +728,7 @@ class Interpreter:
 
     # -- answer tabling ----------------------------------------------------------
 
-    def _table_steps(
-        self, atom, rest, proc, db, budget, obs, deadline, attr, prov, parent
-    ):
+    def _table_steps(self, atom, rest, proc, db, budget, ev, deadline, parent):
         """Steps for a head-position call, served from the answer table.
 
         One step per complete execution of the call: the step's database
@@ -840,51 +743,23 @@ class Interpreter:
         top-level enumeration fair on divergent workloads.
         """
         table = self._table
-        enabled = obs.enabled
         canon, _ = canonical_call(atom)
         entry, delta_cost = table.entry(canon, db)
         if entry is None:
             # Key cap reached: this call runs untabled.
             yield from self._enabled_steps(
-                proc,
-                db,
-                self._isol_runner(budget, obs, deadline, attr),
-                obs,
-                prov,
-                parent,
+                proc, db, self._isol_runner(budget, ev, deadline), ev, parent
             )
             return
         residual = seq(*rest) if rest else TRUTH
         hit = entry.complete or entry.active
-        if enabled:
-            obs.metrics.inc("table.hits" if hit else "table.misses")
-            if delta_cost:
-                obs.metrics.inc("table.delta_bytes", delta_cost)
-            if hit:
-                obs.tracer.event(
-                    "table.hit", call=str(atom), key=str(canon)
-                )
+        if ev is not None:
+            ev.table_probe(hit, delta_cost)
         if hit:
             # A hit prunes like frontier subsumption: the whole
             # re-expansion of the call collapses into served answers.
-            if prov is not None:
-                prov.record(
-                    "table",
-                    str(atom),
-                    parent=parent,
-                    disposition="table-hit",
-                    witness={
-                        "key": str(canon),
-                        "answers": len(entry.order),
-                        "complete": entry.complete,
-                    },
-                )
-            if attr is not None:
-                attr.charge(
-                    "table.hit_credit",
-                    max(len(entry.order), 1),
-                    predicate=atom.pred,
-                )
+            if ev is not None:
+                ev.call_hit(atom, canon, len(entry.order), entry.complete, parent)
             if entry.active:
                 # Consumer of an in-progress generator: serve the
                 # current snapshot and flag every stacked generator so
@@ -894,12 +769,10 @@ class Interpreter:
             yield self._answer_step(atom, answer, residual)
         if hit:
             return
-        for answer in self._generate(
-            entry, canon, db, budget, obs, deadline, attr
-        ):
+        for answer in self._generate(entry, canon, db, budget, ev, deadline):
             yield self._answer_step(atom, answer, residual)
 
-    def _generate(self, entry, canon, db, budget, obs, deadline, attr):
+    def _generate(self, entry, canon, db, budget, ev, deadline):
         """Generator for one table entry: run the matching rule bodies
         under nested breadth-first searches, yielding each answer *new
         to the entry* as it is found, and loop until the global answer
@@ -909,6 +782,7 @@ class Interpreter:
         if its final round depended on no in-progress entry but itself.
         """
         table = self._table
+        inner = ev.inner if ev is not None else None
         entry.active = True
         table.generating.append(entry)
         try:
@@ -916,39 +790,26 @@ class Interpreter:
                 before = table.stamp
                 entry.round_deps = set()
                 for rule, theta in self.program.match_rules(canon):
-                    token = (
-                        attr.push(
-                            rule=_hot.rule_label(rule.head),
-                            predicate=canon.pred,
-                        )
-                        if attr is not None
-                        else None
-                    )
+                    token = None
+                    if inner is not None:
+                        token = inner.rule(rule.head, canon.pred)
                     try:
                         body = apply_subst(rule.body, theta)
                         answer_terms = tuple(
                             walk(a, theta) for a in canon.args
                         )
                         for values, final_db, trace in self._bfs(
-                            body,
-                            db,
-                            answer_terms,
-                            budget,
-                            want_trace=True,
-                            obs=obs,
-                            deadline=deadline,
-                            attr=attr,
-                            count_solutions=False,
+                            body, db, answer_terms, budget, True, inner, deadline
                         ):
                             added, retired = entry.add(values, final_db, trace)
-                            if retired and obs.enabled:
-                                obs.metrics.inc("table.subsumed", retired)
+                            if retired and inner is not None:
+                                inner.table_subsumed(retired)
                             if added is not None:
                                 table.stamp += 1
                                 yield added
                     finally:
                         if token is not None:
-                            attr.pop(token)
+                            inner.leave(token)
                 deps = entry.round_deps - {id(entry)}
                 if not entry.round_deps:
                     # The round consumed nothing in flight: it saw only
@@ -995,17 +856,6 @@ class Interpreter:
             final_db,
         )
 
-    def _note_table(self, obs: Instrumentation) -> None:
-        """Record the table-size gauges after a search (same shape as the
-        sequential engine's ``table.keys``/``table.answers``)."""
-        table = self._table
-        if table is None or not obs.enabled:
-            return
-        obs.metrics.set_gauge("table.keys", table.keys)
-        obs.metrics.set_gauge("table.answers", table.answer_count())
-        if table.capped:
-            obs.metrics.set_gauge("table.capped", table.capped)
-
     # -- DFS core ---------------------------------------------------------------
 
     def _dfs(
@@ -1016,10 +866,8 @@ class Interpreter:
         budget,
         rng: Optional[random.Random],
         max_depth: int,
-        obs: Instrumentation = NOOP,
+        ev: Optional[_context.Observers] = None,
         deadline: Optional[Deadline] = None,
-        prov=None,
-        attr=None,
     ) -> Optional[tuple]:
         insertable, deletable = update_footprint(self.program, goal)
         # The failed-state memo maps a database to the canonical keys of
@@ -1047,7 +895,7 @@ class Interpreter:
         # Wall-clock stamps per committed action, mirrored with ``trace``
         # push-for-push and pop-for-pop; only collected on instrumented
         # runs so the hot loop stays clean.
-        times: Optional[List[float]] = [] if obs.enabled else None
+        times: Optional[List[float]] = ev.stamps() if ev is not None else None
         faults = self.faults
 
         def expand(proc: Formula, state: Database, pnode=None):
@@ -1074,33 +922,20 @@ class Interpreter:
                         # table entry: no execution of it exists from
                         # this state, so the branch is dead without
                         # expansion.
-                        if obs.enabled:
-                            obs.metrics.inc("table.hits")
-                        if prov is not None:
-                            prov.record(
-                                "table",
-                                str(head[0]),
-                                parent=pnode,
-                                disposition="table-hit",
-                                witness={"answers": 0, "complete": True},
-                            )
+                        if ev is not None:
+                            ev.call_empty(head[0], pnode)
                         return
-            if obs.enabled:
-                obs.metrics.inc("search.configs_expanded")
+            if ev is not None:
+                ev.expanded()
             if deadline is not None:
                 deadline.check()
             steps = self._enabled_steps(
-                proc,
-                state,
-                self._isol_runner(budget, obs, deadline, attr),
-                obs,
-                prov,
-                pnode,
+                proc, state, self._isol_runner(budget, ev, deadline), ev, pnode
             )
             if faults is not None:
                 steps = faults.perturb(proc, state, steps)
-            if attr is not None:
-                steps = attr.meter_steps(steps)
+            if ev is not None:
+                steps = ev.metered(steps)
             # Both checks apply the step's bindings at the leaves; the
             # substituted residual is built only for a step handed out.
             ready = []
@@ -1111,8 +946,8 @@ class Interpreter:
                 if dead_config(
                     step.residual, step.database, insertable, deletable, theta
                 ):
-                    if prov is not None:
-                        prov.record_step(step, pnode, "dead-config")
+                    if ev is not None:
+                        ev.child(step, pnode, "dead-config")
                     continue
                 if frontier_blocked(step.local, step.database, theta):
                     deferred.append(step)
@@ -1130,19 +965,12 @@ class Interpreter:
         # needed), step iterator, answers, hits_before, prov node,
         # stepped].  The explicit stack avoids Python recursion limits
         # on long workflow executions.
-        root = (
-            prov.record("config", str(goal), disposition="root")
-            if prov is not None
-            else None
-        )
+        root = ev.config(goal) if ev is not None else None
         stack: List[list] = [
             [goal, db, None, expand(goal, db, root), tuple(goal_vars), 0, root, False]
         ]
-        enabled = obs.enabled
-        if enabled:
-            # The DFS twin of the BFS ``search.frontier_peak`` gauge:
-            # deepest point the backtracking stack reaches.
-            obs.metrics.gauge_max("search.depth_peak", len(stack))
+        if ev is not None:
+            ev.depth(len(stack))
 
         while stack:
             if not use_memo and getattr(faults, "dormant", False):
@@ -1156,16 +984,12 @@ class Interpreter:
                 if times is not None:
                     times.append(time.perf_counter())
                 child = None
-                if prov is not None:
-                    child = prov.record_step(step, fnode)
+                if ev is not None:
+                    child = ev.child(step, fnode)
                     frame[7] = True
                 if is_final(new_proc):
-                    if prov is not None:
-                        prov.mark(
-                            child,
-                            "solution",
-                            witness={"answers": [str(a) for a in new_answers]},
-                        )
+                    if ev is not None:
+                        ev.solution(child, new_answers)
                     return (
                         new_answers,
                         step.database,
@@ -1177,8 +1001,8 @@ class Interpreter:
                     trace.pop()
                     if times is not None:
                         times.pop()
-                    if prov is not None:
-                        prov.mark(child, "depth-limit")
+                    if ev is not None:
+                        ev.mark(child, "depth-limit")
                     continue
                 bucket = failed.get(step.database) if use_memo and failed else None
                 new_key = (
@@ -1188,12 +1012,8 @@ class Interpreter:
                     trace.pop()
                     if times is not None:
                         times.pop()
-                    if prov is not None:
-                        prov.mark(
-                            child,
-                            "frontier-subsumed",
-                            witness={"where": "failed-memo"},
-                        )
+                    if ev is not None:
+                        ev.mark(child, "frontier-subsumed", {"where": "failed-memo"})
                     continue
                 stack.append(
                     [
@@ -1207,8 +1027,8 @@ class Interpreter:
                         False,
                     ]
                 )
-                if enabled:
-                    obs.metrics.gauge_max("search.depth_peak", len(stack))
+                if ev is not None:
+                    ev.depth(len(stack))
                 advanced = True
                 break
             if not advanced:
@@ -1219,10 +1039,8 @@ class Interpreter:
                     if key is None:
                         key = canonical_key(proc, self.sort_concurrent)
                     failed.setdefault(state, set()).add(key)
-                if prov is not None:
-                    prov.mark(
-                        fnode, "backtracked" if frame[7] else "failed-unify"
-                    )
+                if ev is not None:
+                    ev.mark(fnode, "backtracked" if frame[7] else "failed-unify")
                 stack.pop()
                 if trace:
                     trace.pop()
@@ -1235,22 +1053,16 @@ class Interpreter:
     def _isol_runner(
         self,
         budget,
-        obs: Instrumentation = NOOP,
+        ev: Optional[_context.Observers] = None,
         deadline: Optional[Deadline] = None,
-        attr=None,
     ):
+        # Nested searches report to the handle's inner view.
+        ev = ev.inner if ev is not None else None
+
         def executions(body: Formula, db: Database, sub_budget):
             body_vars = ordered_variables(body)
             for answers, final_db, trace in self._bfs(
-                body,
-                db,
-                body_vars,
-                sub_budget,
-                want_trace=True,
-                obs=obs,
-                deadline=deadline,
-                attr=attr,
-                count_solutions=False,
+                body, db, body_vars, sub_budget, True, ev, deadline
             ):
                 theta = {
                     v: t
@@ -1265,8 +1077,8 @@ class Interpreter:
             # search consumes the step (see meter_phase), so a suspended
             # sub-search never bleeds over its consumer's attribution.
             gen = executions(body, db, sub_budget)
-            if attr is not None:
-                gen = attr.meter_phase(gen, "iso")
+            if ev is not None:
+                gen = ev.iso_phase(gen)
             yield from gen
 
         def run_isolated(body: Formula, db: Database, cap: Optional[int] = None):
@@ -1280,19 +1092,11 @@ class Interpreter:
             if table is not None and cap is None:
                 shape, varseq = _ckey_pair(body, self.sort_concurrent)
                 entry, delta_cost = table.iso_entry(shape, db)
-                if entry is not None and obs.enabled:
-                    obs.metrics.inc(
-                        "table.hits" if entry.complete else "table.misses"
-                    )
-                    if delta_cost:
-                        obs.metrics.inc("table.delta_bytes", delta_cost)
+                if entry is not None and ev is not None:
+                    ev.table_probe(entry.complete, delta_cost)
                 if entry is not None and entry.complete:
-                    if obs.enabled:
-                        obs.tracer.event("table.hit", iso=str(body))
-                    if attr is not None:
-                        attr.charge(
-                            "table.hit_credit", max(len(entry.order), 1)
-                        )
+                    if ev is not None:
+                        ev.iso_hit(body, len(entry.order))
                     for values, final_db, trace in list(entry.order):
                         theta = {
                             v: t
@@ -1332,15 +1136,11 @@ class Interpreter:
 
             sub_budget = budget if cap is None else _CappedBudget(budget, cap)
             try:
-                if not obs.enabled:
+                if ev is None:
                     yield from produce(sub_budget)
                     return
-                obs.enter_iso()
-                try:
-                    with obs.span("iso-subsearch", body=str(body)):
-                        yield from produce(sub_budget)
-                finally:
-                    obs.exit_iso()
+                with ev.iso(body):
+                    yield from produce(sub_budget)
             except AttemptBudgetExceeded as exc:
                 # A bounded attempt (iso[k]) ran out of its private cap:
                 # by rollback-on-failure this is ordinary *failure* of
@@ -1349,8 +1149,8 @@ class Interpreter:
                 # attempt's cap keeps propagating to its own runner.
                 if getattr(exc, "attempt", None) is not sub_budget:
                     raise
-                if obs.enabled:
-                    obs.metrics.inc("iso.attempt_budget_exhausted")
+                if ev is not None:
+                    ev.attempt_exhausted()
                 return
 
         return run_isolated
@@ -1428,13 +1228,6 @@ def _replay_into(store, actions) -> None:
                 raise
             else:
                 store.release(sp)
-
-
-def _note_budget(obs: Instrumentation, budget: _Budget) -> None:
-    """Record the final budget spend of a finished (or abandoned) search."""
-    if obs.enabled:
-        obs.metrics.gauge_max("budget.spent", budget.used)
-        obs.metrics.set_gauge("budget.limit", budget.limit)
 
 
 def _head_call(proc: Formula) -> Optional[Tuple[Atom, Tuple[Formula, ...]]]:

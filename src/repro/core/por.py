@@ -63,7 +63,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..obs import context as _context
 from .database import Database
 from .formulas import (
     Builtin,
@@ -325,20 +324,20 @@ class PartialOrderReducer:
         proc: Formula,
         db: Database,
         isol_runner: IsolRunner,
-        obs=None,
-        prov=None,
-        prov_parent=None,
+        ev=None,
+        parent=None,
     ) -> Iterator[Step]:
-        """The reduced step set.  ``obs`` (an enabled instrumentation
-        bundle) receives the ``por.*`` counters and one ``por.pruned``
-        tracer event per ample decision that actually deferred
-        siblings; ``prov``/``prov_parent`` (a
-        :class:`repro.obs.provenance.ProvenanceRecorder` and the node
-        of the configuration being expanded) additionally record the
-        full ample-set witness -- frontier and closure footprints,
-        shared variables -- that ``explain --audit-por`` cross-checks."""
+        """The reduced step set.  With an observer handle *ev*
+        (:class:`repro.obs.context.Observers`), each ample decision is
+        reported as its ``ample`` event: the ``por.*`` counters, the
+        pruning credit, and -- for a decision that deferred siblings --
+        a ``por.pruned`` trace event and a node under *parent* (the
+        configuration being expanded) carrying the full ample-set
+        witness (frontier and closure footprints, shared variables)
+        that ``explain --audit-por`` cross-checks.  The witness is built
+        only when a recorder is on."""
         return self._reduced(
-            proc, db, isol_runner, EMPTY_FOOTPRINT, _EMPTY, obs, prov, prov_parent
+            proc, db, isol_runner, EMPTY_FOOTPRINT, _EMPTY, ev, parent
         )
 
     # -- internals ------------------------------------------------------------
@@ -350,33 +349,29 @@ class PartialOrderReducer:
         isol_runner: IsolRunner,
         comp_fp: Footprint,
         comp_vars: frozenset,
-        obs=None,
-        prov=None,
-        prov_parent=None,
+        ev=None,
+        parent=None,
         ctx=None,
     ) -> Iterator[Step]:
         if isinstance(proc, Truth) or _never_steps(proc):
             return
         if isinstance(proc, Seq):
             yield from self._reduced(
-                proc.parts[0], db, isol_runner, comp_fp, comp_vars, obs,
-                prov, prov_parent, (ctx, None, proc.parts[1:]),
+                proc.parts[0], db, isol_runner, comp_fp, comp_vars, ev,
+                parent, (ctx, None, proc.parts[1:]),
             )
             return
         if isinstance(proc, Conc):
             parts = proc.parts
             idx, rescued = self._ample_index(parts, comp_fp, comp_vars)
             if idx is not None:
-                observers = _context._ACTIVE
-                attr = observers.attributor if observers is not None else None
-                if obs is not None or prov is not None or attr is not None:
+                if ev is not None:
                     self._note_ample(
-                        parts, idx, comp_fp, comp_vars,
-                        obs, prov, prov_parent, attr, rescued,
+                        parts, idx, comp_fp, comp_vars, ev, parent, rescued
                     )
                 yield from self._reduced(
-                    parts[idx], db, isol_runner, comp_fp, comp_vars, obs,
-                    prov, prov_parent, (ctx, parts[:idx], parts[idx + 1 :]),
+                    parts[idx], db, isol_runner, comp_fp, comp_vars, ev,
+                    parent, (ctx, parts[:idx], parts[idx + 1 :]),
                 )
                 return
             # No ample branch: expand all, and let nested concurrent
@@ -394,8 +389,8 @@ class PartialOrderReducer:
                         sib_fp = _union(sib_fp, fps[j])
                         sib_vars = sib_vars | fvs[j]
                 yield from self._reduced(
-                    branch, db, isol_runner, sib_fp, sib_vars, obs,
-                    prov, prov_parent, (ctx, parts[:i], parts[i + 1 :]),
+                    branch, db, isol_runner, sib_fp, sib_vars, ev,
+                    parent, (ctx, parts[:i], parts[i + 1 :]),
                 )
             return
         # Elementary redexes, calls, and iso: no concurrency below here.
@@ -407,41 +402,23 @@ class PartialOrderReducer:
         idx: int,
         comp_fp: Footprint,
         comp_vars: frozenset,
-        obs,
-        prov,
-        prov_parent,
-        attr=None,
-        rescued: bool = False,
+        ev,
+        parent,
+        rescued: bool,
     ) -> None:
-        """Report one ample-set decision: counters, an instant tracer
-        event, and (with provenance attached) the full witness the
-        pruning audit re-verifies.  Counter semantics are unchanged
-        from before the witness existed: ``por.ample_configs`` per
-        decision, ``por.steps_pruned`` by the number of step-capable
-        siblings deferred; ``por.recheck_rescued`` additionally counts
-        decisions the bind-free frontier re-check saved from degrading
-        to full expansion.  ``attr`` (a cost attributor) additionally
-        receives the same count as a ``por.pruned_credit`` charge."""
+        """Report one ample-set decision as the handle's ``ample`` event.
+        ``pruned`` counts the step-capable siblings deferred; the
+        witness the pruning audit re-verifies is built by a thunk, so
+        only a recorder pays for it."""
         pruned = [
             p for j, p in enumerate(parts) if j != idx and not _never_steps(p)
         ]
-        if obs is not None:
-            obs.metrics.inc("por.ample_configs")
-            if rescued:
-                obs.metrics.inc("por.recheck_rescued")
-            if pruned:
-                obs.metrics.inc("por.steps_pruned", len(pruned))
-        if attr is not None and pruned:
-            attr.charge("por.pruned_credit", len(pruned))
-        if not pruned:
-            return
         ample = parts[idx]
-        if obs is not None:
-            obs.tracer.event("por.pruned", ample=str(ample), pruned=len(pruned))
-        if prov is not None:
+
+        def witness() -> Dict[str, object]:
             program = self.program
             ample_vars = free_variables(ample)
-            witness: Dict[str, object] = {
+            return {
                 "ample": str(ample),
                 "rescued": rescued,
                 "frontier_vars": sorted(str(v) for v in _frontier_vars(ample)),
@@ -461,14 +438,8 @@ class PartialOrderReducer:
                     for p in pruned
                 ],
             }
-            prov.record(
-                "por",
-                "por: ample %s defers %d sibling branch(es)"
-                % (ample, len(pruned)),
-                parent=prov_parent,
-                disposition="por-pruned",
-                witness=witness,
-            )
+
+        ev.ample(ample, len(pruned), rescued, parent, witness)
 
     def _ample_index(
         self,

@@ -38,9 +38,7 @@ from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import context as _context
-from ..obs import hotspots as _hot
-from ..obs.context import Instrumentation, NOOP
-from ..obs.provenance import db_delta, render_bindings
+from ..obs.context import Observers
 from .database import Database
 from .errors import SafetyError, UnsupportedProgramError
 from .formulas import (
@@ -113,14 +111,6 @@ class SequentialEngine:
         # Per-evaluation scratch: keys consulted / newly registered.
         self._consulted: Set[_Key] = set()
         self._new_keys: List[_Key] = []
-        # Instrumentation for the current solve (NOOP when inactive).
-        self._obs: Instrumentation = NOOP
-        # Provenance scratch for the current solve.
-        self._prov_rec = None
-        self._prov_root: Optional[int] = None
-        self._prov_key_nodes: Dict[_Key, Optional[int]] = {}
-        # Cost attributor scratch for the current solve (None when off).
-        self._attr_cur = None
 
     def _check_sequential(self) -> None:
         for rule in self.program.rules:
@@ -158,62 +148,35 @@ class SequentialEngine:
             if isinstance(sub, Call):
                 reads_table = True
         goal_vars = ordered_variables(goal)
-        observers = _context.capture()
-        obs = self._obs = observers.inst
-        prov = self._prov_rec = observers.recorder
-        attr = self._attr_cur = observers.attributor
-        self._prov_root = (
-            prov.record("config", str(goal), disposition="root")
-            if prov is not None
-            else None
-        )
-        # Key nodes are per-recorder; the table persists across solves
-        # but node ids do not.
-        self._prov_key_nodes = {}
+        ev = _context.capture()
+        root = ev.config(goal) if ev is not None else None
 
         def _search():
-            with obs.span("solve", engine="seqeval", goal=str(goal)):
+            with _context.span(ev, "solve", engine="seqeval", goal=str(goal)):
                 if reads_table:
-                    with obs.span("table-fixpoint"):
-                        if attr is not None:
-                            with attr.frame(phase="fixpoint"):
-                                self._run_fixpoint(goal, db)
-                        else:
-                            self._run_fixpoint(goal, db)
-                if obs.enabled:
-                    keys, answers = self.table_size
-                    obs.metrics.set_gauge("table.keys", keys)
-                    obs.metrics.set_gauge("table.answers", answers)
+                    with _context.span(ev, "table-fixpoint"), \
+                            _context.observing(ev, "fixpoint"):
+                        self._run_fixpoint(goal, db, ev, root)
+                if ev is not None:
+                    ev.table_size(*self.table_size)
                 emitted = set()
-                for theta, final_db in self._eval(goal, db, {}):
+                for theta, final_db in self._eval(goal, db, {}, ev):
                     bindings = {v: walk(v, theta) for v in goal_vars}
                     key = (tuple(sorted(bindings.items())), final_db)
                     if key not in emitted:
                         emitted.add(key)
-                        if obs.enabled:
-                            obs.metrics.inc("search.solutions")
-                        if prov is not None:
-                            ins, dels = db_delta(db, final_db)
+                        if ev is not None:
                             # Label the answer with the bindings applied, so
                             # the proof reads `path(a, b)` rather than the
                             # open goal `path(a, X)`.
-                            label = (
-                                str(apply_atom(goal.atom, bindings))
-                                if isinstance(goal, Call)
-                                else str(goal)
-                            )
-                            prov.record(
-                                "answer",
-                                label,
-                                parent=self._prov_root,
-                                disposition="solution",
-                                bindings=render_bindings(bindings),
-                                inserted=ins,
-                                deleted=dels,
-                            )
+                            ev.answer(root, lambda: (
+                                apply_atom(goal.atom, bindings)
+                                if isinstance(goal, Call) else goal,
+                                bindings,
+                            ), db, final_db)
                         yield Solution(bindings, final_db)
 
-        yield from _context.observed_pulls(observers, _search(), "seqeval")
+        yield from _context.observed_pulls(ev, _search(), "seqeval")
 
     def succeeds(self, goal: Formula, db: Database) -> bool:
         for _ in self.solve(goal, db):
@@ -237,9 +200,13 @@ class SequentialEngine:
     # rounds -- work is proportional to actual answer propagation, the
     # classical tabling argument.
 
-    def _run_fixpoint(self, goal: Formula, db: Database) -> None:
+    def _run_fixpoint(
+        self, goal: Formula, db: Database, ev: Optional[Observers], root
+    ) -> None:
         worklist: List[_Key] = []
         in_worklist: Set[_Key] = set()
+        # This solve's call node per key (the table outlives the solve).
+        calls: Dict[_Key, Optional[int]] = {}
 
         def enqueue(key: _Key) -> None:
             if key not in in_worklist:
@@ -258,7 +225,7 @@ class SequentialEngine:
                 before = len(self._table.get(key, ()))
                 self._consulted = set()
                 self._new_keys = []
-                self._recompute(key)
+                self._recompute(key, ev, calls, root)
                 for callee in self._consulted:
                     self._dependents.setdefault(callee, set()).add(key)
                 for fresh in self._new_keys:
@@ -274,7 +241,7 @@ class SequentialEngine:
         for _ in range(_MAX_ROUNDS):  # pragma: no branch - returns inside
             self._consulted = set()
             self._new_keys = []
-            for _ in self._eval(goal, db, {}):
+            for _ in self._eval(goal, db, {}, ev):
                 pass
             for key in self._new_keys:
                 enqueue(key)
@@ -288,38 +255,26 @@ class SequentialEngine:
             drain()
         raise SearchExhausted_impossible()  # pragma: no cover - loop bound
 
-    def _recompute(self, key: _Key) -> None:
-        if self._obs.enabled:
-            self._obs.metrics.inc("table.recomputes")
+    def _recompute(self, key: _Key, ev: Optional[Observers], calls, root) -> None:
         canon_atom, db_in = key
         answers = self._table[key]
-        prov = self._prov_rec
-        call_node: Optional[int] = None
-        if prov is not None:
-            if key not in self._prov_key_nodes:
-                self._prov_key_nodes[key] = prov.record(
-                    "call", str(canon_atom), parent=self._prov_root
-                )
-            call_node = self._prov_key_nodes[key]
+        call_node = None
+        if ev is not None:
+            call_node = ev.recompute(calls, key, canon_atom, root)
         canon_vars = [t for t in canon_atom.args if isinstance(t, Variable)]
         # Deduplicate canonical variables preserving order.
         seen: Dict[Variable, None] = {}
         for v in canon_vars:
             seen.setdefault(v, None)
         canon_vars = list(seen)
-        attr = self._attr_cur
         # Indexed dispatch: head matching for this canonical call shape
         # is memoized on the program (see Program.match_rules).
         for rule, theta in self.program.match_rules(canon_atom):
             # One attribution frame per rule-body evaluation: _recompute
             # runs eagerly (never suspends), so push/pop bracket exactly.
-            rule_token = (
-                attr.push(rule=_hot.rule_label(rule.head), predicate=canon_atom.pred)
-                if attr is not None
-                else None
-            )
+            token = ev.rule(rule.head, canon_atom.pred) if ev is not None else None
             try:
-                for theta_out, db_out in self._eval(rule.body, db_in, theta):
+                for theta_out, db_out in self._eval(rule.body, db_in, theta, ev):
                     values = []
                     ground = True
                     for v in canon_vars:
@@ -337,37 +292,20 @@ class SequentialEngine:
                     if entry in answers:
                         continue
                     answers.add(entry)
-                    if attr is not None:
-                        attr.charge("steps.expansions", 1)
-                        ins_a, dels_a = db_delta(db_in, db_out)
-                        delta = len(ins_a) + len(dels_a)
-                        if delta:
-                            attr.charge("db.delta", delta)
-                    if prov is not None:
-                        ins, dels = db_delta(db_in, db_out)
-                        prov.record(
-                            "answer",
-                            str(
-                                apply_atom(
-                                    canon_atom, dict(zip(canon_vars, values))
-                                )
-                            ),
-                            parent=call_node,
-                            bindings=render_bindings(
-                                dict(zip(canon_vars, values))
-                            ),
-                            inserted=ins,
-                            deleted=dels,
-                            witness={"rule": str(rule.head)},
-                        )
+                    if ev is not None:
+                        ev.derived(call_node, rule.head, lambda: (
+                            apply_atom(canon_atom, dict(zip(canon_vars, values))),
+                            dict(zip(canon_vars, values)),
+                        ), db_in, db_out)
             finally:
-                if rule_token is not None:
-                    attr.pop(rule_token)
+                if token is not None:
+                    ev.leave(token)
 
     # -- big-step evaluation ---------------------------------------------------------
 
     def _eval(
-        self, f: Formula, db: Database, theta: Substitution
+        self, f: Formula, db: Database, theta: Substitution,
+        ev: Optional[Observers],
     ) -> Iterator[Tuple[Substitution, Database]]:
         if isinstance(f, Truth):
             yield theta, db
@@ -402,15 +340,15 @@ class SequentialEngine:
         if isinstance(f, Seq):
             parts = f.parts
             if self.join_order:
-                parts = self._plan_seq(parts, db, theta)
-            yield from self._eval_seq(parts, 0, db, theta)
+                parts = self._plan_seq(parts, db, theta, ev)
+            yield from self._eval_seq(parts, 0, db, theta, ev)
             return
         if isinstance(f, Isol):
             # Sequential execution has no siblings; isolation is identity.
-            yield from self._eval(f.body, db, theta)
+            yield from self._eval(f.body, db, theta, ev)
             return
         if isinstance(f, Call):
-            yield from self._eval_call(f.atom, db, theta)
+            yield from self._eval_call(f.atom, db, theta, ev)
             return
         if isinstance(f, Conc):
             raise UnsupportedProgramError(
@@ -419,7 +357,8 @@ class SequentialEngine:
         raise TypeError("cannot evaluate formula %r" % type(f).__name__)
 
     def _plan_seq(
-        self, parts: Tuple[Formula, ...], db: Database, theta: Substitution
+        self, parts: Tuple[Formula, ...], db: Database, theta: Substitution,
+        ev: Optional[Observers],
     ) -> Tuple[Formula, ...]:
         """Join-order each maximal run of consecutive ``Test`` parts.
 
@@ -454,8 +393,8 @@ class SequentialEngine:
                 i += 1
         if not changed:
             return parts
-        if self._obs.enabled:
-            self._obs.metrics.inc("join.reorders")
+        if ev is not None:
+            ev.reordered()
         return tuple(out)
 
     def _order_tests(
@@ -495,32 +434,31 @@ class SequentialEngine:
         return chosen
 
     def _eval_seq(
-        self, parts: Tuple[Formula, ...], idx: int, db: Database, theta: Substitution
+        self, parts: Tuple[Formula, ...], idx: int, db: Database,
+        theta: Substitution, ev: Optional[Observers],
     ) -> Iterator[Tuple[Substitution, Database]]:
         if idx == len(parts):
             yield theta, db
             return
-        for theta2, db2 in self._eval(parts[idx], db, theta):
-            yield from self._eval_seq(parts, idx + 1, db2, theta2)
+        for theta2, db2 in self._eval(parts[idx], db, theta, ev):
+            yield from self._eval_seq(parts, idx + 1, db2, theta2, ev)
 
     def _eval_call(
-        self, atom: Atom, db: Database, theta: Substitution
+        self, atom: Atom, db: Database, theta: Substitution,
+        ev: Optional[Observers],
     ) -> Iterator[Tuple[Substitution, Database]]:
         instantiated = apply_atom(atom, theta)
         canon_atom, originals = canonical_call(instantiated)
         key = (canon_atom, db)
         self._consulted.add(key)
         answers = self._table.get(key)
-        obs = self._obs
+        if ev is not None:
+            ev.table_probe(answers is not None)
         if answers is None:
             # Register the key; the worklist driver will compute it.
-            if obs.enabled:
-                obs.metrics.inc("table.misses")
             self._table[key] = set()
             self._new_keys.append(key)
             return
-        if obs.enabled:
-            obs.metrics.inc("table.hits")
         for values, db_out in _replay_order(answers):
             out = dict(theta)
             consistent = True

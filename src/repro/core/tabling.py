@@ -263,19 +263,7 @@ class AnswerTable:
         returns ``(entry, delta_bytes)`` where *delta_bytes* is the cost
         of a newly interned key (0 for an existing one) -- or
         ``(None, 0)`` when the key cap is reached."""
-        shape = self._shapes.get(canon)
-        if shape is None:
-            shape = self._shapes[canon] = _ShapeTable(db)
-        delta = shape.delta_key(db)
-        entry = shape.entries.get(delta)
-        if entry is not None:
-            return entry, 0
-        if self.keys >= self.max_keys:
-            self.capped += 1
-            return None, 0
-        entry = shape.entries[delta] = TableEntry()
-        self.keys += 1
-        return entry, _delta_cost(delta)
+        return self._intern(self._shapes, canon, db)
 
     def peek(self, canon: Atom, db: Database) -> Optional[TableEntry]:
         """The entry for ``(canon, db)`` if one exists (no interning)."""
@@ -291,9 +279,14 @@ class AnswerTable:
     ) -> Tuple[Optional[TableEntry], int]:
         """Same contract as :meth:`entry`, keyed by a canonical body
         shape (``transitions._ckey_pair``) instead of a call atom."""
-        shape = self._iso.get(body_key)
+        return self._intern(self._iso, body_key, db)
+
+    def _intern(
+        self, shapes: Dict[object, "_ShapeTable"], shape_key: object, db: Database
+    ) -> Tuple[Optional[TableEntry], int]:
+        shape = shapes.get(shape_key)
         if shape is None:
-            shape = self._iso[body_key] = _ShapeTable(db)
+            shape = shapes[shape_key] = _ShapeTable(db)
         delta = shape.delta_key(db)
         entry = shape.entries.get(delta)
         if entry is not None:

@@ -218,9 +218,8 @@ def enabled_steps(
     *,
     optimized: bool = True,
     reducer=None,
-    obs=None,
-    prov=None,
-    prov_parent=None,
+    ev=None,
+    parent=None,
 ) -> Iterator[Step]:
     """Yield every transition enabled in ``(proc, db)``.
 
@@ -237,15 +236,14 @@ def enabled_steps(
     ``reducer`` (a :class:`repro.core.por.PartialOrderReducer`) selects
     the partial-order-reduced enumeration instead: a sound *subset* of
     the full step set that preserves every reachable (answers, final
-    database) pair.  ``obs`` (an enabled
-    :class:`repro.obs.context.Instrumentation`) lets the reducer report
-    ``por.*`` counters and one ``por.pruned`` tracer event per deferring
-    ample decision; ``prov``/``prov_parent`` (a provenance recorder plus
-    the node of the configuration under expansion) receive the full
-    ample-set witness.  All are ignored on the unreduced paths.
+    database) pair.  ``ev`` (the search's observer handle,
+    :class:`repro.obs.context.Observers`) receives the reducer's
+    ``ample`` events, and ``parent`` is the provenance node of the
+    configuration under expansion.  Both are ignored on the unreduced
+    paths.
     """
     if reducer is not None:
-        yield from reducer.steps(proc, db, isol_runner, obs, prov, prov_parent)
+        yield from reducer.steps(proc, db, isol_runner, ev, parent)
     elif optimized:
         yield from _steps(program, proc, db, isol_runner)
     else:

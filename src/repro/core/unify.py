@@ -106,10 +106,7 @@ def unify_atoms(
     # load plus a None check (see repro.obs.context).
     observers = _obs._ACTIVE
     if observers is not None:
-        if observers.instrumentation is not None:
-            observers.instrumentation.metrics.inc("unify.attempts")
-        if observers.attributor is not None:
-            observers.attributor.charge("unify.attempts", predicate=a1.pred)
+        observers.unified(a1.pred)
     if a1.pred != a2.pred or len(a1.args) != len(a2.args):
         return None
     out: Dict[Variable, Term] = dict(subst)
@@ -133,10 +130,7 @@ def match_atom(
     """
     observers = _obs._ACTIVE
     if observers is not None:
-        if observers.instrumentation is not None:
-            observers.instrumentation.metrics.inc("unify.attempts")
-        if observers.attributor is not None:
-            observers.attributor.charge("unify.attempts", predicate=pattern.pred)
+        observers.unified(pattern.pred)
     if pattern.pred != fact.pred or len(pattern.args) != len(fact.args):
         return None
     out: Dict[Variable, Term] = dict(subst)

@@ -19,7 +19,6 @@ from ..core.program import Program
 from ..core.terms import Atom, Variable
 from ..core.unify import Substitution, apply_atom
 from ..obs import context as _context
-from ..obs import hotspots as _hot
 from .ast import DatalogProgram, DatalogRule, Literal
 
 __all__ = ["evaluate", "evaluate_naive", "query", "from_td"]
@@ -35,7 +34,8 @@ def _order_body(body: Sequence[Literal]) -> List[Literal]:
 
 
 def _plan_body(
-    body: Sequence[Literal], facts: Database, reorder: bool = True
+    body: Sequence[Literal], facts: Database, reorder: bool = True,
+    ev: Optional[_context.Observers] = None,
 ) -> List[Literal]:
     """Choose a join order for *body* against the current *facts*.
 
@@ -48,8 +48,8 @@ def _plan_body(
     untouched.  Any join order over the positive conjuncts enumerates
     the same substitutions; only the fan-out differs.
 
-    Counts ``join.reorders`` whenever the plan differs from the textual
-    :func:`_order_body` baseline.
+    Reports ``reordered`` to *ev* whenever the plan differs from the
+    textual :func:`_order_body` baseline.
     """
     positives = [l for l in body if l.positive]
     negatives = [l for l in body if not l.positive]
@@ -80,10 +80,8 @@ def _plan_body(
         bound.update(t for t in lit.atom.args if isinstance(t, Variable))
     plan += negatives
 
-    if plan != positives + negatives:
-        obs = _context.active()
-        if obs.enabled:
-            obs.metrics.inc("join.reorders")
+    if ev is not None and plan != positives + negatives:
+        ev.reordered()
     return plan
 
 
@@ -157,15 +155,13 @@ def evaluate(
     ``reorder=False`` to pin the textual order (the differential tests
     compare the two, and both against :func:`evaluate_naive`).
 
-    The ambient recorder (see :func:`repro.obs.recording`), if any,
-    records one ``fact`` node per derived IDB fact, parented on the
-    first derived positive premise of its first derivation, with the
-    instantiated rule as witness.
-
-    The ambient cost attributor (see :mod:`repro.obs.hotspots`), if
-    any, charges each rule's join work to a per-rule frame under a
-    ``seminaive`` phase, plus one ``steps.expansions`` per derived fact
-    and the per-round delta sizes as ``db.delta``.
+    The observers active at the call (:mod:`repro.obs.context`) see one
+    ``fact`` event per derived IDB fact -- a ``steps.expansions``
+    charge, and a recorder node parented on the first derived positive
+    premise of its first derivation, with the instantiated rule as
+    witness -- each rule's join work under a per-rule attribution frame
+    in a ``seminaive`` phase, and the per-round delta sizes as
+    ``db.delta``.
 
     *store* (or the ambient provider, see :mod:`repro.store.context`)
     attaches a storage backend: with ``edb=None`` it supplies the EDB,
@@ -174,11 +170,9 @@ def evaluate(
     The fixpoint itself runs over in-memory states either way.
     """
     store, edb = _resolve_store(store, edb)
-    observers = _context.capture()
-    with _context.observing(observers, "seminaive"):
-        result = _evaluate_seminaive(
-            program, edb, reorder, observers.recorder, observers.attributor
-        )
+    ev = _context.capture()
+    with _context.observing(ev, "seminaive"):
+        result = _evaluate_seminaive(program, edb, reorder, ev)
     if store is not None:
         # Sorted so the WAL records the derived delta deterministically.
         store.insert_all(sorted(result.difference(edb)))
@@ -186,34 +180,16 @@ def evaluate(
 
 
 def _evaluate_seminaive(
-    program: DatalogProgram, edb: Database, reorder, prov, attr
+    program: DatalogProgram, edb: Database, reorder,
+    ev: Optional[_context.Observers],
 ) -> Database:
     fact_nodes: Dict[Atom, Optional[int]] = {}
-    prov_root = (
-        prov.record("config", "datalog fixpoint", disposition="root")
-        if prov is not None
-        else None
-    )
+    root = ev.config("datalog fixpoint") if ev is not None else None
 
     def note(rule: DatalogRule, theta: Substitution, fact: Atom) -> None:
-        premises = [
+        ev.fact(fact, rule.head, lambda: [
             apply_atom(lit.atom, theta) for lit in rule.body if lit.positive
-        ]
-        parent = prov_root
-        for premise in premises:
-            node = fact_nodes.get(premise)
-            if node is not None:
-                parent = node
-                break
-        fact_nodes[fact] = prov.record(
-            "fact",
-            str(fact),
-            parent=parent,
-            witness={
-                "rule": str(rule.head),
-                "premises": [str(p) for p in premises],
-            },
-        )
+        ], fact_nodes, root)
 
     facts = edb
     for stratum in program.strata:
@@ -223,38 +199,28 @@ def _evaluate_seminaive(
         # Round 0: all-new facts = plain evaluation of each rule once.
         delta: Set[Atom] = set()
         for rule in rules:
-            rule_token = (
-                attr.push(rule=_hot.rule_label(rule.head), predicate=rule.head.pred)
-                if attr is not None
-                else None
-            )
+            token = ev.rule(rule.head, rule.head.pred) if ev is not None else None
             try:
-                plan = _plan_body(rule.body, facts, reorder)
+                plan = _plan_body(rule.body, facts, reorder, ev)
                 for theta in _join(rule.body, facts, plan=plan):
                     fact = apply_atom(rule.head, theta)
                     if fact not in facts:
-                        if attr is not None and fact not in delta:
-                            attr.charge("steps.expansions", 1)
-                        if prov is not None and fact not in delta:
+                        if ev is not None and fact not in delta:
                             note(rule, theta, fact)
                         delta.add(fact)
             finally:
-                if rule_token is not None:
-                    attr.pop(rule_token)
-        if attr is not None and delta:
-            attr.charge("db.delta", len(delta))
+                if token is not None:
+                    ev.leave(token)
+        if ev is not None:
+            ev.delta(len(delta))
         facts = facts.insert_all(delta)
 
         while delta:
             new_delta: Set[Atom] = set()
             for rule in rules:
-                rule_token = (
-                    attr.push(rule=_hot.rule_label(rule.head), predicate=rule.head.pred)
-                    if attr is not None
-                    else None
-                )
+                token = ev.rule(rule.head, rule.head.pred) if ev is not None else None
                 try:
-                    plan = _plan_body(rule.body, facts, reorder)
+                    plan = _plan_body(rule.body, facts, reorder, ev)
                     # One seminaive pass per positive recursive literal: that
                     # literal ranges over delta, the others over all facts.
                     recursive_positions = [
@@ -270,16 +236,14 @@ def _evaluate_seminaive(
                         ):
                             fact = apply_atom(rule.head, theta)
                             if fact not in facts and fact not in new_delta:
-                                if attr is not None:
-                                    attr.charge("steps.expansions", 1)
-                                if prov is not None:
+                                if ev is not None:
                                     note(rule, theta, fact)
                                 new_delta.add(fact)
                 finally:
-                    if rule_token is not None:
-                        attr.pop(rule_token)
-            if attr is not None and new_delta:
-                attr.charge("db.delta", len(new_delta))
+                    if token is not None:
+                        ev.leave(token)
+            if ev is not None:
+                ev.delta(len(new_delta))
             facts = facts.insert_all(new_delta)
             delta = new_delta
     return facts

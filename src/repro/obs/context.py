@@ -1,4 +1,4 @@
-"""Activation context: the one observer slot.
+"""Activation context: the one observer slot, and the events engines emit.
 
 A search has three observers -- an :class:`Instrumentation` (metrics and
 tracer), a derivation recorder (:mod:`repro.obs.provenance`) and a cost
@@ -9,14 +9,21 @@ one execution, so they live in one module-level slot: an
 :func:`repro.obs.attributing` each fill one channel of it, and they nest
 in any order.
 
-Every engine entry captures the triple once (:func:`capture`) and holds
-it for the whole search.  A generator entry re-installs it around each
-pull (:func:`observed_pulls`) and a plain function installs it for its
-block (:func:`observing`), so every deep report -- unification, POR,
-join planning, ``ProvenanceRecorder.record``, the store and fault
-counters -- lands on the observers the search started with, however
-the caller drains it.  With nothing active the hottest call sites pay
-one module-attribute load and one ``None`` check.
+Every engine entry captures the triple once (:func:`capture`) and
+threads it through the search as its one observer handle ``ev``.  A
+report site is ``if ev is not None: ev.<event>(...)``; the event methods
+on :class:`Observers` fan out to whichever channels are on, so counter
+names, provenance node shapes and attribution charges live here only
+(docs/OBSERVABILITY.md has the event table).  Nested searches -- ``iso``
+bodies and table generations -- report to :attr:`Observers.inner`: the
+same metrics and attributor, no recorder.
+
+A generator entry re-installs the handle around each pull
+(:func:`observed_pulls`) and a plain function installs it for its block
+(:func:`observing`), so the reports that read the slot instead of the
+handle -- unification, the store and fault counters -- land on the
+observers the search started with, however the caller drains it.  With
+nothing active each report site pays one ``is None`` test.
 
 ::
 
@@ -28,16 +35,21 @@ one module-attribute load and one ``None`` check.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator, Optional
 
+from .hotspots import rule_label
 from .metrics import Metrics
-from .tracer import Span, Tracer
+from .provenance import config_digest, db_delta, render_bindings
+from .tracer import Tracer
 
 __all__ = [
     "Instrumentation", "NOOP", "Observers", "active", "capture",
-    "instrumented", "observed_pulls", "observing",
+    "instrumented", "observed_pulls", "observing", "span",
 ]
+
+#: The null context every disabled span and timer shares.
+_NULL = nullcontext()
 
 
 class Instrumentation:
@@ -62,54 +74,346 @@ class Instrumentation:
         """A fresh, enabled instrumentation bundle."""
         return cls(Metrics(), Tracer())
 
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[Optional[Span]]:
-        """Open a tracer span, or do nothing when disabled."""
-        if not self.enabled:
-            yield None
-            return
-        with self.tracer.span(name, **attrs) as span:
-            yield span
+    def span(self, name: str, **attrs: object):
+        """A tracer span for a block; a null context when disabled."""
+        return self.tracer.span(name, **attrs) if self.enabled else _NULL
 
-    def enter_iso(self) -> None:
-        """Record entry into a nested isolation search."""
-        self.iso_depth += 1
-        self.metrics.inc("iso.searches")
-        self.metrics.gauge_max("iso.depth_peak", self.iso_depth)
-
-    def exit_iso(self) -> None:
-        self.iso_depth -= 1
+    def timer(self, name: str):
+        """Time a block into timer *name*; a null context when disabled."""
+        return self.metrics.timer(name) if self.enabled else _NULL
 
 
-#: The disabled singleton.  Engines hold either this or a live bundle;
-#: either way the hot-path guard is the same ``.enabled`` check.
+#: The disabled singleton: what :func:`active` returns when no
+#: instrumentation is on.
 NOOP = Instrumentation(Metrics(), Tracer(), enabled=False)
 
 
 class Observers:
-    """The observer triple one search reports to.
+    """The observer triple one search reports to, and its events.
 
     Each channel is ``None`` when off.  Triples are never mutated:
     filling a channel installs a new one, so an engine that captured a
-    triple keeps exactly the observers it started with.
+    triple keeps exactly the observers it started with.  Each event
+    reports to every channel that is on, in a fixed order.
     """
 
-    __slots__ = ("instrumentation", "recorder", "attributor")
+    __slots__ = ("instrumentation", "recorder", "attributor", "inner")
 
     def __init__(self, instrumentation=None, recorder=None, attributor=None):
         self.instrumentation = instrumentation
         self.recorder = recorder
         self.attributor = attributor
+        #: What nested searches report to: no recorder, or ``None`` when
+        #: the recorder is the only channel on.
+        if recorder is None:
+            self.inner = self
+        elif instrumentation is not None or attributor is not None:
+            self.inner = Observers(instrumentation, None, attributor)
+        else:
+            self.inner = None
 
-    @property
-    def inst(self) -> Instrumentation:
-        """The instrumentation channel, or :data:`NOOP` when it is off."""
+    def _inc(self, name: str, n: int = 1) -> None:
         inst = self.instrumentation
-        return inst if inst is not None else NOOP
+        if inst is not None:
+            inst.metrics.inc(name, n)
 
+    def _peak(self, name: str, value) -> None:
+        inst = self.instrumentation
+        if inst is not None:
+            inst.metrics.gauge_max(name, value)
 
-#: What :func:`capture` returns when nothing is active.
-OFF = Observers()
+    def _gauge(self, name: str, value) -> None:
+        inst = self.instrumentation
+        if inst is not None:
+            inst.metrics.set_gauge(name, value)
+
+    def _charge(self, kind: str, amount, predicate=None) -> None:
+        attr = self.attributor
+        if attr is not None:
+            attr.charge(kind, amount, predicate=predicate)
+
+    def _record(self, kind, label, parent=None, **fields) -> Optional[int]:
+        rec = self.recorder
+        if rec is None:
+            return None
+        return rec.record(kind, str(label), parent=parent, **fields)
+
+    # -- search lifecycle ------------------------------------------------------
+
+    def spend(self, used: int, limit: int) -> None:
+        """One unit of the step budget: ``search.steps``; past *limit*,
+        ``budget.exceeded`` and the ``budget.spent`` peak."""
+        self._inc("search.steps")
+        if used > limit:
+            self._inc("budget.exceeded")
+            self._peak("budget.spent", used)
+
+    def finished(self, used: int, limit: int, table=None) -> None:
+        """A small-step search ended: budget gauges, and the answer-table
+        size gauges when it has a *table*."""
+        if self.instrumentation is None:
+            return
+        self._peak("budget.spent", used)
+        self._gauge("budget.limit", limit)
+        if table is not None:
+            self.table_size(table.keys, table.answer_count(), table.capped)
+
+    def table_size(self, keys: int, answers: int, capped: int = 0) -> None:
+        """Answer-table size gauges."""
+        self._gauge("table.keys", keys)
+        self._gauge("table.answers", answers)
+        if capped:
+            self._gauge("table.capped", capped)
+
+    def answer(self, parent=None, describe=None, db_in=None, db_out=None) -> None:
+        """An engine entry hands its caller an answer: ``search.solutions``;
+        with *describe* (a thunk returning ``(label, bindings)``), an
+        ``answer`` node marked ``solution`` with its database delta."""
+        self._inc("search.solutions")
+        if self.recorder is not None and describe is not None:
+            self._answer_node(parent, describe, db_in, db_out, disposition="solution")
+
+    def _answer_node(self, parent, describe, db_in, db_out, **fields) -> None:
+        label, bindings = describe()
+        ins, dels = db_delta(db_in, db_out)
+        self._record(
+            "answer", label, parent, bindings=render_bindings(bindings),
+            inserted=ins, deleted=dels, **fields,
+        )
+
+    def stamps(self) -> Optional[list]:
+        """A list for per-action wall-clock stamps, on instrumented runs."""
+        return [] if self.instrumentation is not None else None
+
+    # -- configurations (small-step engines) -----------------------------------
+
+    def config(self, formula, parent=None, prefix: str = "") -> Optional[int]:
+        """A configuration node: the derivation root when *parent* is None."""
+        if self.recorder is None:
+            return None
+        return self._record(
+            "config", prefix + str(formula), parent,
+            disposition="root" if parent is None else "expanded",
+        )
+
+    def expanded(self) -> None:
+        """A configuration is expanded: ``search.configs_expanded``."""
+        self._inc("search.configs_expanded")
+
+    def child(self, step, parent, disposition: str = "expanded") -> Optional[int]:
+        """A step out of node *parent*: a ``step`` node with its unifier
+        and database delta (``dead-config`` for a pruned successor)."""
+        rec = self.recorder
+        return rec.record_step(step, parent, disposition) if rec is not None else None
+
+    def subsumed(self, step, parent, proc, by, where: str) -> None:
+        """A successor equals a configuration already queued or seen: a
+        ``frontier-subsumed`` node; a queued one also counts
+        ``frontier.subsumed`` and traces an event."""
+        inst = self.instrumentation
+        if inst is not None and where == "queued":
+            inst.metrics.inc("frontier.subsumed")
+            inst.tracer.event("frontier.subsumed", config=str(proc), by="queued")
+        rec = self.recorder
+        if rec is not None:
+            rec.record_step(step, parent, "frontier-subsumed", witness={
+                "subsumed_by": by, "where": where,
+                "config": config_digest(proc, step.database),
+            })
+
+    def mark(self, node, disposition: str, witness=None) -> None:
+        """Give a recorded node its final disposition."""
+        rec = self.recorder
+        if rec is not None:
+            rec.mark(node, disposition, witness)
+
+    def solution(self, node, answers) -> None:
+        """A final configuration: its node becomes a ``solution``."""
+        self.mark(node, "solution", {"answers": [str(a) for a in answers]})
+
+    def interrupted(self, node, budget: bool) -> None:
+        """The budget (or a deadline) stopped a breadth-first search:
+        ``search.checkpoints`` and the node's exhaustion disposition."""
+        self._inc("search.checkpoints")
+        self.mark(node, "budget-exhausted" if budget else "deadline-exhausted")
+
+    def frontier(self, size: int) -> None:
+        """The BFS frontier grew: ``search.frontier_peak``."""
+        self._peak("search.frontier_peak", size)
+
+    def depth(self, size: int) -> None:
+        """The DFS stack grew: ``search.depth_peak``."""
+        self._peak("search.depth_peak", size)
+
+    def metered(self, steps):
+        """*steps*, each charged to its action's predicate when an
+        attributor is on (:meth:`CostAttributor.meter_steps`)."""
+        attr = self.attributor
+        return attr.meter_steps(steps) if attr is not None else steps
+
+    def ample(self, ample, pruned: int, rescued: bool, parent, witness) -> None:
+        """A partial-order ample-set decision deferring *pruned* sibling
+        branches: ``por.*`` counters, the pruning credit and, when it
+        deferred any, a trace event and a ``por-pruned`` node whose
+        witness the thunk *witness* builds."""
+        self._inc("por.ample_configs")
+        if rescued:
+            self._inc("por.recheck_rescued")
+        if not pruned:
+            return
+        self._inc("por.steps_pruned", pruned)
+        self._charge("por.pruned_credit", pruned)
+        inst = self.instrumentation
+        if inst is not None:
+            inst.tracer.event("por.pruned", ample=str(ample), pruned=pruned)
+        if self.recorder is not None:
+            self._record(
+                "por", "por: ample %s defers %d sibling branch(es)" % (ample, pruned),
+                parent, disposition="por-pruned", witness=witness(),
+            )
+
+    def unified(self, predicate: str) -> None:
+        """One unification or match attempt."""
+        self._inc("unify.attempts")
+        self._charge("unify.attempts", 1, predicate)
+
+    def state(self) -> None:
+        """The state-space explorer expands a node."""
+        self._inc("statespace.expanded")
+
+    def graph(self, states: int, edges: int) -> None:
+        """The explored state graph's size gauges."""
+        self._gauge("statespace.states", states)
+        self._gauge("statespace.edges", edges)
+
+    # -- tables and isolation --------------------------------------------------
+
+    def table_probe(self, hit: bool, delta: int = 0) -> None:
+        """An answer-table lookup: ``table.hits`` or ``table.misses``, and
+        the ``table.delta_bytes`` of a newly interned key."""
+        self._inc("table.hits" if hit else "table.misses")
+        if delta:
+            self._inc("table.delta_bytes", delta)
+
+    def call_hit(self, atom, key, answers: int, complete: bool, parent) -> None:
+        """A BFS head call is served from its table entry: a trace event,
+        a ``table-hit`` node and the hit credit."""
+        inst = self.instrumentation
+        if inst is not None:
+            inst.tracer.event("table.hit", call=str(atom), key=str(key))
+        self._record("table", atom, parent, disposition="table-hit", witness={
+            "key": str(key), "answers": answers, "complete": complete,
+        })
+        self._charge("table.hit_credit", max(answers, 1), atom.pred)
+
+    def call_empty(self, atom, parent) -> None:
+        """A DFS branch dies on a complete, empty table entry."""
+        self._inc("table.hits")
+        self._record("table", atom, parent, disposition="table-hit",
+                     witness={"answers": 0, "complete": True})
+
+    def iso_hit(self, body, answers: int) -> None:
+        """An ``iso`` body is served from its memo: a trace event and the
+        hit credit."""
+        inst = self.instrumentation
+        if inst is not None:
+            inst.tracer.event("table.hit", iso=str(body))
+        self._charge("table.hit_credit", max(answers, 1))
+
+    def table_subsumed(self, retired: int) -> None:
+        """A general answer retired *retired* specific ones."""
+        self._inc("table.subsumed", retired)
+
+    @contextmanager
+    def iso(self, body) -> Iterator[None]:
+        """A nested isolation search: ``iso.searches``, the
+        ``iso.depth_peak`` gauge and an ``iso-subsearch`` span."""
+        inst = self.instrumentation
+        if inst is None:
+            yield
+            return
+        inst.iso_depth += 1
+        inst.metrics.inc("iso.searches")
+        inst.metrics.gauge_max("iso.depth_peak", inst.iso_depth)
+        try:
+            with inst.span("iso-subsearch", body=str(body)):
+                yield
+        finally:
+            inst.iso_depth -= 1
+
+    def iso_phase(self, gen):
+        """*gen* (an ``iso`` body's executions), its production time
+        charged to an ``iso`` phase frame when an attributor is on."""
+        attr = self.attributor
+        return attr.meter_phase(gen, "iso") if attr is not None else gen
+
+    def attempt_exhausted(self) -> None:
+        """A bounded ``iso[k]`` attempt ran out of its private cap."""
+        self._inc("iso.attempt_budget_exhausted")
+
+    # -- rule evaluation (big-step engines and table generations) --------------
+
+    def rule(self, head, predicate: str) -> Optional[int]:
+        """Open an attribution frame for one rule's evaluation; returns
+        the token :meth:`leave` takes, or ``None`` with no attributor."""
+        attr = self.attributor
+        if attr is None:
+            return None
+        return attr.push(rule=rule_label(head), predicate=predicate)
+
+    def leave(self, token: int) -> None:
+        """Close the frame :meth:`rule` opened (*token* is not None)."""
+        self.attributor.pop(token)
+
+    def reordered(self) -> None:
+        """A join planner changed a body's order: ``join.reorders``."""
+        self._inc("join.reorders")
+
+    def recompute(self, calls: dict, key, call, root) -> Optional[int]:
+        """A seqeval table key is re-evaluated: ``table.recomputes``.
+        Returns its ``call`` node, recorded once per solve in *calls*."""
+        self._inc("table.recomputes")
+        if self.recorder is None:
+            return None
+        if key not in calls:
+            calls[key] = self._record("call", call, root)
+        return calls[key]
+
+    def derived(self, parent, head, describe, db_in, db_out) -> None:
+        """Rule *head* added an answer to a seqeval table: one
+        ``steps.expansions`` and the state change as ``db.delta``, and an
+        ``answer`` node (*describe* returns ``(label, bindings)``)."""
+        attr = self.attributor
+        if attr is not None:
+            attr.charge("steps.expansions", 1)
+            delta = len(db_out.difference(db_in)) + len(db_in.difference(db_out))
+            if delta:
+                attr.charge("db.delta", delta)
+        if self.recorder is not None:
+            self._answer_node(
+                parent, describe, db_in, db_out, witness={"rule": str(head)}
+            )
+
+    def fact(self, fact, head, premises, nodes: dict, root) -> None:
+        """Rule *head* derived a new Datalog fact: one
+        ``steps.expansions``, and a ``fact`` node under the node of its
+        first derived premise (*premises* is a thunk)."""
+        self._charge("steps.expansions", 1)
+        if self.recorder is None:
+            return
+        premises = premises()
+        parent = next(
+            (nodes[p] for p in premises if nodes.get(p) is not None), root
+        )
+        nodes[fact] = self._record("fact", fact, parent, witness={
+            "rule": str(head), "premises": [str(p) for p in premises],
+        })
+
+    def delta(self, size: int) -> None:
+        """A seminaive round added *size* facts: ``db.delta``."""
+        if size:
+            self._charge("db.delta", size)
+
 
 #: The live triple, or None when every channel is off.  Read directly
 #: (as ``context._ACTIVE``) only by the hottest call sites; everyone
@@ -117,6 +421,7 @@ OFF = Observers()
 _ACTIVE: Optional[Observers] = None
 
 _SENTINEL = object()
+_CHANNELS = ("instrumentation", "recorder", "attributor")
 
 
 def active() -> Instrumentation:
@@ -127,10 +432,16 @@ def active() -> Instrumentation:
     return observers.instrumentation
 
 
-def capture() -> Observers:
-    """The live triple (:data:`OFF` when nothing is active): what an
-    engine entry holds for the whole search."""
-    return _ACTIVE if _ACTIVE is not None else OFF
+def capture() -> Optional[Observers]:
+    """The live triple, or ``None`` when nothing is active: the handle an
+    engine entry threads through the whole search."""
+    return _ACTIVE
+
+
+def span(ev: Optional[Observers], name: str, **attrs: object):
+    """A tracer span on *ev*'s instrumentation, or a null context."""
+    inst = ev.instrumentation if ev is not None else None
+    return inst.span(name, **attrs) if inst is not None else _NULL
 
 
 @contextmanager
@@ -139,10 +450,13 @@ def filled(channel: str, value):
     previous triple comes back on exit, so channels nest in any order."""
     global _ACTIVE
     previous = _ACTIVE
-    base = capture()
-    channels = {name: getattr(base, name) for name in Observers.__slots__}
+    channels = {
+        name: getattr(previous, name) if previous is not None else None
+        for name in _CHANNELS
+    }
     channels[channel] = value
-    _ACTIVE = Observers(**channels)
+    live = any(v is not None for v in channels.values())
+    _ACTIVE = Observers(**channels) if live else None
     try:
         yield value
     finally:
@@ -155,53 +469,52 @@ def instrumented(
 ) -> Iterator[Instrumentation]:
     """Activate *instrumentation* (a fresh bundle if none) for a block.
 
-    Nests: the previous activation is restored on exit.
+    Nests: the previous activation is restored on exit.  A disabled
+    bundle leaves the channel off.
     """
     inst = instrumentation if instrumentation is not None else Instrumentation.create()
-    with filled("instrumentation", inst):
+    with filled("instrumentation", inst if inst.enabled else None):
         yield inst
 
 
 class observing:
     """Engine entry helper for *plain-function* engine bodies: install
-    the captured *observers* for the ``with`` block, with a *phase*
+    the captured handle *ev* for the ``with`` block, with a *phase*
     frame pushed on its attributor.  A class rather than a generator
     context manager: every ``simulate``, ``evaluate`` and
     ``parse_program`` call enters one."""
 
-    __slots__ = ("observers", "phase", "previous", "token")
+    __slots__ = ("ev", "phase", "previous", "token")
 
-    def __init__(self, observers: Observers, phase: str):
-        self.observers = observers
+    def __init__(self, ev: Optional[Observers], phase: str):
+        self.ev = ev
         self.phase = phase
 
     def __enter__(self) -> None:
         global _ACTIVE
         self.previous = _ACTIVE
-        observers = self.observers
-        _ACTIVE = observers if observers is not OFF else None
-        attr = observers.attributor
+        ev = _ACTIVE = self.ev
+        attr = ev.attributor if ev is not None else None
         self.token = attr.push(phase=self.phase) if attr is not None else None
 
     def __exit__(self, *exc) -> None:
         global _ACTIVE
         if self.token is not None:
-            self.observers.attributor.pop(self.token)
+            self.ev.attributor.pop(self.token)
         _ACTIVE = self.previous
 
 
-def observed_pulls(observers: Observers, gen, phase: str) -> Iterator:
+def observed_pulls(ev: Optional[Observers], gen, phase: str) -> Iterator:
     """Engine entry helper for *generator* engine bodies: each pull of
-    *gen* runs with the captured *observers* installed and a *phase*
+    *gen* runs with the captured handle *ev* installed and a *phase*
     frame pushed on its attributor, so nothing leaks over the consumer
     while the generator is suspended, and nothing the consumer installs
     in between reaches the search."""
     global _ACTIVE
-    live = observers if observers is not OFF else None
-    attr = observers.attributor
+    attr = ev.attributor if ev is not None else None
     while True:
         previous = _ACTIVE
-        _ACTIVE = live
+        _ACTIVE = ev
         token = attr.push(phase=phase) if attr is not None else None
         try:
             item = next(gen, _SENTINEL)

@@ -17,13 +17,15 @@ so the flame view and the table are two projections of one stream and
 their totals agree by construction.
 
 Discipline (same as :mod:`repro.obs.provenance`): attribution is **off
-by default**; every engine hot loop pays exactly one ``is not None``
-check when it is off, and the engine counters are byte-identical either
-way.  :func:`attributing` fills the attributor channel of the observer
-slot (:mod:`repro.obs.context`); engines capture it at entry with the
-other two channels, and their entry helpers push one phase frame
-(``bfs``, ``dfs``, ``seqeval``, ``seminaive``, ``statespace``,
-``parse``) around the search.  There is no per-engine argument.
+by default**, and the engine counters are byte-identical either way.
+:func:`attributing` fills the attributor channel of the observer slot
+(:mod:`repro.obs.context`); engines capture it at entry with the other
+two channels as one handle, and their entry helpers push one phase
+frame (``bfs``, ``dfs``, ``seqeval``, ``seminaive``, ``statespace``,
+``parse``) around the search.  Engines never call the attributor
+themselves: every charge comes from an event on the handle
+(:class:`repro.obs.context.Observers`), each behind one ``is None``
+check.  There is no per-engine argument.
 
 Wall-time accounting is settle-based: the attributor keeps one global
 mark (`perf_counter` timestamp of the last attribution event) and every
@@ -235,7 +237,9 @@ class CostAttributor:
         Time to produce each step -- and the consumer's processing time
         until it pulls the next one -- is charged to the predicate of
         the step's action; one ``steps.expansions`` is charged per step,
-        plus the action's database delta size.  Sentinel-based ``next``
+        and one ``db.delta`` per ``ins``/``del`` step.  An ``iso`` or
+        ``table`` step charges no delta: the nested search that produced
+        it already charged each of its updates.  Sentinel-based ``next``
         keeps the wrapper exception-transparent for ``StopIteration``.
         """
         self.mark()
@@ -248,9 +252,8 @@ class CostAttributor:
             pred = _action_predicate(step.action)
             self.settle_into(pred)
             self.charge("steps.expansions", 1, predicate=pred)
-            delta = _action_delta_size(step.action)
-            if delta:
-                self.charge("db.delta", delta, predicate=pred)
+            if getattr(step.action, "kind", None) in ("ins", "del"):
+                self.charge("db.delta", 1, predicate=pred)
             yield step
             self.settle_into(pred)
 
@@ -499,20 +502,6 @@ def _action_predicate(action) -> str:
         return str(pred)
     kind = getattr(action, "kind", None)
     return str(kind) if kind else UNATTRIBUTED
-
-
-def _action_delta_size(action) -> int:
-    """Database-delta size of an action: 1 for ``ins``/``del``, the
-    flattened subtrace update count for ``iso``, else 0."""
-    kind = getattr(action, "kind", None)
-    if kind in ("ins", "del"):
-        return 1
-    if kind == "iso":
-        total = 0
-        for sub in getattr(action, "subtrace", None) or ():
-            total += _action_delta_size(sub)
-        return total
-    return 0
 
 
 # -- ambient attributor ------------------------------------------------------------

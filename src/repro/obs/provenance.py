@@ -28,12 +28,14 @@ Each :class:`ProvNode` records:
 
 Recording is **off by default** and costs nothing when off: a recorder
 is attached only through :func:`recording`, which fills the recorder
-channel of the observer slot (:mod:`repro.obs.context`); every engine
-captures that slot at entry and guards the hot loop with a single
-``is not None`` check, exactly the discipline the metrics layer uses
-(the zero-overhead test asserts byte-identical counter snapshots).
-When a recorder *is* attached it reports ``prov.nodes`` /
-``prov.dropped`` counters through the instrumentation captured with it.
+channel of the observer slot (:mod:`repro.obs.context`).  Engines never
+call the recorder themselves: they emit events on the observer handle
+they captured at entry, each behind one ``is None`` check, and the
+events in :class:`repro.obs.context.Observers` decide which nodes to
+record and in what shape (the zero-overhead test asserts
+byte-identical counter snapshots).  When a recorder *is* attached it
+reports ``prov.nodes`` / ``prov.dropped`` counters through the
+instrumentation captured with it.
 
 Serialization reuses the tracer's span model: :meth:`to_jsonl` emits
 one span-shaped JSON object per node (``span_id`` ``p<n>``,
@@ -170,17 +172,14 @@ class ProvenanceRecorder:
 
     ``max_nodes`` caps memory: past the cap, :meth:`record` counts the
     node as dropped (``prov.dropped``) and returns ``None``, which
-    every recording site tolerates.  The parent *stack* supports the
-    big-step engines, whose evaluation is structurally recursive: a
-    pushed node becomes the default parent for nodes recorded deeper
-    in the same dynamic extent.
+    every recording site tolerates.  Every node names its parent
+    explicitly; the engines thread the node ids they need.
     """
 
     def __init__(self, max_nodes: int = 200_000):
         self.max_nodes = max_nodes
         self.nodes: List[ProvNode] = []
         self.dropped = 0
-        self._stack: List[Optional[int]] = []
 
     # -- recording ------------------------------------------------------------
 
@@ -258,19 +257,6 @@ class ProvenanceRecorder:
         node.disposition = disposition
         if witness:
             node.witness.update(witness)
-
-    # -- parent stack (big-step engines) --------------------------------------
-
-    def push(self, node_id: Optional[int]) -> None:
-        self._stack.append(node_id)
-
-    def pop(self) -> None:
-        if self._stack:
-            self._stack.pop()
-
-    @property
-    def current_parent(self) -> Optional[int]:
-        return self._stack[-1] if self._stack else None
 
     # -- queries --------------------------------------------------------------
 

@@ -129,10 +129,9 @@ def explore(
 
     # Isolation needs an executor for iso bodies; reuse the interpreter's
     # nested-search machinery with its own budget.
-    observers = _context.capture()
-    obs = observers.inst
+    ev = _context.capture()
     interp = Interpreter(program, max_configs=max_states * 10)
-    budget = interp._make_budget(obs)
+    budget = interp._make_budget(ev)
 
     nodes: List[StateNode] = []
     edges: Dict[int, List[Tuple[str, int]]] = {}
@@ -153,9 +152,8 @@ def explore(
         edges[node_id] = []
         return node_id, True
 
-    attr = observers.attributor
-    with obs.span("statespace.explore", goal=str(goal)), \
-            _context.observing(observers, "statespace"):
+    with _context.span(ev, "statespace.explore", goal=str(goal)), \
+            _context.observing(ev, "statespace"):
         start, _ = intern(goal, db)
         frontier = deque([start])
         while frontier:
@@ -163,13 +161,12 @@ def explore(
             node = nodes[node_id]
             if node.final:
                 continue
-            if obs.enabled:
-                obs.metrics.inc("statespace.expanded")
             steps = enabled_steps(
-                program, node.process, node.database, interp._isol_runner(budget, obs)
+                program, node.process, node.database, interp._isol_runner(budget, ev)
             )
-            if attr is not None:
-                steps = attr.meter_steps(steps)
+            if ev is not None:
+                ev.state()
+                steps = ev.metered(steps)
             for step in steps:
                 new_proc = apply_subst(step.residual, step.subst)
                 succ_id, fresh = intern(new_proc, step.database)
@@ -179,8 +176,7 @@ def explore(
                 if fresh:
                     parents[succ_id] = (node_id, label)
                     frontier.append(succ_id)
-        if obs.enabled:
-            obs.metrics.set_gauge("statespace.states", len(nodes))
-            obs.metrics.set_gauge("statespace.edges", edge_count)
+        if ev is not None:
+            ev.graph(len(nodes), edge_count)
 
     return StateGraph(nodes=nodes, edges=edges, parents=parents, initial=start)

@@ -7,6 +7,8 @@ import pytest
 
 from repro import (
     Database,
+    Interpreter,
+    SequentialEngine,
     parse_database,
     parse_goal,
     parse_program,
@@ -15,8 +17,9 @@ from repro import (
 from repro.cli import main
 from repro.obs import CostAttributor, Instrumentation, attributing, instrumented
 from repro.obs.analyze import deterministic_record
-from repro.obs.context import OFF, observed_pulls, observing
+from repro.obs.context import observed_pulls, observing
 from repro.obs.hotspots import UNATTRIBUTED, active_attributor, rule_label
+from repro.verify.statespace import explore
 
 
 class FakeClock:
@@ -190,15 +193,58 @@ class TestAccounting:
 
     def test_observed_pulls_passthrough_when_off(self):
         gen = iter([1, 2, 3])
-        assert list(observed_pulls(OFF, gen, "x")) == [1, 2, 3]
+        assert list(observed_pulls(None, gen, "x")) == [1, 2, 3]
 
     def test_observing_noop_when_off(self):
-        with observing(OFF, "x"):
+        with observing(None, "x"):
             assert active_attributor() is None
 
     def test_rule_label_strips_renaming(self):
         assert rule_label("path(X#30, Y#30)") == "path(X, Y)"
         assert rule_label("p(a, b)") == "p(a, b)"
+
+
+class TestUpdateCharges:
+    """An update is charged ``db.delta`` once, where it executes: an
+    ``iso`` step charges nothing for the updates its nested search
+    already charged."""
+
+    DB = "item(a). item(b)."
+    ISO_TD = "run <- iso(item(a) * del.item(a) * ins.done(a))."
+    CALL_TD = """
+    run <- mv(a).
+    mv(X) <- item(X) * del.item(X) * ins.done(X).
+    """
+
+    def charges(self, text):
+        out = []
+        for drive in ("solve", "simulate", "explore"):
+            program, db = parse_program(text), parse_database(self.DB)
+            with attributing() as attr:
+                if drive == "solve":
+                    list(Interpreter(program).solve("run", db))
+                elif drive == "simulate":
+                    Interpreter(program).simulate("run", db)
+                else:
+                    explore(program, "run", db)
+            out.append(attr.totals())
+        return out
+
+    def test_iso_body_updates_are_charged_once(self):
+        iso = self.charges(self.ISO_TD)
+        call = self.charges(self.CALL_TD)
+        assert [t["db.delta"] for t in iso] == [2, 2, 2]
+        assert [t["db.delta"] for t in call] == [2, 2, 2]
+        assert iso[2]["steps.expansions"] == call[2]["steps.expansions"] == 5
+
+    def test_seqeval_answer_delta_is_not_capped(self):
+        updates = " * ".join("ins.done(i%d)" % i for i in range(100))
+        program = parse_program("go <- step0.\nstep0 <- %s." % updates)
+        with attributing() as attr:
+            answers = list(SequentialEngine(program).solve("go", Database()))
+        assert len(answers) == 1
+        # Two table answers (``step0`` and ``go``), 100 inserts each.
+        assert attr.totals()["db.delta"] == 200
 
 
 class TestExports:

@@ -10,7 +10,13 @@ with nothing active must report nothing, wherever it is drained.
 
 from contextlib import nullcontext
 
-from repro import Interpreter, parse_database, parse_program, select_engine
+from repro import (
+    Interpreter,
+    SequentialEngine,
+    parse_database,
+    parse_program,
+    select_engine,
+)
 from repro.obs import (
     CostAttributor,
     Instrumentation,
@@ -19,6 +25,7 @@ from repro.obs import (
     instrumented,
     recording,
 )
+from repro.verify.statespace import explore
 
 TC = """
 path(X, Y) <- e(X, Y).
@@ -101,3 +108,43 @@ class TestCaptureAtFirstPull:
             gen = seqeval_search()
         assert len(list(gen)) == 5
         assert inst.metrics.info == {} and inst.metrics.counters == {}
+
+
+class TestOneHandlePerSearch:
+    """Each search threads the handle it captured; nothing about its
+    observers lives on the engine, and nested searches see the same
+    metrics and attributor as the search that started them."""
+
+    CHAIN6 = " ".join("e(n%d, n%d)." % (i, i + 1) for i in range(6))
+
+    def test_interleaved_seqeval_solves_keep_their_own_observers(self):
+        engine = SequentialEngine(parse_program(TC))
+        db = parse_database(self.CHAIN6)
+        alone = Instrumentation.create()
+        with instrumented(alone):
+            expected = list(
+                SequentialEngine(parse_program(TC)).solve(
+                    "path(n0, Y) * path(Y, Z)", db
+                )
+            )
+        first, second = Instrumentation.create(), Instrumentation.create()
+        with instrumented(first):
+            gen = engine.solve("path(n0, Y) * path(Y, Z)", db)
+            answers = [next(gen)]
+        with instrumented(second):
+            next(engine.solve("path(n3, Y)", db))
+        answers += list(gen)
+        assert len(answers) == len(expected) == 15
+        assert alone.metrics.counter("table.hits") == 29
+        assert first.metrics.counter("table.hits") == 29
+        assert second.metrics.counter("table.hits") == 2
+
+    def test_explore_attributes_nested_iso_searches(self):
+        program = parse_program(
+            "run <- iso(item(X) * del.item(X) * ins.done(X))."
+        )
+        inst, attr = Instrumentation.create(), CostAttributor()
+        with instrumented(inst), attributing(attr):
+            explore(program, "run", parse_database("item(a). item(b)."))
+        assert inst.metrics.counter("search.steps") == 6
+        assert attr.totals()["steps.expansions"] == 9

@@ -97,15 +97,10 @@ class TestRecorder:
 
     def test_parent_stack(self):
         rec = ProvenanceRecorder()
-        assert rec.current_parent is None
         outer = rec.record("call", "p(X)")
-        rec.push(outer)
-        assert rec.current_parent == outer
-        inner = rec.record("call", "q(X)", parent=rec.current_parent)
+        inner = rec.record("call", "q(X)", parent=outer)
         assert rec.nodes[inner].parent == outer
         assert rec.nodes[inner].depth == 1
-        rec.pop()
-        assert rec.current_parent is None
 
 
 class TestRoundTrip:
