@@ -24,13 +24,15 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
+    Set,
     Tuple,
 )
 
 from .terms import Atom, Constant, Signature, Variable
-from .unify import Substitution, apply_atom, match_atom
+from .unify import Substitution, apply_atom, match_atom, walk
 
-__all__ = ["Database", "Schema", "SchemaError"]
+__all__ = ["Database", "Schema", "SchemaError", "plan_join"]
 
 
 class SchemaError(ValueError):
@@ -366,3 +368,42 @@ class Database:
             if other._index.get(pred) is not group
         ]
         return frozenset().union(*changed)
+
+
+def plan_join(
+    atoms: Sequence[Atom], db: Database, theta: Substitution = {}
+) -> List[int]:
+    """Greedy join order for a conjunction of *atoms* against *db*, as
+    indices into *atoms*.
+
+    Repeatedly picks the atom with the fewest still-unbound variable
+    arguments (a bound argument lets :meth:`Database.match` probe the
+    per-``(pred, position)`` index instead of scanning every fact of
+    the predicate), breaking ties by relation size, then by textual
+    position; the chosen atom's variables are bound from then on.
+    Arguments are resolved through *theta*, the bindings in force where
+    the conjunction runs.  Any order enumerates the same substitutions;
+    only the fan-out differs.
+    """
+    free = [
+        [v for v in (walk(t, theta) for t in a.args) if isinstance(v, Variable)]
+        for a in atoms
+    ]
+    sizes = [len(db.facts(a.pred)) for a in atoms]
+    bound: Set[Variable] = set()
+
+    def rank(i: int):
+        unbound = 0
+        for v in free[i]:
+            if v not in bound:
+                unbound += 1
+        return (unbound, sizes[i], i)
+
+    remaining = list(range(len(atoms)))
+    order: List[int] = []
+    while remaining:
+        i = min(remaining, key=rank)
+        remaining.remove(i)
+        order.append(i)
+        bound.update(free[i])
+    return order

@@ -86,6 +86,7 @@ from .transitions import (
     enabled_steps,
     frontier_blocked,
     is_final,
+    replay_into_store,
     update_footprint,
 )
 from .unify import Substitution, walk
@@ -314,9 +315,11 @@ class Interpreter:
         Enable answer tabling (default; see :mod:`repro.core.tabling`).
         A call in head position -- and every ``iso`` sub-search --
         executes once per (canonical call, database) pair and is served
-        from the answer table afterwards; the reachable (answers, final
-        database) pairs are unchanged (``tests/core/test_tabling.py``
-        is the differential).  Same discipline as ``por``: bypassed
+        from the answer table afterwards.  Every answer is stored,
+        non-ground ones included, so the reachable (answers, final
+        database) pairs are exactly the naive search's
+        (``tests/core/test_tabling.py`` and ``tests/property/`` are the
+        differentials).  Same discipline as ``por``: bypassed
         automatically while a fault injector is attached, and
         ``tabling=False`` keeps the naive search as the oracle.
     """
@@ -718,13 +721,19 @@ class Interpreter:
                 raise
 
     def _key(self, config: Configuration):
-        return (
-            canonical_key(config.process, sort_conc=self.sort_concurrent),
-            config.database,
-            tuple(
-                t if not isinstance(t, Variable) else None for t in config.answers
-            ),
-        )
+        shape, varseq = _ckey_pair(config.process, self.sort_concurrent)
+        answers = config.answers
+        if any(isinstance(t, Variable) for t in answers):
+            # An unbound answer is keyed by its slot in the process's
+            # canonical variable order (or a fresh slot past it), so
+            # configurations differing in how answers share variables
+            # with each other or with the process stay apart.
+            slots = {v: i for i, v in enumerate(varseq)}
+            answers = tuple(
+                slots.setdefault(t, len(slots)) if isinstance(t, Variable) else t
+                for t in answers
+            )
+        return (shape, config.database, answers)
 
     # -- answer tabling ----------------------------------------------------------
 
@@ -744,7 +753,7 @@ class Interpreter:
         """
         table = self._table
         canon, _ = canonical_call(atom)
-        entry, delta_cost = table.entry(canon, db)
+        entry = table.entry(canon, db)
         if entry is None:
             # Key cap reached: this call runs untabled.
             yield from self._enabled_steps(
@@ -754,18 +763,18 @@ class Interpreter:
         residual = seq(*rest) if rest else TRUTH
         hit = entry.complete or entry.active
         if ev is not None:
-            ev.table_probe(hit, delta_cost)
+            ev.table_probe(hit)
         if hit:
             # A hit prunes like frontier subsumption: the whole
             # re-expansion of the call collapses into served answers.
             if ev is not None:
-                ev.call_hit(atom, canon, len(entry.order), entry.complete, parent)
+                ev.call_hit(atom, canon, len(entry.answers), entry.complete, parent)
             if entry.active:
                 # Consumer of an in-progress generator: serve the
                 # current snapshot and flag every stacked generator so
                 # none of them completes on this round's information.
                 table.note_consumed(entry)
-        for answer in list(entry.order):
+        for answer in list(entry.answers.values()):
             yield self._answer_step(atom, answer, residual)
         if hit:
             return
@@ -801,9 +810,7 @@ class Interpreter:
                         for values, final_db, trace in self._bfs(
                             body, db, answer_terms, budget, True, inner, deadline
                         ):
-                            added, retired = entry.add(values, final_db, trace)
-                            if retired and inner is not None:
-                                inner.table_subsumed(retired)
+                            added = entry.add(values, final_db, trace)
                             if added is not None:
                                 table.stamp += 1
                                 yield added
@@ -843,10 +850,11 @@ class Interpreter:
             if not isinstance(arg, Variable) or arg in theta:
                 continue
             if isinstance(value, Variable):
-                if value in fresh:
-                    theta[arg] = fresh[value]
-                else:
-                    fresh[value] = arg
+                # A repeated caller variable meets its own stand-in:
+                # binding it to itself would make ``walk`` loop.
+                first = fresh.setdefault(value, arg)
+                if first != arg:
+                    theta[arg] = first
                 continue
             theta[arg] = value
         return Step(
@@ -917,7 +925,7 @@ class Interpreter:
                 head = _head_call(proc)
                 if head is not None:
                     entry = table.peek(canonical_call(head[0])[0], state)
-                    if entry is not None and entry.complete and not entry.order:
+                    if entry is not None and entry.complete and not entry.answers:
                         # The head call has a completed, empty answer
                         # table entry: no execution of it exists from
                         # this state, so the branch is dead without
@@ -1091,13 +1099,13 @@ class Interpreter:
             entry = varseq = None
             if table is not None and cap is None:
                 shape, varseq = _ckey_pair(body, self.sort_concurrent)
-                entry, delta_cost = table.iso_entry(shape, db)
+                entry = table.iso_entry(shape, db)
                 if entry is not None and ev is not None:
-                    ev.table_probe(entry.complete, delta_cost)
+                    ev.table_probe(entry.complete)
                 if entry is not None and entry.complete:
                     if ev is not None:
-                        ev.iso_hit(body, len(entry.order))
-                    for values, final_db, trace in list(entry.order):
+                        ev.iso_hit(body, len(entry.answers))
+                    for values, final_db, trace in list(entry.answers.values()):
                         theta = {
                             v: t
                             for v, t in zip(varseq, values)
@@ -1195,7 +1203,7 @@ def _commit_execution(store, trace) -> None:
     so a partial commit is never left visible."""
     sp = store.savepoint()
     try:
-        _replay_into(store, trace)
+        replay_into_store(trace, store)
     except BaseException:
         try:
             store.rollback(sp)
@@ -1204,30 +1212,6 @@ def _commit_execution(store, trace) -> None:
         raise
     else:
         store.release(sp)
-
-
-def _replay_into(store, actions) -> None:
-    """The store twin of :func:`repro.core.transitions.replay_actions`:
-    queries are skipped, updates applied, ``iso`` (and ``table``, whose
-    subtrace is the recorded big-step execution) bracketed."""
-    for action in actions:
-        kind = action.kind
-        if kind == "ins":
-            store.insert(action.atom)
-        elif kind == "del":
-            store.delete(action.atom)
-        elif kind in ("iso", "table"):
-            sp = store.savepoint()
-            try:
-                _replay_into(store, action.subtrace)
-            except BaseException:
-                try:
-                    store.rollback(sp)
-                except Exception:
-                    pass
-                raise
-            else:
-                store.release(sp)
 
 
 def _head_call(proc: Formula) -> Optional[Tuple[Atom, Tuple[Formula, ...]]]:

@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import context as _context
 from ..obs.context import Observers
-from .database import Database
+from .database import Database, plan_join
 from .errors import SafetyError, UnsupportedProgramError
 from .formulas import (
     Builtin,
@@ -360,7 +360,8 @@ class SequentialEngine:
         self, parts: Tuple[Formula, ...], db: Database, theta: Substitution,
         ev: Optional[Observers],
     ) -> Tuple[Formula, ...]:
-        """Join-order each maximal run of consecutive ``Test`` parts.
+        """Join-order each maximal run of consecutive ``Test`` parts
+        (:func:`repro.core.database.plan_join`).
 
         Only tests are moved, and only within their contiguous run: a
         test neither updates the database nor can fail for safety
@@ -379,11 +380,11 @@ class SequentialEngine:
             while j < n and isinstance(parts[j], Test):
                 j += 1
             if j - i > 1:
-                run = list(parts[i:j])
-                ordered = self._order_tests(run, db, theta)
-                if ordered != run:
+                run = parts[i:j]
+                order = plan_join([test.atom for test in run], db, theta)
+                if order != sorted(order):
                     changed = True
-                out.extend(ordered)
+                out.extend(run[k] for k in order)
                 i = j
             elif j > i:
                 out.append(parts[i])
@@ -396,42 +397,6 @@ class SequentialEngine:
         if ev is not None:
             ev.reordered()
         return tuple(out)
-
-    def _order_tests(
-        self, run: List[Formula], db: Database, theta: Substitution
-    ) -> List[Formula]:
-        """Greedy selectivity order for a contiguous test run: fewest
-        still-unbound variable arguments first (bound arguments probe the
-        per-position index), ties by relation size, then textual
-        position."""
-        bound: Set[Variable] = set()
-
-        def unbound(test: Formula) -> int:
-            count = 0
-            for arg in test.atom.args:
-                resolved = walk(arg, theta)
-                if isinstance(resolved, Variable) and resolved not in bound:
-                    count += 1
-            return count
-
-        remaining = list(enumerate(run))
-        chosen: List[Formula] = []
-        while remaining:
-            pos, test = min(
-                remaining,
-                key=lambda item: (
-                    unbound(item[1]),
-                    len(db.facts(item[1].atom.pred)),
-                    item[0],
-                ),
-            )
-            remaining.remove((pos, test))
-            chosen.append(test)
-            for arg in test.atom.args:
-                resolved = walk(arg, theta)
-                if isinstance(resolved, Variable):
-                    bound.add(resolved)
-        return chosen
 
     def _eval_seq(
         self, parts: Tuple[Formula, ...], idx: int, db: Database,

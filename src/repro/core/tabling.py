@@ -21,21 +21,15 @@ only sound in restricted positions:
   complete execution set is likewise a pure function of
   ``(canonical body, database)`` and is memoized the same way.
 
-Keys are **delta-encoded**: the first database seen for a canonical
-call shape becomes the shape's *base snapshot*, and every further state
-is keyed by the two fact sets that differ from the base
-(:meth:`repro.core.database.Database.difference` both ways).  A table
-entry therefore costs the changed tuples, not a full database copy, and
-the ``table.delta_bytes`` counter reports the encoded size.
-
-Answers support **subsumption**: an answer binding strictly fewer
-argument positions than an existing one -- same final database --
-retires the more specific answer (and an arriving answer that is an
-instance of a stored one is dropped).  This is the classic
-answer-subsumption order; on workloads whose answers are ground (all of
-the profile suite and chaos workloads) it is invisible in the solution
-set, which is what the differential oracle in
-``tests/core/test_tabling.py`` pins.
+A table key is the pair ``(canonical call, database)``: states are
+immutable and cache their hash, so a lookup costs one dict probe,
+exactly as in the sequential evaluator's table.  Each entry keeps its
+answers -- normalized values plus final database -- in one
+insertion-ordered dict, which is both the dedup index and the serve
+order.  Every answer is kept, non-ground ones included, so the tabled
+search returns exactly the naive search's (answers, final database)
+pairs; the differential oracles in ``tests/core/test_tabling.py`` and
+``tests/property/`` pin that.
 
 Recursive calls use consumer/generator **suspension** in the local-SLG
 style: the generator for a key iterates the matching rule bodies; a
@@ -54,7 +48,7 @@ it process-wide for audits.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .database import Database
 from .terms import Atom, Term, Variable
@@ -63,7 +57,6 @@ __all__ = [
     "AnswerTable",
     "TableEntry",
     "canonical_call",
-    "subsumes",
     "tabling_disabled",
     "tabling_forced_off",
 ]
@@ -120,8 +113,7 @@ def _normalize_values(values: Tuple[Term, ...]) -> Tuple[Term, ...]:
 
     Distinct unbound variables become A0, A1, ... in order of
     occurrence (repeats share a name), so two answers differing only in
-    fresh-variable identity deduplicate, and the subsumption check can
-    treat any ``A``-variable as "unbound here".
+    fresh-variable identity deduplicate and the answer set stays finite.
     """
     mapping: Dict[Variable, Variable] = {}
     out: List[Term] = []
@@ -135,170 +127,94 @@ def _normalize_values(values: Tuple[Term, ...]) -> Tuple[Term, ...]:
     return tuple(out)
 
 
-def subsumes(general: Tuple[Term, ...], specific: Tuple[Term, ...]) -> bool:
-    """True if *general* covers *specific*: every bound position of
-    *general* is identical in *specific* (an unbound -- variable --
-    position of *general* matches anything).  Both tuples must be
-    normalized (:func:`_normalize_values`); equal tuples subsume."""
-    if len(general) != len(specific):
-        return False
-    for g, s in zip(general, specific):
-        if isinstance(g, Variable):
-            continue
-        if isinstance(s, Variable) or g != s:
-            return False
-    return True
-
-
 #: One cached answer: canonical values per argument position, the final
 #: database, and the elementary-action trace of the execution that
 #: produced it (replayable via ``replay_actions``).
 _Answer = Tuple[Tuple[Term, ...], Database, Tuple[object, ...]]
 
+#: Bound on the interned keys of one table (call and iso combined):
+#: past it, new keys run untabled (``table.capped`` counts), so an
+#: adversarial workload degrades to the naive search instead of
+#: exhausting memory.
+MAX_KEYS = 100_000
+
 
 class TableEntry:
     """All known answers for one ``(canonical call, database)`` key.
 
-    ``order`` preserves discovery order (the serve order, which keeps
-    tabled runs deterministic); ``answers`` indexes the same records by
-    ``(values, final_db)`` for dedup and subsumption.  ``active`` is
-    True while this entry's generator is on the stack; ``round_deps``
-    collects the in-progress entries whose snapshots this entry's
-    current generation round consumed (completion is only sound when
-    the final round depended on nothing in flight but itself).
+    ``answers`` maps each normalized ``(values, final_db)`` pair to its
+    record, in discovery order -- the serve order, which keeps tabled
+    runs deterministic.  ``active`` is True while this entry's
+    generator is on the stack; ``round_deps`` collects the in-progress
+    entries whose snapshots this entry's current generation round
+    consumed (completion is only sound when the final round depended
+    on nothing in flight but itself).
     """
 
-    __slots__ = ("answers", "order", "complete", "active", "round_deps")
+    __slots__ = ("answers", "complete", "active", "round_deps")
 
     def __init__(self):
         self.answers: Dict[Tuple[Tuple[Term, ...], Database], _Answer] = {}
-        self.order: List[_Answer] = []
         self.complete = False
         self.active = False
         self.round_deps: set = set()
 
-    def add(self, values, final_db, trace) -> Tuple[Optional[_Answer], int]:
-        """Record an answer; returns ``(answer, retired)`` where
-        *answer* is the normalized record if it was new (``None`` if a
-        stored answer already subsumes it) and *retired* counts the more
-        specific stored answers the new one displaced."""
+    def add(self, values, final_db, trace) -> Optional[_Answer]:
+        """Record an answer; returns the normalized record if it is new,
+        ``None`` if an equal answer is already stored."""
         values = _normalize_values(values)
         key = (values, final_db)
         if key in self.answers:
-            return None, 0
-        for (stored, db), _ in self.answers.items():
-            if db == final_db and subsumes(stored, values):
-                return None, 0
-        retired = [
-            k
-            for k, _ in self.answers.items()
-            if k[1] == final_db and subsumes(values, k[0])
-        ]
-        for k in retired:
-            record = self.answers.pop(k)
-            self.order.remove(record)
-        answer = (values, final_db, trace)
-        self.answers[key] = answer
-        self.order.append(answer)
-        return answer, len(retired)
-
-
-class _ShapeTable:
-    """Entries for one canonical call shape, keyed by the delta between
-    each database and the shape's base snapshot (the first database the
-    shape was called from).  The delta is a bijection of the database
-    given the base, so two states share an entry iff they are equal --
-    the entry just never stores a second full database."""
-
-    __slots__ = ("base", "entries")
-
-    def __init__(self, base: Database):
-        self.base = base
-        self.entries: Dict[
-            Tuple[frozenset, frozenset], TableEntry
-        ] = {}
-
-    def delta_key(self, db: Database) -> Tuple[frozenset, frozenset]:
-        if db is self.base:
-            return (frozenset(), frozenset())
-        return (db.difference(self.base), self.base.difference(db))
-
-
-def _delta_cost(delta: Tuple[frozenset, frozenset]) -> int:
-    """Encoded size of a delta key: the rendered changed tuples."""
-    added, removed = delta
-    return sum(len(str(f)) for f in added) + sum(len(str(f)) for f in removed)
+            return None
+        answer = self.answers[key] = (values, final_db, trace)
+        return answer
 
 
 class AnswerTable:
-    """The per-interpreter table: call-shape tables plus the iso memo.
+    """The per-interpreter table: call entries plus the iso memo, both
+    keyed by ``(shape, database)``.
 
     ``stamp`` increments on every stored answer anywhere, which is the
     generators' global fixpoint signal.  ``generating`` is the stack of
     entries whose generators are currently running; consuming an
     in-progress entry's snapshot marks every stacked generator so none
-    of them completes on stale information.
-
-    ``max_keys`` bounds the number of interned keys (call and iso
-    combined): past it, new keys run untabled (``table.capped``
-    counts), so an adversarial workload degrades to the naive search
-    instead of exhausting memory.
+    of them completes on stale information.  Past :data:`MAX_KEYS`
+    interned keys, lookups return ``None`` and count in ``capped``.
     """
 
-    def __init__(self, max_keys: int = 100_000):
-        self.max_keys = max_keys
-        self._shapes: Dict[Atom, _ShapeTable] = {}
-        self._iso: Dict[object, _ShapeTable] = {}
+    def __init__(self):
+        self._calls: Dict[Tuple[Atom, Database], TableEntry] = {}
+        self._iso: Dict[Tuple[object, Database], TableEntry] = {}
         self.stamp = 0
         self.generating: List[TableEntry] = []
-        self.keys = 0
         self.capped = 0
 
-    # -- call tables -------------------------------------------------------------
+    @property
+    def keys(self) -> int:
+        return len(self._calls) + len(self._iso)
 
-    def entry(
-        self, canon: Atom, db: Database
-    ) -> Tuple[Optional[TableEntry], int]:
-        """The entry for ``(canon, db)``, interning a key if needed;
-        returns ``(entry, delta_bytes)`` where *delta_bytes* is the cost
-        of a newly interned key (0 for an existing one) -- or
-        ``(None, 0)`` when the key cap is reached."""
-        return self._intern(self._shapes, canon, db)
+    def entry(self, canon: Atom, db: Database) -> Optional[TableEntry]:
+        """The entry for ``(canon, db)``, interning one if needed;
+        ``None`` when the key cap is reached."""
+        return self._intern(self._calls, (canon, db))
 
     def peek(self, canon: Atom, db: Database) -> Optional[TableEntry]:
         """The entry for ``(canon, db)`` if one exists (no interning)."""
-        shape = self._shapes.get(canon)
-        if shape is None:
-            return None
-        return shape.entries.get(shape.delta_key(db))
+        return self._calls.get((canon, db))
 
-    # -- iso memo ----------------------------------------------------------------
-
-    def iso_entry(
-        self, body_key: object, db: Database
-    ) -> Tuple[Optional[TableEntry], int]:
+    def iso_entry(self, body_key: object, db: Database) -> Optional[TableEntry]:
         """Same contract as :meth:`entry`, keyed by a canonical body
         shape (``transitions._ckey_pair``) instead of a call atom."""
-        return self._intern(self._iso, body_key, db)
+        return self._intern(self._iso, (body_key, db))
 
-    def _intern(
-        self, shapes: Dict[object, "_ShapeTable"], shape_key: object, db: Database
-    ) -> Tuple[Optional[TableEntry], int]:
-        shape = shapes.get(shape_key)
-        if shape is None:
-            shape = shapes[shape_key] = _ShapeTable(db)
-        delta = shape.delta_key(db)
-        entry = shape.entries.get(delta)
-        if entry is not None:
-            return entry, 0
-        if self.keys >= self.max_keys:
-            self.capped += 1
-            return None, 0
-        entry = shape.entries[delta] = TableEntry()
-        self.keys += 1
-        return entry, _delta_cost(delta)
-
-    # -- bookkeeping -------------------------------------------------------------
+    def _intern(self, entries: Dict, key: tuple) -> Optional[TableEntry]:
+        entry = entries.get(key)
+        if entry is None:
+            if self.keys >= MAX_KEYS:
+                self.capped += 1
+                return None
+            entry = entries[key] = TableEntry()
+        return entry
 
     def note_consumed(self, entry: TableEntry) -> None:
         """An in-progress *entry*'s snapshot was served: no generator on
@@ -308,56 +224,36 @@ class AnswerTable:
 
     def answer_count(self) -> int:
         return sum(
-            len(e.order)
-            for shape in list(self._shapes.values()) + list(self._iso.values())
-            for e in shape.entries.values()
+            len(e.answers)
+            for entries in (self._calls, self._iso)
+            for e in entries.values()
         )
 
     # -- checkpoint support ------------------------------------------------------
 
     def snapshot(self) -> tuple:
-        """A picklable warm-table snapshot for :class:`Checkpoint`.
+        """A picklable warm-table snapshot for :class:`Checkpoint`: one
+        ``(key, complete, answers)`` row per entry, for the call entries
+        and the iso memo.
 
-        Captures every entry's answers and completion flag (an entry
-        interrupted mid-generation is kept as a warm incomplete entry);
-        the transient generator state (``active``, ``round_deps``) is
-        deliberately not part of it.
+        An entry interrupted mid-generation is kept as a warm incomplete
+        entry; the transient generator state (``active``,
+        ``round_deps``) is deliberately not part of it.
         """
-
-        def dump(shapes):
-            return tuple(
-                (
-                    key,
-                    shape.base,
-                    tuple(
-                        (
-                            delta,
-                            entry.complete and not entry.active,
-                            tuple(entry.order),
-                        )
-                        for delta, entry in shape.entries.items()
-                    ),
-                )
-                for key, shape in shapes.items()
+        return tuple(
+            tuple(
+                (key, e.complete and not e.active, tuple(e.answers.values()))
+                for key, e in entries.items()
             )
-
-        return (dump(self._shapes), dump(self._iso), self.max_keys)
+            for entries in (self._calls, self._iso)
+        )
 
     @classmethod
     def restore(cls, snap: tuple) -> "AnswerTable":
-        calls, isos, max_keys = snap
-        table = cls(max_keys=max_keys)
-
-        def load(dumped, target):
-            for key, base, entries in dumped:
-                shape = target[key] = _ShapeTable(base)
-                for delta, complete, answers in entries:
-                    entry = shape.entries[delta] = TableEntry()
-                    table.keys += 1
-                    for values, final_db, trace in answers:
-                        entry.add(values, final_db, trace)
-                    entry.complete = complete
-
-        load(calls, table._shapes)
-        load(isos, table._iso)
+        table = cls()
+        for entries, rows in zip((table._calls, table._iso), snap):
+            for key, complete, answers in rows:
+                entry = entries[key] = TableEntry()
+                entry.answers = {(a[0], a[1]): a for a in answers}
+                entry.complete = complete
         return table

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.database import Database
+from ..core.database import Database, plan_join
 from ..core.formulas import Call, Conc, Isol, Neg, Seq, Test, Truth, walk_formulas
 from ..core.interpreter import _resolve_store
 from ..core.program import Program
-from ..core.terms import Atom, Variable
+from ..core.terms import Atom
 from ..core.unify import Substitution, apply_atom
 from ..obs import context as _context
 from .ast import DatalogProgram, DatalogRule, Literal
@@ -37,16 +37,10 @@ def _plan_body(
     body: Sequence[Literal], facts: Database, reorder: bool = True,
     ev: Optional[_context.Observers] = None,
 ) -> List[Literal]:
-    """Choose a join order for *body* against the current *facts*.
-
-    Greedy bound-argument selectivity: repeatedly pick the positive
-    literal with the fewest still-unbound variable arguments (a bound
-    argument lets :meth:`Database.match` probe the per-``(pred, position)``
-    index instead of scanning every fact of the predicate), breaking
-    ties by relation size, then by the textual position.  Negative
-    literals stay last, so safety -- negation on ground atoms only -- is
-    untouched.  Any join order over the positive conjuncts enumerates
-    the same substitutions; only the fan-out differs.
+    """Choose a join order for *body* against the current *facts*: the
+    positive literals in :func:`repro.core.database.plan_join` order,
+    then the negative ones, so safety -- negation on ground atoms only
+    -- is untouched.
 
     Reports ``reordered`` to *ev* whenever the plan differs from the
     textual :func:`_order_body` baseline.
@@ -55,34 +49,10 @@ def _plan_body(
     negatives = [l for l in body if not l.positive]
     if not reorder or len(positives) <= 1:
         return positives + negatives
-
-    def unbound(lit: Literal, bound: Set[Variable]) -> int:
-        return sum(
-            1
-            for t in lit.atom.args
-            if isinstance(t, Variable) and t not in bound
-        )
-
-    remaining = list(enumerate(positives))
-    bound: Set[Variable] = set()
-    plan: List[Literal] = []
-    while remaining:
-        pos, lit = min(
-            remaining,
-            key=lambda item: (
-                unbound(item[1], bound),
-                len(facts.facts(item[1].atom.pred)),
-                item[0],
-            ),
-        )
-        remaining.remove((pos, lit))
-        plan.append(lit)
-        bound.update(t for t in lit.atom.args if isinstance(t, Variable))
-    plan += negatives
-
-    if ev is not None and plan != positives + negatives:
+    order = plan_join([l.atom for l in positives], facts)
+    if ev is not None and order != sorted(order):
         ev.reordered()
-    return plan
+    return [positives[i] for i in order] + negatives
 
 
 def _join(

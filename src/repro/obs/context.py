@@ -288,12 +288,9 @@ class Observers:
 
     # -- tables and isolation --------------------------------------------------
 
-    def table_probe(self, hit: bool, delta: int = 0) -> None:
-        """An answer-table lookup: ``table.hits`` or ``table.misses``, and
-        the ``table.delta_bytes`` of a newly interned key."""
+    def table_probe(self, hit: bool) -> None:
+        """An answer-table lookup: ``table.hits`` or ``table.misses``."""
         self._inc("table.hits" if hit else "table.misses")
-        if delta:
-            self._inc("table.delta_bytes", delta)
 
     def call_hit(self, atom, key, answers: int, complete: bool, parent) -> None:
         """A BFS head call is served from its table entry: a trace event,
@@ -319,10 +316,6 @@ class Observers:
         if inst is not None:
             inst.tracer.event("table.hit", iso=str(body))
         self._charge("table.hit_credit", max(answers, 1))
-
-    def table_subsumed(self, retired: int) -> None:
-        """A general answer retired *retired* specific ones."""
-        self._inc("table.subsumed", retired)
 
     @contextmanager
     def iso(self, body) -> Iterator[None]:

@@ -39,6 +39,7 @@ from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping
 
 from ..core.database import Database
 from ..core.terms import Atom
+from ..core.transitions import replay_into_store
 from ..core.unify import Substitution
 
 __all__ = [
@@ -264,27 +265,14 @@ class Store(ABC):
 
 
 def replay_trace(store: Store, actions: Iterable) -> Database:
-    """Replay an execution trace's elementary updates into *store*.
+    """Replay an execution trace's elementary updates into *store* and
+    return its final state.
 
-    ``ins``/``del`` actions apply directly; an ``iso`` action replays
-    its subtrace inside a nested savepoint (released on success, rolled
-    back if the replay fails) -- the savepoint mapping of the paper's
-    isolation construct.  A ``table`` action (the cached big-step
-    execution of a tabled call) replays the same way.  Query actions
-    (``test``, ``neg``, ``call``, ``builtin``) read but never write and
-    are skipped.  Returns the store's final state.
-
-    This is the durable twin of
-    :func:`repro.core.transitions.replay_actions`.
+    The durable twin of :func:`repro.core.transitions.replay_actions`:
+    ``ins``/``del`` apply directly, each ``iso`` or ``table`` subtrace
+    replays inside a nested savepoint (the savepoint mapping of the
+    paper's isolation construct), and queries are skipped -- see
+    :func:`repro.core.transitions.replay_into_store`.
     """
-    db = store.database()
-    for action in actions:
-        kind = action.kind
-        if kind == "ins":
-            db = store.insert(action.atom)
-        elif kind == "del":
-            db = store.delete(action.atom)
-        elif kind in ("iso", "table"):
-            with store.transaction():
-                db = replay_trace(store, action.subtrace)
-    return db
+    replay_into_store(actions, store)
+    return store.database()

@@ -3,8 +3,8 @@
 Three layers of coverage:
 
 1. The table machinery itself: canonical call keys, answer
-   normalization, the subsumption lattice, and retirement of specific
-   answers by more general ones.
+   normalization, one entry per (call, database) key, and entries that
+   keep general and specific answers alike.
 2. The solution-level differential: tabling is pure work-avoidance, so
    with it on and off the interpreter must produce identical answer
    sets and final databases over the profile-suite configs and the six
@@ -31,7 +31,6 @@ from repro.core.tabling import (
     TableEntry,
     _normalize_values,
     canonical_call,
-    subsumes,
     tabling_disabled,
     tabling_forced_off,
 )
@@ -73,100 +72,88 @@ class TestCanonicalKeys:
 
 
 class TestSubsumption:
+    """No answer subsumes another: an entry stores every distinct
+    normalized answer, general and specific alike, as the naive search
+    returns both."""
+
     def test_normalization_renames_unbound_positions(self):
         out = _normalize_values((_v("G12"), _c("a"), _v("G12"), _v("H3")))
         assert out == (_v("A0"), _c("a"), _v("A0"), _v("A1"))
 
-    def test_general_covers_specific(self):
-        general = _normalize_values((_v("X"), _c("a")))
-        specific = _normalize_values((_c("b"), _c("a")))
-        assert subsumes(general, specific)
-        assert not subsumes(specific, general)
-
-    def test_equal_tuples_subsume(self):
-        vals = _normalize_values((_c("a"), _v("X")))
-        assert subsumes(vals, vals)
-
-    def test_entry_dedups_subsumed_answer(self):
+    def test_general_and_specific_answers_both_stored(self):
         entry = TableEntry()
         db = Database()
-        added, retired = entry.add((_v("X"),), db, ())
-        assert added is not None and retired == 0
-        # A more specific answer with the same final database is
-        # already covered: not added, nothing retired.
-        added, retired = entry.add((_c("a"),), db, ())
-        assert added is None and retired == 0
-        assert len(entry.order) == 1
-
-    def test_general_answer_retires_specific_pending_ones(self):
-        entry = TableEntry()
-        db = Database()
-        assert entry.add((_c("a"),), db, ())[0] is not None
-        assert entry.add((_c("b"),), db, ())[0] is not None
-        added, retired = entry.add((_v("X"),), db, ())
-        assert added is not None and retired == 2
-        assert len(entry.order) == 1
-        assert isinstance(entry.order[0][0][0], Variable)
+        assert entry.add((_c("a"),), db, ()) is not None
+        assert entry.add((_v("X"),), db, ()) is not None
+        # Equal up to fresh-variable names: a duplicate.
+        assert entry.add((_v("Y"),), db, ()) is None
+        assert [a[0] for a in entry.answers.values()] == [(_c("a"),), (_v("A0"),)]
 
     def test_subsumption_requires_matching_final_db(self):
         # Answers are (bindings, final database) pairs: a general
-        # binding under a different final state retires nothing.
+        # binding under a different final state is another answer.
         entry = TableEntry()
         db1 = parse_database("m(1).")
         db2 = parse_database("m(2).")
-        assert entry.add((_c("a"),), db1, ())[0] is not None
-        added, retired = entry.add((_v("X"),), db2, ())
-        assert added is not None and retired == 0
-        assert len(entry.order) == 2
+        assert entry.add((_c("a"),), db1, ()) is not None
+        assert entry.add((_v("X"),), db2, ()) is not None
+        assert len(entry.answers) == 2
 
-    def test_subsumed_counter_visible_end_to_end(self):
-        # One rule binds X, the other leaves it unbound with the same
-        # final database: the general answer must retire the specific
-        # one and bump table.subsumed.
-        program = parse_program(
-            """
-            pick(X) <- opt(X).
-            pick(X) <- free.
-            go <- pick(Y) * ins.done.
-            """
-        )
+    def test_add_does_not_compare_databases(self, monkeypatch):
+        # Storing an answer is one dict probe: 200 ground answers with
+        # distinct final databases never call Database.__eq__ (a scan
+        # of the stored answers would make ~40,000 calls).
+        dbs = [parse_database("m(%d)." % i) for i in range(200)]
+        calls = []
+        eq = Database.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return eq(self, other)
+
+        monkeypatch.setattr(Database, "__eq__", counting_eq)
+        entry = TableEntry()
+        for i, db in enumerate(dbs):
+            assert entry.add((_c("v%d" % i),), db, ()) is not None
+        assert len(entry.answers) == 200
+        assert calls == []
+
+
+#: Two ways to pick: one binds the argument, one leaves it unbound with
+#: the same final database.
+_PICK = """
+pick(X) <- opt(X).
+pick(X) <- free.
+two(Y, Z) <- pick(Y) * pick(Z).
+"""
+
+
+class TestNonGroundAnswers:
+    @pytest.mark.parametrize(
+        "goal", ["two(Y, Z)", "pick(Y) * pick(Z)", "pick(Y) * ins.z * pick(Z)"]
+    )
+    def test_tabled_solutions_equal_naive(self, goal):
+        # Each pick answers Y = a and Y unbound, so every goal has four
+        # solutions; serving only the general answer would lose the
+        # bindings to a.
+        program = parse_program(_PICK)
         db = parse_database("opt(a). free.")
-        inst = Instrumentation.create()
-        with instrumented(inst):
-            sols = list(Interpreter(program).solve(parse_goal("go"), db))
-        naive = list(
-            Interpreter(program, tabling=False).solve(parse_goal("go"), db)
-        )
-        assert inst.metrics.counter("table.subsumed") >= 1
-        # Work-level collapse, solution-level equivalence: the served
-        # general answer covers the specific one.
-        assert {s.database for s in sols} == {s.database for s in naive}
+        goal = program.resolve_goal(parse_goal(goal))
+        tabled = _solution_set(Interpreter(program), goal, db)
+        naive = _solution_set(Interpreter(program, tabling=False), goal, db)
+        assert tabled == naive
+        assert len(tabled) == 4
 
 
 class TestDeltaKeys:
-    def test_same_database_costs_nothing(self):
-        table = AnswerTable()
-        db = parse_database("a(1). b(2).")
-        canon, _ = canonical_call(atom("p", _v("X")))
-        _, cost0 = table.entry(canon, db)
-        assert cost0 == 0  # first call snapshots the base
-        _, cost1 = table.entry(canon, db)
-        assert cost1 == 0  # identical database: empty delta
-
-    def test_delta_grows_with_divergence(self):
-        table = AnswerTable()
-        base = parse_database("a(1).")
-        canon, _ = canonical_call(atom("p", _v("X")))
-        table.entry(canon, base)
-        _, cost = table.entry(canon, parse_database("a(1). b(2). c(3)."))
-        assert cost > 0
+    """Table keys: one entry per (call shape, database) pair."""
 
     def test_distinct_databases_get_distinct_entries(self):
         table = AnswerTable()
         canon, _ = canonical_call(atom("p", _v("X")))
-        e1, _ = table.entry(canon, parse_database("a(1)."))
-        e2, _ = table.entry(canon, parse_database("a(2)."))
-        e1b, _ = table.entry(canon, parse_database("a(1)."))
+        e1 = table.entry(canon, parse_database("a(1)."))
+        e2 = table.entry(canon, parse_database("a(2)."))
+        e1b = table.entry(canon, parse_database("a(1)."))
         assert e1 is not e2
         assert e1 is e1b
 
@@ -174,13 +161,14 @@ class TestDeltaKeys:
         table = AnswerTable()
         db = parse_database("a(1).")
         canon, _ = canonical_call(atom("p", _v("X")))
-        entry, _ = table.entry(canon, db)
+        entry = table.entry(canon, db)
         entry.add((_c("a"),), db, ())
+        entry.add((_v("X"),), db, ())
         entry.complete = True
         warm = AnswerTable.restore(table.snapshot())
         served = warm.peek(canon, db)
         assert served is not None and served.complete
-        assert [a[:2] for a in served.order] == [a[:2] for a in entry.order]
+        assert list(served.answers.values()) == list(entry.answers.values())
 
 
 # -- solution-level differential ----------------------------------------------
@@ -366,7 +354,6 @@ class TestRecursiveSpeedup:
         )
         assert off.counter("unify.attempts") >= 5 * on.counter("unify.attempts")
         assert on.counter("table.hits") > 0
-        assert on.counter("table.delta_bytes") >= 0
         assert off.counter("table.hits") == 0
         assert off.counter("table.misses") == 0
 
@@ -395,6 +382,22 @@ class TestRecursiveSpeedup:
         )
 
 
+class TestKeyCap:
+    def test_capped_lookups_run_untabled_with_the_same_answers(self, monkeypatch):
+        from repro.core import tabling as tabling_module
+
+        program = parse_program(_RECURSIVE_TD)
+        goal, db = parse_goal("audit"), parse_database(_recursive_facts(4))
+        naive = _solution_set(Interpreter(program, tabling=False), goal, db)
+        monkeypatch.setattr(tabling_module, "MAX_KEYS", 2)
+        inst = Instrumentation.create()
+        with instrumented(inst):
+            capped = _solution_set(Interpreter(program), goal, db)
+        assert capped == naive
+        assert inst.metrics.gauge("table.capped") > 0
+        assert inst.metrics.gauge("table.keys") == 2
+
+
 # -- composition with fault injection -----------------------------------------
 
 
@@ -415,7 +418,6 @@ class TestTablingBypassedUnderFaults:
             )
         assert inst.metrics.counter("table.hits") == 0
         assert inst.metrics.counter("table.misses") == 0
-        assert inst.metrics.counter("table.delta_bytes") == 0
 
     def test_table_never_consulted_under_fault_injection(self, monkeypatch):
         # Fault plans target individual interleavings, so the chaos
