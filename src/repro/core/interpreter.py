@@ -53,6 +53,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -313,11 +314,13 @@ class Interpreter:
         ``None`` (the default) is zero-overhead.
     tabling:
         Enable answer tabling (default; see :mod:`repro.core.tabling`).
-        A call in head position -- and every ``iso`` sub-search --
-        executes once per (canonical call, database) pair and is served
-        from the answer table afterwards.  Every answer is stored,
-        non-ground ones included, so the reachable (answers, final
-        database) pairs are exactly the naive search's
+        A call in head position -- and every uncapped ``iso`` body --
+        executes once per (canonical call or body, database) pair and
+        is served from the answer table afterwards: both are entries of
+        one table, generated and served by one protocol.  Every answer
+        is stored, non-ground ones included, and binds the caller's
+        variables with their sharing intact, so the reachable (answers,
+        final database) pairs are exactly the naive search's
         (``tests/core/test_tabling.py`` and ``tests/property/`` are the
         differentials).  Same discipline as ``por``: bypassed
         automatically while a fault injector is attached, and
@@ -774,39 +777,54 @@ class Interpreter:
                 # current snapshot and flag every stacked generator so
                 # none of them completes on this round's information.
                 table.note_consumed(entry)
-        for answer in list(entry.answers.values()):
-            yield self._answer_step(atom, answer, residual)
-        if hit:
-            return
-        for answer in self._generate(entry, canon, db, budget, ev, deadline):
-            yield self._answer_step(atom, answer, residual)
+            answers = list(entry.answers.values())
+        else:
+            answers = self._generate(
+                entry,
+                lambda: (
+                    (rule.head, apply_subst(rule.body, theta),
+                     tuple(walk(a, theta) for a in canon.args))
+                    for rule, theta in self.program.match_rules(canon)
+                ),
+                db, budget, ev, deadline,
+            )
+        for values, final_db, trace in answers:
+            yield Step(
+                Action("table", atom=atom, subtrace=trace),
+                _bind(atom.args, values),
+                residual,
+                final_db,
+            )
 
-    def _generate(self, entry, canon, db, budget, ev, deadline):
-        """Generator for one table entry: run the matching rule bodies
-        under nested breadth-first searches, yielding each answer *new
-        to the entry* as it is found, and loop until the global answer
-        stamp stabilizes (consumer/generator suspension: a nested
-        occurrence of an in-progress key consumed a snapshot, so its
-        round must re-run once anything grew).  The entry completes only
-        if its final round depended on no in-progress entry but itself.
+    def _generate(self, entry, alternatives, db, budget, ev, deadline):
+        """Generator for one table entry: serve the answers it already
+        holds, then run each ``(head, body, answer terms)`` alternative
+        that ``alternatives()`` yields (a call's matching rules, or an
+        ``iso`` body alone with no head) under a nested breadth-first
+        search, yielding each answer *new to the entry* as it is found,
+        and loop until the global answer stamp stabilizes
+        (consumer/generator suspension: a nested occurrence of an
+        in-progress key consumed a snapshot, so its round must re-run
+        once anything grew).  The entry completes only if its final
+        round depended on no in-progress entry but itself.
         """
         table = self._table
         inner = ev.inner if ev is not None else None
+        # Active from the first served answer on: the DFS scheduler may
+        # pause this generator anywhere, and an ``iso`` of this body met
+        # meanwhile must run untabled, not generate this entry twice.
         entry.active = True
         table.generating.append(entry)
         try:
+            yield from list(entry.answers.values())
             while True:
                 before = table.stamp
                 entry.round_deps = set()
-                for rule, theta in self.program.match_rules(canon):
+                for head, body, answer_terms in alternatives():
                     token = None
-                    if inner is not None:
-                        token = inner.rule(rule.head, canon.pred)
+                    if inner is not None and head is not None:
+                        token = inner.rule(head, head.pred)
                     try:
-                        body = apply_subst(rule.body, theta)
-                        answer_terms = tuple(
-                            walk(a, theta) for a in canon.args
-                        )
                         for values, final_db, trace in self._bfs(
                             body, db, answer_terms, budget, True, inner, deadline
                         ):
@@ -833,36 +851,10 @@ class Interpreter:
                     return
         finally:
             entry.active = False
-            table.generating.pop()
-
-    def _answer_step(self, atom, answer, residual):
-        """Turn one cached answer into a transition step for the caller.
-
-        Bound answer positions bind the caller's variables; an unbound
-        position leaves the caller's variable free, with sharing between
-        positions preserved (the first caller variable to meet an answer
-        variable stands in for it).
-        """
-        values, final_db, trace = answer
-        fresh: Dict[Variable, Term] = {}
-        theta: Dict[Variable, Term] = {}
-        for arg, value in zip(atom.args, values):
-            if not isinstance(arg, Variable) or arg in theta:
-                continue
-            if isinstance(value, Variable):
-                # A repeated caller variable meets its own stand-in:
-                # binding it to itself would make ``walk`` loop.
-                first = fresh.setdefault(value, arg)
-                if first != arg:
-                    theta[arg] = first
-                continue
-            theta[arg] = value
-        return Step(
-            Action("table", atom=atom, subtrace=trace),
-            theta,
-            residual,
-            final_db,
-        )
+            # By identity, not by position: a depth-first step may pause
+            # an ``iso`` generator, so generators need not end in LIFO
+            # order.
+            table.generating.remove(entry)
 
     # -- DFS core ---------------------------------------------------------------
 
@@ -896,7 +888,7 @@ class Interpreter:
         # paper's workflow examples pin them), so the answer table is
         # used only where it cannot change a trace: pruning branches
         # whose head call has a *complete and empty* entry, plus the
-        # iso-execution memo inside the isolation runner.
+        # ``iso`` entries inside the isolation runner.
         table = self._table if self.faults is None else None
         limit_hits = 0  # depth-truncation events (blocks unsound fail-memo)
         trace: List[Action] = []
@@ -1067,88 +1059,53 @@ class Interpreter:
         # Nested searches report to the handle's inner view.
         ev = ev.inner if ev is not None else None
 
-        def executions(body: Formula, db: Database, sub_budget):
-            body_vars = ordered_variables(body)
-            for answers, final_db, trace in self._bfs(
-                body, db, body_vars, sub_budget, True, ev, deadline
-            ):
-                theta = {
-                    v: t
-                    for v, t in zip(body_vars, answers)
-                    if not isinstance(t, Variable)
-                }
-                yield theta, final_db, trace
-
-        def attempts(body: Formula, db: Database, sub_budget):
-            # Production time of each isolated execution lands under an
-            # "iso" phase frame; the frame is popped while the outer
-            # search consumes the step (see meter_phase), so a suspended
-            # sub-search never bleeds over its consumer's attribution.
-            gen = executions(body, db, sub_budget)
-            if ev is not None:
-                gen = ev.iso_phase(gen)
-            yield from gen
-
         def run_isolated(body: Formula, db: Database, cap: Optional[int] = None):
             # Complete iso executions are a pure function of (canonical
             # body, database) -- isolation admits no external
-            # interleaving -- so uncapped attempts are memoized in the
-            # answer table (capped attempts are budget-dependent and
-            # bypass it; so does everything under fault injection).
+            # interleaving -- so an uncapped body is a table entry,
+            # generated like a call whose only rule body is the body
+            # itself (capped attempts are budget-dependent and bypass
+            # the table; so does everything under fault injection).
+            shape, varseq = _ckey_pair(body, self.sort_concurrent)
             table = self._table if self.faults is None else None
-            entry = varseq = None
+            entry = None
             if table is not None and cap is None:
-                shape, varseq = _ckey_pair(body, self.sort_concurrent)
-                entry = table.iso_entry(shape, db)
-                if entry is not None and ev is not None:
+                entry = table.entry(shape, db)
+            if entry is not None:
+                if ev is not None:
                     ev.table_probe(entry.complete)
-                if entry is not None and entry.complete:
+                if entry.complete:
                     if ev is not None:
                         ev.iso_hit(body, len(entry.answers))
                     for values, final_db, trace in list(entry.answers.values()):
-                        theta = {
-                            v: t
-                            for v, t in zip(varseq, values)
-                            if not isinstance(t, Variable)
-                        }
-                        yield theta, final_db, trace
+                        yield _bind(varseq, values), final_db, trace
                     return
-
-            def produce(sub_budget):
-                gen = attempts(body, db, sub_budget)
-                if entry is None or entry.active:
-                    # Untabled, or a recursive attempt on a body whose
-                    # outer enumeration is already recording.
-                    yield from gen
-                    return
-                entry.active = True
-                entry.round_deps = set()
-                table.generating.append(entry)
-                try:
-                    for theta, final_db, trace in gen:
-                        entry.add(
-                            tuple(theta.get(v, v) for v in varseq),
-                            final_db,
-                            trace,
-                        )
-                        yield theta, final_db, trace
-                finally:
-                    entry.active = False
-                    table.generating.remove(entry)
-                # Reached only on natural exhaustion (an abandoned or
-                # interrupted enumeration is a warm prefix, never
-                # complete); sound only if no in-progress call entry
-                # fed this enumeration.
-                if not (entry.round_deps - {id(entry)}):
-                    entry.complete = True
-
+                if entry.active:
+                    # Met again while its generator is live.  Depth-first
+                    # ``expand`` is lazy, so that generator may be an
+                    # earlier step paused after its first answers, not an
+                    # enclosing search: its snapshot can be incomplete,
+                    # and no round re-runs for this consumer.  Run
+                    # untabled instead.
+                    entry = None
             sub_budget = budget if cap is None else _CappedBudget(budget, cap)
+            if entry is None:
+                gen = self._bfs(body, db, varseq, sub_budget, True, ev, deadline)
+            else:
+                gen = self._generate(
+                    entry, lambda: ((None, body, varseq),), db, sub_budget,
+                    ev, deadline,
+                )
+            if ev is not None:
+                # Production time lands under an "iso" phase frame,
+                # popped while the outer search consumes the step (see
+                # meter_phase), so a suspended sub-search never bleeds
+                # over its consumer's attribution.
+                gen = ev.iso_phase(gen)
             try:
-                if ev is None:
-                    yield from produce(sub_budget)
-                    return
-                with ev.iso(body):
-                    yield from produce(sub_budget)
+                with ev.iso(body) if ev is not None else nullcontext():
+                    for values, final_db, trace in gen:
+                        yield _bind(varseq, values), final_db, trace
             except AttemptBudgetExceeded as exc:
                 # A bounded attempt (iso[k]) ran out of its private cap:
                 # by rollback-on-failure this is ordinary *failure* of
@@ -1159,7 +1116,6 @@ class Interpreter:
                     raise
                 if ev is not None:
                     ev.attempt_exhausted()
-                return
 
         return run_isolated
 
@@ -1212,6 +1168,32 @@ def _commit_execution(store, trace) -> None:
         raise
     else:
         store.release(sp)
+
+
+def _bind(args, values) -> Substitution:
+    """The caller's bindings for one answer: *args* are the caller's
+    terms (a call's arguments, or an ``iso`` body's variables) and
+    *values* the answer's, position by position.
+
+    Bound answer positions bind the caller's variables; an unbound
+    position leaves the caller's variable free, with sharing between
+    positions preserved (the first caller variable to meet an answer
+    variable stands in for it).
+    """
+    fresh: Dict[Variable, Term] = {}
+    theta: Dict[Variable, Term] = {}
+    for arg, value in zip(args, values):
+        if not isinstance(arg, Variable) or arg in theta:
+            continue
+        if isinstance(value, Variable):
+            # A repeated caller variable meets its own stand-in:
+            # binding it to itself would make ``walk`` loop.
+            first = fresh.setdefault(value, arg)
+            if first != arg:
+                theta[arg] = first
+            continue
+        theta[arg] = value
+    return theta
 
 
 def _head_call(proc: Formula) -> Optional[Tuple[Atom, Tuple[Formula, ...]]]:

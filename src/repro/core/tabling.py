@@ -19,12 +19,13 @@ only sound in restricted positions:
 
 * An ``iso(body)`` sub-search is atomic by construction, so its
   complete execution set is likewise a pure function of
-  ``(canonical body, database)`` and is memoized the same way.
+  ``(canonical body, database)``.  It is an entry of the same table,
+  generated like a call whose only rule body is ``body``.
 
-A table key is the pair ``(canonical call, database)``: states are
-immutable and cache their hash, so a lookup costs one dict probe,
-exactly as in the sequential evaluator's table.  Each entry keeps its
-answers -- normalized values plus final database -- in one
+A table key is the pair ``(canonical call or body shape, database)``:
+states are immutable and cache their hash, so a lookup costs one dict
+probe, exactly as in the sequential evaluator's table.  Each entry
+keeps its answers -- normalized values plus final database -- in one
 insertion-ordered dict, which is both the dedup index and the serve
 order.  Every answer is kept, non-ground ones included, so the tabled
 search returns exactly the naive search's (answers, final database)
@@ -32,11 +33,15 @@ pairs; the differential oracles in ``tests/core/test_tabling.py`` and
 ``tests/property/`` pin that.
 
 Recursive calls use consumer/generator **suspension** in the local-SLG
-style: the generator for a key iterates the matching rule bodies; a
-nested occurrence of an in-progress key consumes the current answer
-snapshot instead of re-expanding, and the generator loops until a
-global answer stamp stabilizes.  An entry is marked complete only when
-its final round depended on no in-progress key other than itself.
+style: the generator for a key iterates its alternatives (the matching
+rule bodies of a call, or the one body of an ``iso``); a nested
+occurrence of an in-progress call consumes the current answer snapshot
+instead of re-expanding, and the generator loops until a global answer
+stamp stabilizes.  An entry is marked complete only when its final
+round depended on no in-progress key other than itself.  An
+in-progress ``iso`` body met again runs untabled instead: the
+depth-first scheduler pulls steps lazily, so its generator may be a
+paused earlier step rather than an enclosing one.
 
 ``tabling=False`` on the interpreter keeps the naive search as the
 differential oracle, and -- same discipline as ``por=False`` -- tabling
@@ -132,7 +137,7 @@ def _normalize_values(values: Tuple[Term, ...]) -> Tuple[Term, ...]:
 #: produced it (replayable via ``replay_actions``).
 _Answer = Tuple[Tuple[Term, ...], Database, Tuple[object, ...]]
 
-#: Bound on the interned keys of one table (call and iso combined):
+#: Bound on the interned keys of one table (calls and iso bodies alike):
 #: past it, new keys run untabled (``table.capped`` counts), so an
 #: adversarial workload degrades to the naive search instead of
 #: exhausting memory.
@@ -140,7 +145,7 @@ MAX_KEYS = 100_000
 
 
 class TableEntry:
-    """All known answers for one ``(canonical call, database)`` key.
+    """All known answers for one ``(canonical call or body, database)`` key.
 
     ``answers`` maps each normalized ``(values, final_db)`` pair to its
     record, in discovery order -- the serve order, which keeps tabled
@@ -171,8 +176,10 @@ class TableEntry:
 
 
 class AnswerTable:
-    """The per-interpreter table: call entries plus the iso memo, both
-    keyed by ``(shape, database)``.
+    """The per-interpreter table: one entry per ``(key, database)``, where
+    the key is a canonical call atom or a canonical ``iso`` body shape
+    (``transitions._ckey_pair``).  An atom never equals a shape tuple,
+    so calls and ``iso`` bodies share one key space without colliding.
 
     ``stamp`` increments on every stored answer anywhere, which is the
     generators' global fixpoint signal.  ``generating`` is the stack of
@@ -183,38 +190,29 @@ class AnswerTable:
     """
 
     def __init__(self):
-        self._calls: Dict[Tuple[Atom, Database], TableEntry] = {}
-        self._iso: Dict[Tuple[object, Database], TableEntry] = {}
+        self._entries: Dict[Tuple[object, Database], TableEntry] = {}
         self.stamp = 0
         self.generating: List[TableEntry] = []
         self.capped = 0
 
     @property
     def keys(self) -> int:
-        return len(self._calls) + len(self._iso)
+        return len(self._entries)
 
-    def entry(self, canon: Atom, db: Database) -> Optional[TableEntry]:
-        """The entry for ``(canon, db)``, interning one if needed;
+    def entry(self, key: object, db: Database) -> Optional[TableEntry]:
+        """The entry for ``(key, db)``, interning one if needed;
         ``None`` when the key cap is reached."""
-        return self._intern(self._calls, (canon, db))
-
-    def peek(self, canon: Atom, db: Database) -> Optional[TableEntry]:
-        """The entry for ``(canon, db)`` if one exists (no interning)."""
-        return self._calls.get((canon, db))
-
-    def iso_entry(self, body_key: object, db: Database) -> Optional[TableEntry]:
-        """Same contract as :meth:`entry`, keyed by a canonical body
-        shape (``transitions._ckey_pair``) instead of a call atom."""
-        return self._intern(self._iso, (body_key, db))
-
-    def _intern(self, entries: Dict, key: tuple) -> Optional[TableEntry]:
-        entry = entries.get(key)
+        entry = self._entries.get((key, db))
         if entry is None:
-            if self.keys >= MAX_KEYS:
+            if len(self._entries) >= MAX_KEYS:
                 self.capped += 1
                 return None
-            entry = entries[key] = TableEntry()
+            entry = self._entries[(key, db)] = TableEntry()
         return entry
+
+    def peek(self, key: object, db: Database) -> Optional[TableEntry]:
+        """The entry for ``(key, db)`` if one exists (no interning)."""
+        return self._entries.get((key, db))
 
     def note_consumed(self, entry: TableEntry) -> None:
         """An in-progress *entry*'s snapshot was served: no generator on
@@ -223,37 +221,28 @@ class AnswerTable:
             g.round_deps.add(id(entry))
 
     def answer_count(self) -> int:
-        return sum(
-            len(e.answers)
-            for entries in (self._calls, self._iso)
-            for e in entries.values()
-        )
+        return sum(len(e.answers) for e in self._entries.values())
 
     # -- checkpoint support ------------------------------------------------------
 
     def snapshot(self) -> tuple:
         """A picklable warm-table snapshot for :class:`Checkpoint`: one
-        ``(key, complete, answers)`` row per entry, for the call entries
-        and the iso memo.
+        ``(key, complete, answers)`` row per entry.
 
         An entry interrupted mid-generation is kept as a warm incomplete
         entry; the transient generator state (``active``,
         ``round_deps``) is deliberately not part of it.
         """
         return tuple(
-            tuple(
-                (key, e.complete and not e.active, tuple(e.answers.values()))
-                for key, e in entries.items()
-            )
-            for entries in (self._calls, self._iso)
+            (key, e.complete and not e.active, tuple(e.answers.values()))
+            for key, e in self._entries.items()
         )
 
     @classmethod
     def restore(cls, snap: tuple) -> "AnswerTable":
         table = cls()
-        for entries, rows in zip((table._calls, table._iso), snap):
-            for key, complete, answers in rows:
-                entry = entries[key] = TableEntry()
-                entry.answers = {(a[0], a[1]): a for a in answers}
-                entry.complete = complete
+        for key, complete, answers in snap:
+            entry = table._entries[key] = TableEntry()
+            entry.answers = {(a[0], a[1]): a for a in answers}
+            entry.complete = complete
         return table

@@ -310,8 +310,8 @@ class Observers:
                      witness={"answers": 0, "complete": True})
 
     def iso_hit(self, body, answers: int) -> None:
-        """An ``iso`` body is served from its memo: a trace event and the
-        hit credit."""
+        """An ``iso`` body is served from its complete table entry: a
+        trace event and the hit credit."""
         inst = self.instrumentation
         if inst is not None:
             inst.tracer.event("table.hit", iso=str(body))

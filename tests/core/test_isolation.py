@@ -8,6 +8,7 @@ Isolation is the paper's bridge from processes back to transactions:
 import pytest
 
 from repro import Database, Interpreter, atom, parse_database, parse_goal, parse_program
+from repro.core.terms import Variable
 
 
 def interp(text, **kw):
@@ -134,3 +135,66 @@ class TestNestedTransactions:
         iso_actions = [a for a in exe.trace if a.kind == "iso"]
         assert len(iso_actions) == 1
         assert any(sub.kind == "ins" for sub in iso_actions[0].subtrace)
+
+
+class TestIsoAnswers:
+    """``iso(a)`` is one transition carrying the body's whole answer
+    (docs/SEMANTICS.md, rule [iso]): bindings between two variables are
+    part of it, whether the body is generated, served from the table or
+    run untabled."""
+
+    SHARE = "s(U, U) <- f."
+
+    @pytest.mark.parametrize("tabling", [True, False])
+    def test_iso_binds_shared_variables_to_one_variable(self, tabling):
+        i = interp(self.SHARE, tabling=tabling)
+        (sol,) = i.solve(parse_goal("iso(s(Y, Z))"), parse_database("f."))
+        y, z = sol.bindings[Variable("Y")], sol.bindings[Variable("Z")]
+        assert isinstance(y, Variable)
+        assert y == z
+
+    @pytest.mark.parametrize("tabling", [True, False])
+    def test_shared_variables_cannot_take_two_values_in_solve(self, tabling):
+        db = parse_database("f. p(a). q(b).")
+        for goal in ("s(Y, Z) * p(Y) * q(Z)", "iso(s(Y, Z)) * p(Y) * q(Z)"):
+            i = interp(self.SHARE, tabling=tabling)
+            assert list(i.solve(parse_goal(goal), db)) == [], goal
+
+    @pytest.mark.parametrize("tabling", [True, False])
+    def test_shared_variables_cannot_take_two_values_in_simulate(self, tabling):
+        i = interp(self.SHARE, tabling=tabling)
+        goal = parse_goal("iso(s(Y, Z)) * p(Y) * q(Z)")
+        assert i.simulate(goal, parse_database("f. p(a). q(b).")) is None
+
+    @pytest.mark.parametrize("tabling", [True, False])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize(
+        "warmup, facts, answer",
+        [
+            # Unseeded DFS pulls the first iso's executions lazily, so
+            # when iso(pick(Y)) meets the same body and database, the
+            # first one's generator is paused after X = 1.  Serving that
+            # partial snapshot would offer only Y = 1.
+            (None, "q(1). q(2). q(3). r(1, 3).", ("1", "3")),
+            # The warm-up leaves the entry warm with X = 1, and the first
+            # iso pauses while serving it.  A second generator would
+            # store Y = 1..3, and the first would skip X = 2 and X = 3
+            # as duplicates.
+            ("iso(pick(X))", "q(1). q(2). q(3). r(1, 5). r(2, 1).", ("2", "1")),
+        ],
+        ids=["generating", "serving-warm-entry"],
+    )
+    def test_body_met_while_its_generator_is_paused_runs_untabled(
+        self, warmup, facts, answer, tabling, seed
+    ):
+        i = interp("pick(X) <- q(X).", tabling=tabling)
+        db = parse_database(facts)
+        if warmup is not None:
+            assert i.simulate(parse_goal(warmup), db, seed=seed) is not None
+        exe = i.simulate(
+            parse_goal("iso(pick(X)) * iso(pick(Y)) * r(X, Y)"), db, seed=seed
+        )
+        assert exe is not None
+        assert {str(v): str(t) for v, t in exe.bindings.items()} == dict(
+            zip("XY", answer)
+        )

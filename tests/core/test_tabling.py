@@ -387,15 +387,19 @@ class TestKeyCap:
         from repro.core import tabling as tabling_module
 
         program = parse_program(_RECURSIVE_TD)
-        goal, db = parse_goal("audit"), parse_database(_recursive_facts(4))
-        naive = _solution_set(Interpreter(program, tabling=False), goal, db)
+        db = parse_database(_recursive_facts(4))
         monkeypatch.setattr(tabling_module, "MAX_KEYS", 2)
-        inst = Instrumentation.create()
-        with instrumented(inst):
-            capped = _solution_set(Interpreter(program), goal, db)
-        assert capped == naive
-        assert inst.metrics.gauge("table.capped") > 0
-        assert inst.metrics.gauge("table.keys") == 2
+        # The second goal's iso body is looked up after the cap is
+        # reached, so it too runs untabled.
+        for text in ("audit", "audit * iso(audit)"):
+            goal = parse_goal(text)
+            naive = _solution_set(Interpreter(program, tabling=False), goal, db)
+            inst = Instrumentation.create()
+            with instrumented(inst):
+                capped = _solution_set(Interpreter(program), goal, db)
+            assert capped == naive, text
+            assert inst.metrics.gauge("table.capped") > 0
+            assert inst.metrics.gauge("table.keys") == 2
 
 
 # -- composition with fault injection -----------------------------------------
@@ -430,8 +434,8 @@ class TestTablingBypassedUnderFaults:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("answer table consulted under fault injection")
 
+        # One lookup serves head calls and iso bodies alike.
         monkeypatch.setattr(tabling_module.AnswerTable, "entry", boom)
-        monkeypatch.setattr(tabling_module.AnswerTable, "iso_entry", boom)
         program = parse_program(_BANK_TD)
         plan = generate_plan(seed=3, predicates=("balance",), agents=())
         interp = Interpreter(program, faults=FaultInjector(plan))

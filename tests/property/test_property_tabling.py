@@ -1,12 +1,15 @@
-"""Property-based differential: the tabled interpreter against the naive
-search (``tabling=False``) on generated programs with non-ground answers.
+"""Property-based differentials on generated programs with non-ground
+answers: the tabled interpreter against the naive search
+(``tabling=False``), and ``iso(G)`` against ``G``.
 
 Rules for ``r/1`` and ``s/2`` may leave head variables unbound, bind
-them through base tests, or share them through a nested call, and the
-goals repeat head-position calls before and after an update -- the
-shapes on which a table that merged or dropped answers would lose
-solutions.  Tabled and naive solution sets must be equal, with the
-partial-order reducer on and off.
+them through base tests, or share them through a nested call, plain or
+isolated, and the goals repeat head-position calls before and after an
+update -- the shapes on which a table that merged or dropped answers
+would lose solutions.  Tabled and naive solution sets must be equal,
+with the partial-order reducer on and off.  With nothing running beside
+it, ``iso(G)`` is one atomic step carrying G's whole answer, so it must
+have G's solutions, with tabling on and off.
 """
 
 import hypothesis.strategies as st
@@ -18,7 +21,9 @@ from repro.core.terms import Variable
 _UPDATES = ["ins.f", "del.f", "ins.o(b)", "del.o(a)"]
 
 _R_BODY = st.sampled_from(
-    ["o(X)", "o(a)", "f", "not o(b)", "s(X, W)", "s(W, X)", "s(X, X)"] + _UPDATES
+    ["o(X)", "o(a)", "f", "not o(b)", "s(X, W)", "s(W, X)", "s(X, X)"]
+    + ["iso(s(X, W))", "iso(s(X, X) * ins.f)"]
+    + _UPDATES
 )
 _S_BODY = st.sampled_from(["o(U)", "o(V)", "f", "not f", "ins.o(a)", "del.f"])
 
@@ -46,6 +51,7 @@ def goals(draw):
     return draw(
         st.sampled_from(
             [
+                "s(Y, Z)",
                 "r(Y) * r(Z)",
                 "r(Y) * %s * r(Z)" % update,
                 "r(Y) * %s * r(Y)" % update,
@@ -88,6 +94,18 @@ class TestTabledEqualsNaive:
         tabled = _solutions(Interpreter(program, por=por), goal, db)
         naive = _solutions(Interpreter(program, por=por, tabling=False), goal, db)
         assert tabled == naive
+
+
+class TestIsoLaw:
+    @settings(max_examples=150, deadline=None)
+    @given(programs(), goals(), small_dbs())
+    def test_iso_goal_has_the_goals_solutions(self, program, goal, db):
+        plain = program.resolve_goal(parse_goal(goal))
+        isolated = program.resolve_goal(parse_goal("iso(%s)" % goal))
+        for tabling in (True, False):
+            expected = _solutions(Interpreter(program, tabling=tabling), plain, db)
+            got = _solutions(Interpreter(program, tabling=tabling), isolated, db)
+            assert got == expected, tabling
 
 
 class TestPinnedCounterexamples:
