@@ -319,16 +319,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> int:
-    from .verify import diagnose
-
-    program = _load_program(args.program)
-    db = _load_db(args.db)
-    report = diagnose(program, args.goal, db, max_states=args.max_states)
-    print(report.summary())
-    return 0 if report.committed else 1
-
-
 def _cmd_repl(args: argparse.Namespace) -> int:
     from .repl import Repl
 
@@ -394,8 +384,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     * ``explain PROGRAM --goal G``: run the goal with a provenance
       recorder attached and print the proof tree of each solution.
     * ``explain PROGRAM --goal G --why-not``: print the failure-side
-      summary instead (also the automatic fallback when the goal has no
-      solution).
+      summary instead, with what the dead branches wait for (also the
+      automatic fallback when the goal has no solution).  In ``auto``
+      mode the failure side is the interpreter's breadth-first search:
+      the sequential evaluator's big-step recording has no dead leaves.
     * ``explain --audit-por [--suite NAME]``: re-verify every recorded
       ample-set pruning decision against its witness and replay with
       reduction off; with a PROGRAM and --goal the audit runs on that
@@ -435,9 +427,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     # Run with a cost attributor alongside the recorder so the why-not
     # report can say not just *where* branches died but what they cost.
     attr = CostAttributor()
+    mode = "bfs" if args.why_not and args.mode == "auto" else args.mode
     with attributing(attr):
         recorder, solutions = _explain.explain_goal(
-            program, args.goal, db, mode=args.mode, max_configs=args.max_configs
+            program, args.goal, db, mode=mode, max_configs=args.max_configs
         )
     attr.mark()
     if args.json:
@@ -831,15 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_graph.set_defaults(fn=_cmd_graph)
 
-    p_diag = sub.add_parser(
-        "diagnose", help="explain why a goal can or cannot commit"
-    )
-    p_diag.add_argument("program", **common)
-    p_diag.add_argument("--goal", required=True, help="goal to diagnose")
-    p_diag.add_argument("--db", help="path to an initial-database facts file")
-    p_diag.add_argument("--max-states", type=int, default=100_000)
-    p_diag.set_defaults(fn=_cmd_diagnose)
-
     p_repl = sub.add_parser("repl", help="interactive TD session")
     p_repl.set_defaults(fn=_cmd_repl)
 
@@ -896,7 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument(
         "--top", type=int, default=5, metavar="K",
-        help="deepest partial derivations to show in --why-not (default 5)",
+        help="blockers and deepest partial derivations to show in "
+             "--why-not (default 5)",
     )
     p_explain.add_argument(
         "--dot", metavar="FILE",
@@ -1089,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.set_defaults(fn=_cmd_chaos)
 
     for command in (
-        p_classify, p_solve, p_run, p_graph, p_diag, p_repl, p_analyze,
+        p_classify, p_solve, p_run, p_graph, p_repl, p_analyze,
         p_explain, p_chaos,
     ):
         _add_obs_flags(command)

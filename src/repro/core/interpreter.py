@@ -86,6 +86,7 @@ from .transitions import (
     dead_config,
     enabled_steps,
     frontier_blocked,
+    frontier_blockers,
     is_final,
     replay_into_store,
     update_footprint,
@@ -352,12 +353,13 @@ class Interpreter:
         self._reducer = (
             PartialOrderReducer(program) if (por and not por_forced_off()) else None
         )
-        #: Effective tabling switch and the per-interpreter answer table
-        #: (persistent across searches, like the sequential engine's).
-        #: The table is consulted only while no fault injector is
-        #: attached -- same bypass as the reducer.
+        #: Effective tabling switch and the answer table, kept across
+        #: searches from one initial database (see
+        #: :meth:`_resolve_state`).  The table is consulted only while
+        #: no fault injector is attached -- same bypass as the reducer.
         self.tabling = tabling and not tabling_forced_off()
         self._table = AnswerTable() if self.tabling else None
+        self._table_db: Optional[Database] = None
 
     def _enabled_steps(self, proc, db, isol_runner, ev=None, parent=None):
         """The transition relation this search uses: partial-order
@@ -376,9 +378,25 @@ class Interpreter:
         return _Budget(self.max_configs, ev)
 
     def _resolve_state(self, db: Optional[Database]):
-        """Resolve ``(store, initial db)`` for one search entry (see
-        :func:`_resolve_store`)."""
-        return _resolve_store(self.store, db)
+        """Resolve ``(store, initial db)`` for one top-level search entry
+        (see :func:`_resolve_store`).
+
+        A table serves one initial database: an entry that starts from
+        another state than the previous entry did starts with an empty
+        table, so a long-lived interpreter over a store does not keep
+        every state it committed.  An interleaved breadth-first search
+        survives the swap: it yields only between expansions, when none
+        of its generations is running, and later ones use the new table.
+        """
+        store, db = _resolve_store(self.store, db)
+        prev = self._table_db
+        if (
+            self._table is not None and self._table.keys and db is not prev
+            and (hash(db) != hash(prev) or db != prev)
+        ):
+            self._table = AnswerTable()
+        self._table_db = db
+        return store, db
 
     # -- public API -------------------------------------------------------------
 
@@ -648,7 +666,7 @@ class Interpreter:
                     steps = self._enabled_steps(
                         config.process,
                         config.database,
-                        self._isol_runner(budget, ev, deadline),
+                        self._isol_runner(budget, ev, deadline, parent),
                         ev,
                         parent,
                     )
@@ -663,7 +681,8 @@ class Interpreter:
                         step.residual, step.database, insertable, deletable, step.subst
                     ):
                         if ev is not None:
-                            ev.child(step, parent, "dead-config")
+                            ev.child(step, parent, "dead-config", lambda: frontier_blockers(
+                                step.residual, step.database, step.subst))
                         continue
                     new_proc = apply_subst(step.residual, step.subst)
                     new_answers = tuple(walk(t, step.subst) for t in config.answers)
@@ -684,7 +703,8 @@ class Interpreter:
                         node_ids[key] = ev.child(step, parent)
                         ev.frontier(len(frontier))
                 if ev is not None and not stepped:
-                    ev.mark(node_ids.get(config_key), "failed-unify")
+                    ev.failed(node_ids.get(config_key), lambda: frontier_blockers(
+                        config.process, config.database))
             except (SearchBudgetExceeded, DeadlineExceeded) as exc:
                 # Interrupted mid-expansion: re-queue the current
                 # configuration (successors already discovered stay in
@@ -760,7 +780,7 @@ class Interpreter:
         if entry is None:
             # Key cap reached: this call runs untabled.
             yield from self._enabled_steps(
-                proc, db, self._isol_runner(budget, ev, deadline), ev, parent
+                proc, db, self._isol_runner(budget, ev, deadline, parent), ev, parent
             )
             return
         residual = seq(*rest) if rest else TRUTH
@@ -786,7 +806,8 @@ class Interpreter:
                      tuple(walk(a, theta) for a in canon.args))
                     for rule, theta in self.program.match_rules(canon)
                 ),
-                db, budget, ev, deadline,
+                db, budget, ev.call(atom, parent) if ev is not None else None,
+                deadline,
             )
         for values, final_db, trace in answers:
             yield Step(
@@ -806,10 +827,10 @@ class Interpreter:
         (consumer/generator suspension: a nested occurrence of an
         in-progress key consumed a snapshot, so its round must re-run
         once anything grew).  The entry completes only if its final
-        round depended on no in-progress entry but itself.
+        round depended on no in-progress entry but itself.  *ev* is the
+        nested handle of the ``call`` or ``iso`` node that started it.
         """
         table = self._table
-        inner = ev.inner if ev is not None else None
         # Active from the first served answer on: the DFS scheduler may
         # pause this generator anywhere, and an ``iso`` of this body met
         # meanwhile must run untabled, not generate this entry twice.
@@ -822,11 +843,11 @@ class Interpreter:
                 entry.round_deps = set()
                 for head, body, answer_terms in alternatives():
                     token = None
-                    if inner is not None and head is not None:
-                        token = inner.rule(head, head.pred)
+                    if ev is not None and head is not None:
+                        token = ev.rule(head, head.pred)
                     try:
                         for values, final_db, trace in self._bfs(
-                            body, db, answer_terms, budget, True, inner, deadline
+                            body, db, answer_terms, budget, True, ev, deadline
                         ):
                             added = entry.add(values, final_db, trace)
                             if added is not None:
@@ -834,7 +855,7 @@ class Interpreter:
                                 yield added
                     finally:
                         if token is not None:
-                            inner.leave(token)
+                            ev.leave(token)
                 deps = entry.round_deps - {id(entry)}
                 if not entry.round_deps:
                     # The round consumed nothing in flight: it saw only
@@ -930,7 +951,7 @@ class Interpreter:
             if deadline is not None:
                 deadline.check()
             steps = self._enabled_steps(
-                proc, state, self._isol_runner(budget, ev, deadline), ev, pnode
+                proc, state, self._isol_runner(budget, ev, deadline, pnode), ev, pnode
             )
             if faults is not None:
                 steps = faults.perturb(proc, state, steps)
@@ -947,7 +968,8 @@ class Interpreter:
                     step.residual, step.database, insertable, deletable, theta
                 ):
                     if ev is not None:
-                        ev.child(step, pnode, "dead-config")
+                        ev.child(step, pnode, "dead-config", lambda: frontier_blockers(
+                            step.residual, step.database, theta))
                     continue
                 if frontier_blocked(step.local, step.database, theta):
                     deferred.append(step)
@@ -1040,7 +1062,10 @@ class Interpreter:
                         key = canonical_key(proc, self.sort_concurrent)
                     failed.setdefault(state, set()).add(key)
                 if ev is not None:
-                    ev.mark(fnode, "backtracked" if frame[7] else "failed-unify")
+                    if frame[7]:
+                        ev.mark(fnode, "backtracked")
+                    else:
+                        ev.failed(fnode, lambda: frontier_blockers(frame[0], frame[1]))
                 stack.pop()
                 if trace:
                     trace.pop()
@@ -1055,9 +1080,11 @@ class Interpreter:
         budget,
         ev: Optional[_context.Observers] = None,
         deadline: Optional[Deadline] = None,
+        parent: Optional[int] = None,
     ):
-        # Nested searches report to the handle's inner view.
-        ev = ev.inner if ev is not None else None
+        """The ``iso`` executor for one expansion; *parent* is the node of
+        the configuration being expanded, which a nested search's ``iso``
+        node hangs under."""
 
         def run_isolated(body: Formula, db: Database, cap: Optional[int] = None):
             # Complete iso executions are a pure function of (canonical
@@ -1089,12 +1116,13 @@ class Interpreter:
                     # untabled instead.
                     entry = None
             sub_budget = budget if cap is None else _CappedBudget(budget, cap)
+            sub = ev.isolated(body, parent) if ev is not None else None
             if entry is None:
-                gen = self._bfs(body, db, varseq, sub_budget, True, ev, deadline)
+                gen = self._bfs(body, db, varseq, sub_budget, True, sub, deadline)
             else:
                 gen = self._generate(
                     entry, lambda: ((None, body, varseq),), db, sub_budget,
-                    ev, deadline,
+                    sub, deadline,
                 )
             if ev is not None:
                 # Production time lands under an "iso" phase frame,

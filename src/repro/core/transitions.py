@@ -47,6 +47,7 @@ from .formulas import (
     Test,
     TRUTH,
     Truth,
+    apply_subst,
     conc,
     seq,
     walk_formulas,
@@ -64,6 +65,7 @@ __all__ = [
     "canonical_key",
     "update_footprint",
     "dead_config",
+    "frontier_blockers",
 ]
 
 
@@ -646,6 +648,37 @@ def frontier_blocked(proc: Formula, db: Database, subst: Substitution = {}) -> b
             return not verdict
         return frontier_blocked(proc.body, db, subst)
     return False
+
+
+def frontier_blockers(
+    proc: Formula, db: Database, subst: Substitution = {}
+) -> List[str]:
+    """What the frontier of ``apply_subst(proc, subst)`` waits for, in
+    words: each tuple test with no matching fact, absence test that
+    fails, or builtin that fails or is unbound, in tree order; reasons
+    from an ``iso`` body are marked ``inside iso:``.  Empty when nothing
+    on the frontier is blocked (*subst* is applied at the leaves, as in
+    :func:`dead_config`)."""
+    if isinstance(proc, Test):
+        if not db.holds(proc.atom, subst):
+            return ["waiting for fact %s" % _display_atom(apply_atom(proc.atom, subst))]
+    elif isinstance(proc, Neg):
+        if db.holds(proc.atom, subst):
+            return ["waiting for absence of %s"
+                    % _display_atom(apply_atom(proc.atom, subst))]
+    elif isinstance(proc, Builtin):
+        try:
+            if proc.evaluate(subst) is None:
+                return ["guard fails: %s" % apply_subst(proc, subst)]
+        except ValueError:
+            return ["unbound builtin: %s" % apply_subst(proc, subst)]
+    elif isinstance(proc, Seq):
+        return frontier_blockers(proc.parts[0], db, subst)
+    elif isinstance(proc, Conc):
+        return [r for part in proc.parts for r in frontier_blockers(part, db, subst)]
+    elif isinstance(proc, Isol):
+        return ["inside iso: " + r for r in frontier_blockers(proc.body, db, subst)]
+    return []
 
 
 def _pure_read_satisfiable(

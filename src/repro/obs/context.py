@@ -15,8 +15,9 @@ report site is ``if ev is not None: ev.<event>(...)``; the event methods
 on :class:`Observers` fan out to whichever channels are on, so counter
 names, provenance node shapes and attribution charges live here only
 (docs/OBSERVABILITY.md has the event table).  Nested searches -- ``iso``
-bodies and table generations -- report to :attr:`Observers.inner`: the
-same metrics and attributor, no recorder.
+bodies and table generations -- report to :meth:`Observers.nested`: the
+same three channels, with the nested search's derivation hung under the
+``call`` or ``iso`` node that started it.
 
 A generator entry re-installs the handle around each pull
 (:func:`observed_pulls`) and a plain function installs it for its block
@@ -97,20 +98,29 @@ class Observers:
     reports to every channel that is on, in a fixed order.
     """
 
-    __slots__ = ("instrumentation", "recorder", "attributor", "inner")
+    __slots__ = ("instrumentation", "recorder", "attributor", "top", "under")
 
     def __init__(self, instrumentation=None, recorder=None, attributor=None):
         self.instrumentation = instrumentation
         self.recorder = recorder
         self.attributor = attributor
-        #: What nested searches report to: no recorder, or ``None`` when
-        #: the recorder is the only channel on.
-        if recorder is None:
-            self.inner = self
-        elif instrumentation is not None or attributor is not None:
-            self.inner = Observers(instrumentation, None, attributor)
-        else:
-            self.inner = None
+        #: False in a :meth:`nested` view, whose root node hangs under
+        #: ``under``.
+        self.top = True
+        self.under: Optional[int] = None
+
+    def nested(self, parent: Optional[int]) -> "Observers":
+        """The handle a nested search -- a table generation or an ``iso``
+        body -- reports to: the same three channels, with the nested
+        root recorded under *parent* and the nested final configurations
+        marked ``nested-final``, so only the goal's answers count as
+        solutions.  ``self`` when no recorder is on."""
+        if self.recorder is None:
+            return self
+        view = Observers(self.instrumentation, self.recorder, self.attributor)
+        view.top = False
+        view.under = parent
+        return view
 
     def _inc(self, name: str, n: int = 1) -> None:
         inst = self.instrumentation
@@ -188,23 +198,31 @@ class Observers:
     # -- configurations (small-step engines) -----------------------------------
 
     def config(self, formula, parent=None, prefix: str = "") -> Optional[int]:
-        """A configuration node: the derivation root when *parent* is None."""
+        """A configuration node: with no *parent*, the derivation root,
+        or in a nested view the nested search's root."""
         if self.recorder is None:
             return None
+        root = parent is None and self.top
         return self._record(
-            "config", prefix + str(formula), parent,
-            disposition="root" if parent is None else "expanded",
+            "config", prefix + str(formula),
+            self.under if parent is None else parent,
+            disposition="root" if root else "expanded",
         )
 
     def expanded(self) -> None:
         """A configuration is expanded: ``search.configs_expanded``."""
         self._inc("search.configs_expanded")
 
-    def child(self, step, parent, disposition: str = "expanded") -> Optional[int]:
+    def child(self, step, parent, disposition: str = "expanded",
+              blocked=None) -> Optional[int]:
         """A step out of node *parent*: a ``step`` node with its unifier
-        and database delta (``dead-config`` for a pruned successor)."""
+        and database delta (``dead-config`` for a pruned successor, with
+        what its frontier waits for -- *blocked*, a thunk -- as the
+        ``blocked_on`` witness)."""
         rec = self.recorder
-        return rec.record_step(step, parent, disposition) if rec is not None else None
+        if rec is None:
+            return None
+        return rec.record_step(step, parent, disposition, _blocked_on(blocked))
 
     def subsumed(self, step, parent, proc, by, where: str) -> None:
         """A successor equals a configuration already queued or seen: a
@@ -227,9 +245,21 @@ class Observers:
         if rec is not None:
             rec.mark(node, disposition, witness)
 
+    def failed(self, node, blocked) -> None:
+        """A configuration had no step: its node becomes ``failed-unify``,
+        with what its frontier waits for (*blocked*, a thunk) as the
+        ``blocked_on`` witness."""
+        rec = self.recorder
+        if rec is not None:
+            rec.mark(node, "failed-unify", _blocked_on(blocked))
+
     def solution(self, node, answers) -> None:
-        """A final configuration: its node becomes a ``solution``."""
-        self.mark(node, "solution", {"answers": [str(a) for a in answers]})
+        """A final configuration: its node becomes a ``solution``, or
+        ``nested-final`` in a nested search."""
+        self.mark(
+            node, "solution" if self.top else "nested-final",
+            {"answers": [str(a) for a in answers]},
+        )
 
     def interrupted(self, node, budget: bool) -> None:
         """The budget (or a deadline) stopped a breadth-first search:
@@ -291,6 +321,20 @@ class Observers:
     def table_probe(self, hit: bool) -> None:
         """An answer-table lookup: ``table.hits`` or ``table.misses``."""
         self._inc("table.hits" if hit else "table.misses")
+
+    def call(self, atom, parent) -> "Observers":
+        """A head call misses its table entry: a ``call`` node under
+        *parent*; returns the handle the call's generation reports to."""
+        if self.recorder is None:
+            return self
+        return self.nested(self._record("call", "call %s" % (atom,), parent))
+
+    def isolated(self, body, parent) -> "Observers":
+        """An ``iso`` body runs a nested search: an ``iso`` node under
+        *parent*; returns the handle the body's search reports to."""
+        if self.recorder is None:
+            return self
+        return self.nested(self._record("iso", "iso(%s)" % (body,), parent))
 
     def call_hit(self, atom, key, answers: int, complete: bool, parent) -> None:
         """A BFS head call is served from its table entry: a trace event,
@@ -406,6 +450,13 @@ class Observers:
         """A seminaive round added *size* facts: ``db.delta``."""
         if size:
             self._charge("db.delta", size)
+
+
+def _blocked_on(blocked) -> Optional[dict]:
+    """The ``blocked_on`` witness: the reasons the thunk *blocked*
+    returns, or ``None`` when there are none."""
+    reasons = blocked() if blocked is not None else None
+    return {"blocked_on": reasons} if reasons else None
 
 
 #: The live triple, or None when every channel is off.  Read directly

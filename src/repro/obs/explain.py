@@ -14,7 +14,11 @@ Three tools, all consuming the derivation DAG a
 * **Why-not reports** (:func:`why_not_report`): when a goal has no
   (or fewer than expected) solutions, summarize where the search died
   -- the disposition histogram, which branches failed to unify, were
-  pruned, or were subsumed, and the deepest partial derivations.
+  pruned, or were subsumed, what the dead branches wait for (their
+  ``blocked_on`` witnesses: the missing fact, the failing guard), and
+  the deepest partial derivations.  Nested table and ``iso`` searches
+  record under the node that started them, so their dead branches
+  count too.
 
 * **Pruning audit** (:func:`audit_por_goal`,
   :func:`audit_profile_config`): every ample-set decision the
@@ -82,7 +86,9 @@ def explain_goal(
     Returns ``(recorder, solutions)``.  *mode*:
 
     * ``"auto"`` -- route through :func:`repro.core.engine.select_engine`
-      (big-step engines record rule-level derivations);
+      (big-step engines record rule-level derivations).  The sequential
+      evaluator's recording has no dead leaves, so when it finds no
+      solution the recording returned is the ``"bfs"`` one;
     * ``"bfs"`` -- force the small-step interpreter's fair search, with
       execution traces attached (each solution is an ``Execution``);
     * ``"dfs"`` -- force the backtracking scheduler; at most one
@@ -104,7 +110,10 @@ def explain_goal(
             interp = Interpreter(program, max_configs=max_configs)
             return recorder, list(interp.run(goal, db))
         engine = select_engine(program, goal, max_configs=max_configs)
-        return recorder, list(engine.solve(goal, db))
+        solutions = list(engine.solve(goal, db))
+    if solutions or isinstance(engine.backend, Interpreter):
+        return recorder, solutions
+    return explain_goal(program, goal, db, mode="bfs", max_configs=max_configs)
 
 
 def verify_execution(execution, db) -> bool:
@@ -198,14 +207,36 @@ def _predicate_of_label(label: str) -> str:
     return head
 
 
+def _blockers(dead: Sequence[ProvNode], by_id: Dict[int, ProvNode]):
+    """The ``blocked_on`` reasons of the *dead* leaves, counted and
+    ranked; a reason recorded below ``iso`` nodes is marked ``inside
+    iso:`` once per enclosing ``iso``."""
+    counts: Dict[str, int] = {}
+    for leaf in dead:
+        reasons = leaf.witness.get("blocked_on")
+        if not reasons:
+            continue
+        prefix = ""
+        nid = leaf.parent
+        while nid is not None:
+            node = by_id[nid]
+            if node.kind == "iso":
+                prefix += "inside iso: "
+            nid = node.parent
+        for reason in reasons:
+            counts[prefix + reason] = counts.get(prefix + reason, 0) + 1
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
 def why_not_report(
     recorder: ProvenanceRecorder,
     top_k: int = 5,
     costs: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> str:
     """Summary of where the search died: disposition histogram, dead
-    branch labels, and the *top_k* deepest failed partial derivations
-    (rendered as root-to-leaf paths).
+    branch labels, the *top_k* reasons the dead branches were blocked
+    on, and the *top_k* deepest failed partial derivations (rendered as
+    root-to-leaf paths).
 
     *costs* is an optional per-predicate cost rollup (the shape
     :meth:`repro.obs.hotspots.CostAttributor.predicate_rollup` returns).
@@ -252,6 +283,12 @@ def why_not_report(
                     spent.get("unify.attempts", 0),
                 )
         lines.append("  %4dx [%s] %s%s" % (count, disp, label, suffix))
+
+    blockers = _blockers(dead, by_id)[:top_k]
+    if blockers:
+        lines.append("what the dead branches wait for:")
+        for reason, count in blockers:
+            lines.append("  blocked %4dx on: %s" % (count, reason))
 
     if costs:
         hot = sorted(
@@ -442,14 +479,10 @@ def audit_por_goal(program, goal, db, *, max_configs: int = 200_000) -> PorAudit
     from ..core.parser import as_goal
 
     goal = as_goal(goal)
-    # The audit targets the small-step reducer: run untabled so every
-    # ample-set decision happens in the recorded top-level search
-    # (tabling big-steps head calls into nested, unrecorded searches
-    # and has its own differential oracle).
-    reduced = Interpreter(program, max_configs=max_configs, por=True, tabling=False)
+    reduced = Interpreter(program, max_configs=max_configs, por=True)
     with recording() as recorder:
         reduced_solutions = _normalized(reduced.solve(goal, db))
-    full = Interpreter(program, max_configs=max_configs, por=False, tabling=False)
+    full = Interpreter(program, max_configs=max_configs, por=False)
     full_solutions = _normalized(full.solve(goal, db))
 
     pruned, problems = _witness_problems(recorder)
@@ -493,20 +526,16 @@ def audit_profile_config(name: str) -> PorAudit:
     second; the witness re-check explains every individual prune.
     """
     from ..core.por import por_disabled
-    from ..core.tabling import tabling_disabled
 
     from .analyze import suite_config
 
-    # Untabled for the same reason as :func:`audit_por_goal`: the audit
-    # explains the reducer's prunes, so every ample decision must land
-    # in the recorded search.
     config = suite_config(name)
     recorder = ProvenanceRecorder()
     inst_reduced = Instrumentation.create()
-    with tabling_disabled(), recording(recorder), instrumented(inst_reduced):
+    with recording(recorder), instrumented(inst_reduced):
         config.run()
     inst_full = Instrumentation.create()
-    with tabling_disabled(), por_disabled(), instrumented(inst_full):
+    with por_disabled(), instrumented(inst_full):
         config.run()
 
     reduced_solutions = inst_reduced.metrics.snapshot(include_timers=False)[

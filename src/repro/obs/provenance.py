@@ -15,16 +15,21 @@ Each :class:`ProvNode` records:
   from, making the node set a forest rooted at the goal;
 * ``kind`` / ``label`` -- what was applied: a small-step redex
   (``step``), a big-step tabled ``call``, a ``rule`` choice, a derived
-  ``answer`` or Datalog ``fact``;
+  ``answer`` or Datalog ``fact``; a nested search -- a table generation
+  or an ``iso`` body -- hangs under the ``call`` or ``iso`` node that
+  started it;
 * ``bindings`` -- the unifier of the step, rendered to strings;
 * ``inserted`` / ``deleted`` -- the db delta of the step (for ``iso``
   steps, the flattened subtrace updates);
 * ``disposition`` -- what became of the branch.  ``expanded`` and
   ``solution`` mark the live tree; everything else explains a *pruned
   or dead* branch: ``por-pruned`` (with the ample-set witness),
-  ``frontier-subsumed`` (with the subsuming key), ``failed-unify``,
-  ``dead-config``, ``depth-limit``, ``backtracked``,
-  ``budget-exhausted`` / ``deadline-exhausted``.
+  ``frontier-subsumed`` (with the subsuming key), ``failed-unify`` and
+  ``dead-config`` (with a ``blocked_on`` witness naming what the
+  frontier waits for), ``depth-limit``, ``backtracked``,
+  ``budget-exhausted`` / ``deadline-exhausted``.  A nested search's
+  final configuration is ``nested-final``, not ``solution``: only the
+  goal's answers are solutions.
 
 Recording is **off by default** and costs nothing when off: a recorder
 is attached only through :func:`recording`, which fills the recorder
@@ -84,6 +89,7 @@ DISPOSITIONS = (
     "depth-limit",
     "backtracked",
     "table-hit",
+    "nested-final",
 )
 
 #: Keep witness db-delta lists bounded; real workloads touch few tuples

@@ -22,7 +22,7 @@ Commands:
 ``?- <goal>.``       enumerate solutions (database unchanged)
 ``run <goal>.``      simulate one execution, show its trace
 ``commit <goal>.``   simulate and *apply* the final state to the session
-``why <goal>.``      explain why a goal can or cannot commit
+``why <goal>.``      can the goal commit? plus what failed branches wait for
 ``classify``         sublanguage analysis of the session program
 ``program`` / ``db`` show the session rulebase / database
 ``reset``            clear everything
@@ -141,7 +141,7 @@ class Repl:
             self._run(line[len("commit "):].strip().rstrip("."), commit=True)
             return True
         if line.startswith("why "):
-            self._diagnose(line[len("why "):].strip().rstrip("."))
+            self._why(line[len("why "):].strip().rstrip("."))
             return True
         self._print("unknown command (try 'help').")
         return True
@@ -170,11 +170,14 @@ class Repl:
         if count == 0:
             self._print("  no.")
 
-    def _diagnose(self, goal_text: str) -> None:
-        from .verify import diagnose
+    def _why(self, goal_text: str) -> None:
+        from .obs import explain
 
-        report = diagnose(self._program(), parse_goal(goal_text), self.db)
-        self._print(report.summary())
+        recorder, solutions = explain.explain_goal(
+            self._program(), parse_goal(goal_text), self.db, mode="bfs"
+        )
+        self._print("the goal %s commit" % ("can" if solutions else "cannot"))
+        self._print(explain.why_not_report(recorder))
 
     def _run(self, goal_text: str, commit: bool) -> None:
         goal = parse_goal(goal_text)

@@ -23,7 +23,6 @@ workflow designer asks before deployment:
   simulator setup.
 """
 
-from .diagnose import Diagnosis, diagnose
 from .statespace import StateGraph, StateNode, explore
 from .properties import (
     can_reach,
@@ -35,13 +34,11 @@ from .properties import (
 from .workflows import WorkflowReport, verify_workflow
 
 __all__ = [
-    "Diagnosis",
     "StateGraph",
     "StateNode",
     "WorkflowReport",
     "can_reach",
     "deadlocks",
-    "diagnose",
     "explore",
     "inevitably",
     "invariant_holds",

@@ -402,6 +402,72 @@ class TestKeyCap:
             assert inst.metrics.gauge("table.keys") == 2
 
 
+# -- table lifetime -----------------------------------------------------------
+
+#: The bank program plus one ``|`` rule, so that ``select_engine`` routes
+#: it to the interpreter.
+_BANK_CONC_TD = _BANK_TD + "both <- ins.x | ins.y.\n"
+
+_PATH_GOAL = "path(a, X)"
+
+
+class TestTableLifetime:
+    """A table serves one initial database: a search from another state
+    than the previous one starts with an empty table."""
+
+    def test_commits_over_a_store_keep_the_table_bounded(self):
+        from repro import select_engine
+        from repro.store import MemoryStore
+
+        store = MemoryStore(parse_database("balance(a, 100). balance(b, 10)."))
+        engine = select_engine(parse_program(_BANK_CONC_TD), store=store)
+        assert isinstance(engine.backend, Interpreter)
+        for _ in range(20):
+            assert engine.simulate("transfer(a, b, 1)") is not None
+        # The last commit's keys (its iso body, withdraw and deposit),
+        # not three for every state the store passed through.
+        assert engine.backend._table.keys == 3
+        assert store.database() == parse_database("balance(a, 80). balance(b, 30).")
+
+    def test_an_equal_database_keeps_the_warm_table(self):
+        program = parse_program(_PATH_TD)
+        interp = Interpreter(program)
+        goal = parse_goal(_PATH_GOAL)
+        first = _solution_set(interp, goal, parse_database("e(a, b). e(b, c)."))
+        inst = Instrumentation.create()
+        with instrumented(inst):
+            again = _solution_set(interp, goal, parse_database("e(a, b). e(b, c)."))
+        assert again == first and len(first) == 2
+        assert inst.metrics.counter("table.misses") == 0
+        assert inst.metrics.counter("table.hits") > 0
+
+    def test_a_paused_search_survives_another_states_search(self):
+        # The second search starts from another state and empties the
+        # table under the paused first one, which must still finish with
+        # all its answers: its later ``path`` calls generate again, in
+        # the new table.
+        program = parse_program(_PATH_TD)
+        goal = parse_goal("path(c, Y) * (ins.e(d, q) | path(a, X))")
+        one = parse_database("e(a, b). e(b, c). e(c, d).")
+        two = parse_database("e(a, x). e(x, y).")
+        interp = Interpreter(program)
+        paused = interp.solve(goal, one)
+        first = next(paused)
+        table = interp._table
+        assert _solution_set(interp, goal, two) == _solution_set(
+            Interpreter(program), goal, two
+        )
+        assert interp._table is not table
+        keys = interp._table.keys
+        got = {
+            (tuple(sorted((str(v), str(t)) for v, t in s.bindings.items())), s.database)
+            for s in [first, *paused]
+        }
+        assert interp._table.keys > keys
+        assert got == _solution_set(Interpreter(program), goal, one)
+        assert len(got) == 4
+
+
 # -- composition with fault injection -----------------------------------------
 
 
@@ -582,9 +648,7 @@ class TestCheckpointResume:
 
 class TestTableHitProvenance:
     def test_table_hit_nodes_recorded(self):
-        # The repeated head call must appear at the *top level* of the
-        # goal: hits inside nested generation searches run without a
-        # recorder (their work is summarized by the answer they yield).
+        # The second probe call is served from the first one's entry.
         from repro.obs import recording
         from repro.obs.provenance import DISPOSITIONS
 

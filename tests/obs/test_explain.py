@@ -148,6 +148,175 @@ class TestWhyNot:
         assert "attributed cost" not in report
 
 
+#: ROADMAP item 8's example: a recursive call whose interior the tabled
+#: search used to hide in an unrecorded nested search.
+GO_Z = """
+path(X, Y) <- e(X, Y).
+path(X, Y) <- e(X, Z) * path(Z, Y).
+go(Y) <- path(a, Y) * ins.done(Y).
+"""
+
+#: A staffing hole: the only available agent lacks the qualification.
+STAFFING = """
+task(W) <- available(A) * qualified(A, sequencer) *
+           del.available(A) * ins.done(W, A) * ins.available(A).
+"""
+
+MODES = ["auto", "bfs", "dfs"]
+
+
+def _blockers(report):
+    """The ranked ``blocked Nx on: REASON`` lines of a why-not report."""
+    return [
+        line.split(" on: ", 1)[1]
+        for line in report.splitlines()
+        if line.startswith("  blocked ")
+    ]
+
+
+def _why_not(text, goal, facts="", mode="auto", top_k=5):
+    recorder, solutions = explain_goal(
+        parse_program(text), goal, parse_database(facts), mode=mode
+    )
+    return recorder, solutions, why_not_report(recorder, top_k=top_k)
+
+
+class TestNestedSearches:
+    """Table generations and ``iso`` bodies record under the ``call`` or
+    ``iso`` node that started them, so the tabled default search shows
+    its dead branches."""
+
+    @pytest.mark.parametrize("mode", ["auto", "bfs"])
+    def test_tabled_call_interior_reaches_the_dead_branch(self, mode):
+        recorder, solutions, report = _why_not(
+            GO_Z, "go(z)", "e(a, b). e(b, c). e(c, d).", mode, top_k=10
+        )
+        assert solutions == []
+        (call,) = [
+            n for n in recorder.nodes
+            if n.kind == "call" and n.label == "call path(d, z)"
+        ]
+        leaf = next(
+            n for n in recorder.nodes
+            if n.label == "e(d, z)" and n.disposition == "failed-unify"
+        )
+        assert call in recorder.path_to(leaf.node_id)
+        assert "waiting for fact e(d, z)" in _blockers(report)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_staffing_hole_ranked_first(self, mode):
+        _, solutions, report = _why_not(
+            STAFFING, "task(w1)", "available(ana). qualified(ana, tech).", mode
+        )
+        assert solutions == []
+        assert _blockers(report)[0] == "waiting for fact qualified(ana, sequencer)"
+
+    def test_bank_bfs_records_the_transfer_interior(self, bank_program, bank_db):
+        recorder, solutions = explain_goal(
+            bank_program, "transfer(a, b, 30)", bank_db, mode="bfs"
+        )
+        labels = {n.label for n in recorder.nodes}
+        assert {"call withdraw(a, 30)", "call deposit(b, 30)"} <= labels
+        assert {"del.balance(a, 100)", "ins.balance(a, 70)",
+                "del.balance(b, 10)", "ins.balance(b, 40)"} <= labels
+        assert any(n.kind == "iso" for n in recorder.nodes)
+
+    def test_only_the_goals_answers_are_solutions(self, bank_program, bank_db):
+        recorder, solutions = explain_goal(
+            bank_program, "transfer(a, b, 30)", bank_db, mode="bfs"
+        )
+        assert len(solutions) == len(recorder.solutions()) == 1
+        assert recorder.by_disposition().get("nested-final", 0) > 0
+        assert "note: 1 solution(s) exist" in why_not_report(recorder)
+        tree = render_proof_tree(recorder)
+        assert "nested-final" not in tree and len(tree.splitlines()) == 2
+
+
+class TestBlockers:
+    """What the dead branches wait for, ranked over the dead leaves (the
+    cases the retired ``tdlog diagnose`` covered)."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_committing_goal(self, mode):
+        _, solutions, report = _why_not("go <- ins.done.", "go", mode=mode)
+        assert len(solutions) == 1
+        assert "solution(s) exist" in report
+        assert _blockers(report) == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_missing_fact_identified(self, mode):
+        _, solutions, report = _why_not(
+            "go <- license(W) * ins.approved(W).", "go", mode=mode
+        )
+        assert solutions == []
+        assert _blockers(report) == ["waiting for fact license(W)"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_staffing_hole_reads_clearly(self, mode):
+        _, _, report = _why_not(
+            STAFFING, "task(w1)", "available(ana). qualified(ana, tech).", mode
+        )
+        assert "qualified(ana, sequencer)" in _blockers(report)[0]
+        assert "deepest partial derivations:" in report
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_guard_failure_identified(self, mode):
+        _, _, report = _why_not(
+            "go <- bal(B) * B >= 100 * ins.ok.", "go", "bal(10).", mode
+        )
+        assert _blockers(report) == ["guard fails: 10 >= 100"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_absence_blocker_identified(self, mode):
+        _, _, report = _why_not(
+            "go <- not lock(_) * ins.ok.", "go", "lock(x).", mode
+        )
+        (reason,) = _blockers(report)
+        assert reason.startswith("waiting for absence of lock(")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_multiple_branches_aggregated(self, mode):
+        _, _, report = _why_not(
+            "go <- a(x) * ins.ok.\ngo <- b(x) * ins.ok.\ngo <- c(x) * ins.ok.",
+            "go", mode=mode,
+        )
+        assert {"waiting for fact a(x)", "waiting for fact b(x)",
+                "waiting for fact c(x)"} <= set(_blockers(report))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_iso_blockers_labelled(self, mode):
+        _, _, report = _why_not(
+            "go <- iso(token(t) * del.token(t)).", "go", mode=mode
+        )
+        assert _blockers(report) == ["inside iso: waiting for fact token(t)"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_top_limits_report(self, mode):
+        rules = "\n".join("go <- p%d(x) * ins.ok." % i for i in range(10))
+        _, _, report = _why_not(rules, "go", mode=mode, top_k=3)
+        assert len(_blockers(report)) == 3
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blocker_inside_iso_with_updates(self, mode):
+        # The failure point is mid-way through an isolated body (an
+        # overdraft guard), past a step the body already took.
+        _, _, report = _why_not(
+            """
+            transfer(F, T, Amt) <- iso(
+                balance(F, Bal) * Bal >= Amt *
+                del.balance(F, Bal) * B2 is Bal - Amt * ins.balance(F, B2)
+            ).
+            """,
+            "transfer(a, b, 500)", "balance(a, 100).", mode,
+        )
+        assert _blockers(report) == ["inside iso: guard fails: 100 >= 500"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_missing_fact_inside_iso(self, mode):
+        _, _, report = _why_not("t <- iso(permit(x) * ins.ok * del.ok).", "t", mode=mode)
+        assert _blockers(report) == ["inside iso: waiting for fact permit(x)"]
+
+
 class TestDot:
     def test_dot_output_shape(self, bank_program, bank_db):
         recorder, _ = explain_goal(

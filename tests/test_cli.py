@@ -129,20 +129,27 @@ class TestGraph:
         assert "first stuck state" in out
 
 
-class TestDiagnose:
+class TestWhyNot:
+    """``explain --why-not`` answers "why can't this commit?"."""
+
     def test_commit_case_exit_zero(self, tmp_path, capsys):
         program = tmp_path / "p.td"
         program.write_text("go <- ins.a.")
-        assert main(["diagnose", str(program), "--goal", "go"]) == 0
-        assert "can commit" in capsys.readouterr().out
+        assert main(["explain", str(program), "--goal", "go", "--why-not"]) == 0
+        assert "1 solution(s) exist" in capsys.readouterr().out
 
     def test_failure_case_explains(self, tmp_path, capsys):
         program = tmp_path / "p.td"
         program.write_text("go <- permit(W) * ins.a.")
-        assert main(["diagnose", str(program), "--goal", "go"]) == 1
+        assert main(["explain", str(program), "--goal", "go", "--why-not"]) == 1
         out = capsys.readouterr().out
-        assert "cannot commit" in out
-        assert "permit" in out
+        assert "blocked    1x on: waiting for fact permit(W)" in out
+
+    def test_diagnose_is_gone(self, tmp_path):
+        program = tmp_path / "p.td"
+        program.write_text("go <- ins.a.")
+        with pytest.raises(SystemExit):
+            main(["diagnose", str(program), "--goal", "go"])
 
 
 class TestBench:
