@@ -515,18 +515,10 @@ def _cmd_profile_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile_diff(args: argparse.Namespace) -> int:
-    from .obs.analyze import (
-        diff_baselines,
-        parse_tolerance_overrides,
-        render_diff,
-        suite_config,
-    )
+    from .obs.analyze import diff_baselines, render_diff, suite_config
 
-    tolerances = parse_tolerance_overrides(args.counter or [])
     configs = [suite_config(name) for name in args.only] if args.only else None
-    reports, problems = diff_baselines(
-        args.baseline_dir, tolerances, args.tolerance, configs
-    )
+    reports, problems = diff_baselines(args.baseline_dir, configs)
     print(render_diff(reports, problems, verbose=args.verbose))
     return 0 if all(r.ok for r in reports) and not problems else 1
 
@@ -935,14 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument(
         "--baseline-dir", default="benchmarks/baselines", metavar="DIR",
         help="directory holding committed baselines",
-    )
-    p_diff.add_argument(
-        "--tolerance", type=float, default=0.0, metavar="FRAC",
-        help="default relative tolerance per counter (default 0: exact)",
-    )
-    p_diff.add_argument(
-        "--counter", action="append", metavar="NAME=FRAC",
-        help="per-counter tolerance override (repeatable)",
     )
     p_diff.add_argument(
         "--only", action="append", metavar="CONFIG",

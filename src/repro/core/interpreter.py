@@ -75,7 +75,7 @@ from .formulas import TRUTH, Call, Formula, Seq, apply_subst, ordered_variables,
 from .parser import as_goal
 from .por import PartialOrderReducer, por_forced_off
 from .program import Program
-from .tabling import AnswerTable, canonical_call, tabling_forced_off
+from .tabling import AnswerTable, canonical_call
 from .terms import Atom, Term, Variable
 from .transitions import (
     Action,
@@ -353,24 +353,67 @@ class Interpreter:
         self._reducer = (
             PartialOrderReducer(program) if (por and not por_forced_off()) else None
         )
-        #: Effective tabling switch and the answer table, kept across
-        #: searches from one initial database (see
-        #: :meth:`_resolve_state`).  The table is consulted only while
-        #: no fault injector is attached -- same bypass as the reducer.
-        self.tabling = tabling and not tabling_forced_off()
-        self._table = AnswerTable() if self.tabling else None
+        #: Tabling switch and the answer table, kept across searches
+        #: from one initial database (see :meth:`_resolve_state`).  The
+        #: table is consulted only while no fault injector is attached
+        #: -- same bypass as the reducer.
+        self.tabling = tabling
+        self._table = AnswerTable() if tabling else None
         self._table_db: Optional[Database] = None
 
-    def _enabled_steps(self, proc, db, isol_runner, ev=None, parent=None):
+    def _enabled_steps(self, proc, db, budget, ev, deadline, parent):
         """The transition relation this search uses: partial-order
         reduced when enabled and no fault injector is attached, the
         full enumeration otherwise.  ``ev``/``parent`` flow to the
-        reducer so ample-set decisions are reported."""
+        reducer so ample-set decisions are reported, and to the ``iso``
+        runner, whose nested searches hang under *parent*."""
         reducer = self._reducer if self.faults is None else None
         return enabled_steps(
-            self.program, proc, db, isol_runner, reducer=reducer, ev=ev,
-            parent=parent,
+            self.program, proc, db, self._isol_runner(budget, ev, deadline, parent),
+            reducer=reducer, ev=ev, parent=parent,
         )
+
+    def _expand(self, proc, db, footprint, budget, ev, deadline, node, head=None):
+        """The live steps of one configuration, as both schedulers
+        expand it: count the expansion, check the deadline, take the
+        steps (served from the answer table when *head*, the
+        :func:`_head_call` split of *proc*, is given), let the fault
+        injector perturb them, meter them, spend one budget unit per
+        step, and prune each step into a dead configuration under the
+        goal's update *footprint* (a ``dead-config`` child of *node*).
+        A configuration with no step at all has ``failed``.  Lazy: a
+        scheduler pays only for the steps it pulls, and builds the
+        substituted residual itself."""
+        if ev is not None:
+            ev.expanded()
+        if deadline is not None:
+            deadline.check()
+        if head is not None:
+            steps = self._table_steps(
+                head[0], head[1], proc, db, budget, ev, deadline, node
+            )
+        else:
+            steps = self._enabled_steps(proc, db, budget, ev, deadline, node)
+        if self.faults is not None:
+            steps = self.faults.perturb(proc, db, steps)
+        if ev is not None:
+            steps = ev.metered(steps)
+        insertable, deletable = footprint
+        stepped = False
+        for step in steps:
+            budget.spend()
+            stepped = True
+            # ``dead_config`` applies the step's bindings at the leaves.
+            if dead_config(
+                step.residual, step.database, insertable, deletable, step.subst
+            ):
+                if ev is not None:
+                    ev.child(step, node, "dead-config", lambda: frontier_blockers(
+                        step.residual, step.database, step.subst))
+                continue
+            yield step
+        if ev is not None and not stepped:
+            ev.failed(node, lambda: frontier_blockers(proc, db))
 
     def _make_budget(self, ev: Optional[_context.Observers] = None) -> "_Budget":
         """A fresh step budget (used by the verifier, which drives the
@@ -389,10 +432,9 @@ class Interpreter:
         of its generations is running, and later ones use the new table.
         """
         store, db = _resolve_store(self.store, db)
-        prev = self._table_db
         if (
-            self._table is not None and self._table.keys and db is not prev
-            and (hash(db) != hash(prev) or db != prev)
+            self._table is not None and self._table.keys
+            and not _same_state(db, self._table_db)
         ):
             self._table = AnswerTable()
         self._table_db = db
@@ -590,7 +632,7 @@ class Interpreter:
         deadline: Optional[Deadline] = None,
         state: Optional[Checkpoint] = None,
     ) -> Iterator[Tuple[Tuple[Term, ...], Database, Tuple[Action, ...]]]:
-        insertable, deletable = update_footprint(self.program, goal)
+        footprint = update_footprint(self.program, goal)
         # Answer tabling is bypassed under fault injection, exactly like
         # the reducer: fault plans target individual schedules, so the
         # chaos harness must see the naive expansion (byte-identical
@@ -622,7 +664,6 @@ class Interpreter:
             emitted = set(state.emitted)
         naive_keys = set(state.naive) if state is not None else set()
         queued = {key for _, key in frontier}
-        faults = self.faults
         # Provenance bookkeeping maps canonical config keys to node ids
         # in the derivation DAG (all None when no recorder is on).
         node_ids: Dict[object, Optional[int]] = {}
@@ -646,44 +687,15 @@ class Interpreter:
                         ev.solution(node_ids.get(config_key), config.answers)
                     yield config.answers, config.database, traces.get(config_key, ())
                 continue
-            parent = None
-            if ev is not None:
-                ev.expanded()
-                parent = node_ids.get(config_key)
-            stepped = False
+            parent = node_ids.get(config_key) if ev is not None else None
             head = None
+            if table is not None and config_key not in naive_keys:
+                head = _head_call(config.process)
             try:
-                if deadline is not None:
-                    deadline.check()
-                if table is not None and config_key not in naive_keys:
-                    head = _head_call(config.process)
-                if head is not None:
-                    steps = self._table_steps(
-                        head[0], head[1], config.process, config.database,
-                        budget, ev, deadline, parent,
-                    )
-                else:
-                    steps = self._enabled_steps(
-                        config.process,
-                        config.database,
-                        self._isol_runner(budget, ev, deadline, parent),
-                        ev,
-                        parent,
-                    )
-                if faults is not None:
-                    steps = faults.perturb(config.process, config.database, steps)
-                if ev is not None:
-                    steps = ev.metered(steps)
-                for step in steps:
-                    budget.spend()
-                    stepped = True
-                    if dead_config(
-                        step.residual, step.database, insertable, deletable, step.subst
-                    ):
-                        if ev is not None:
-                            ev.child(step, parent, "dead-config", lambda: frontier_blockers(
-                                step.residual, step.database, step.subst))
-                        continue
+                for step in self._expand(
+                    config.process, config.database, footprint, budget, ev,
+                    deadline, parent, head,
+                ):
                     new_proc = apply_subst(step.residual, step.subst)
                     new_answers = tuple(walk(t, step.subst) for t in config.answers)
                     succ = Configuration(new_proc, step.database, new_answers)
@@ -702,9 +714,6 @@ class Interpreter:
                     if ev is not None:
                         node_ids[key] = ev.child(step, parent)
                         ev.frontier(len(frontier))
-                if ev is not None and not stepped:
-                    ev.failed(node_ids.get(config_key), lambda: frontier_blockers(
-                        config.process, config.database))
             except (SearchBudgetExceeded, DeadlineExceeded) as exc:
                 # Interrupted mid-expansion: re-queue the current
                 # configuration (successors already discovered stay in
@@ -715,8 +724,9 @@ class Interpreter:
                 # wins.
                 frontier.appendleft((config, config_key))
                 if head is not None:
-                    # The interrupt fired inside a big-stepped (tabled)
-                    # expansion; see ``Checkpoint.naive``.
+                    # The interrupt fired in a big-stepped (tabled)
+                    # expansion, or at its deadline check; see
+                    # ``Checkpoint.naive``.
                     naive_keys.add(config_key)
                 exc.goal = goal
                 exc.checkpoint = Checkpoint(
@@ -779,9 +789,7 @@ class Interpreter:
         entry = table.entry(canon, db)
         if entry is None:
             # Key cap reached: this call runs untabled.
-            yield from self._enabled_steps(
-                proc, db, self._isol_runner(budget, ev, deadline, parent), ev, parent
-            )
+            yield from self._enabled_steps(proc, db, budget, ev, deadline, parent)
             return
         residual = seq(*rest) if rest else TRUTH
         hit = entry.complete or entry.active
@@ -890,7 +898,7 @@ class Interpreter:
         ev: Optional[_context.Observers] = None,
         deadline: Optional[Deadline] = None,
     ) -> Optional[tuple]:
-        insertable, deletable = update_footprint(self.program, goal)
+        footprint = update_footprint(self.program, goal)
         # The failed-state memo maps a database to the canonical keys of
         # the processes that failed from it.  A frame's key is computed
         # only when the frame fails or a successor lands on a database
@@ -905,12 +913,6 @@ class Interpreter:
         # exhaustion pending): from then on the search is exactly
         # fault-free, and entries recorded after that point stay sound.
         use_memo = self.faults is None
-        # DFS keeps traces exactly as the scheduler commits them (the
-        # paper's workflow examples pin them), so the answer table is
-        # used only where it cannot change a trace: pruning branches
-        # whose head call has a *complete and empty* entry, plus the
-        # ``iso`` entries inside the isolation runner.
-        table = self._table if self.faults is None else None
         limit_hits = 0  # depth-truncation events (blocks unsound fail-memo)
         trace: List[Action] = []
         # Wall-clock stamps per committed action, mirrored with ``trace``
@@ -920,10 +922,12 @@ class Interpreter:
         faults = self.faults
 
         def expand(proc: Formula, state: Database, pnode=None):
-            """Successor (step, residual process) pairs, pruned of dead
-            configurations and ordered so that children whose frontier is
-            immediately enabled come before blocked ones (see
-            :func:`frontier_blocked`).
+            """Successor (step, residual process) pairs of one expansion
+            (:meth:`_expand`), ordered so that children whose frontier
+            is immediately enabled come before blocked ones (see
+            :func:`frontier_blocked`).  No head call is served from the
+            answer table: DFS keeps traces exactly as the scheduler
+            commits them (the paper's workflow examples pin them).
 
             Lazy: ready steps are yielded as they are discovered and
             blocked ones deferred to the end, so a step the DFS never
@@ -934,47 +938,15 @@ class Interpreter:
             one commits the goal.  (Seeded runs still materialize -- a
             shuffle needs the full list.)
             """
-            if table is not None:
-                head = _head_call(proc)
-                if head is not None:
-                    entry = table.peek(canonical_call(head[0])[0], state)
-                    if entry is not None and entry.complete and not entry.answers:
-                        # The head call has a completed, empty answer
-                        # table entry: no execution of it exists from
-                        # this state, so the branch is dead without
-                        # expansion.
-                        if ev is not None:
-                            ev.call_empty(head[0], pnode)
-                        return
-            if ev is not None:
-                ev.expanded()
-            if deadline is not None:
-                deadline.check()
-            steps = self._enabled_steps(
-                proc, state, self._isol_runner(budget, ev, deadline, pnode), ev, pnode
-            )
-            if faults is not None:
-                steps = faults.perturb(proc, state, steps)
-            if ev is not None:
-                steps = ev.metered(steps)
-            # Both checks apply the step's bindings at the leaves; the
-            # substituted residual is built only for a step handed out.
             ready = []
             deferred = []
-            for step in steps:
-                budget.spend()
-                theta = step.subst
-                if dead_config(
-                    step.residual, step.database, insertable, deletable, theta
-                ):
-                    if ev is not None:
-                        ev.child(step, pnode, "dead-config", lambda: frontier_blockers(
-                            step.residual, step.database, theta))
-                    continue
-                if frontier_blocked(step.local, step.database, theta):
+            for step in self._expand(
+                proc, state, footprint, budget, ev, deadline, pnode
+            ):
+                if frontier_blocked(step.local, step.database, step.subst):
                     deferred.append(step)
                 elif rng is None:
-                    yield step, apply_subst(step.residual, theta)
+                    yield step, apply_subst(step.residual, step.subst)
                 else:
                     ready.append(step)
             if rng is not None:
@@ -1061,11 +1033,8 @@ class Interpreter:
                     if key is None:
                         key = canonical_key(proc, self.sort_concurrent)
                     failed.setdefault(state, set()).add(key)
-                if ev is not None:
-                    if frame[7]:
-                        ev.mark(fnode, "backtracked")
-                    else:
-                        ev.failed(fnode, lambda: frontier_blockers(frame[0], frame[1]))
+                if ev is not None and frame[7]:
+                    ev.mark(fnode, "backtracked")
                 stack.pop()
                 if trace:
                     trace.pop()
@@ -1162,6 +1131,13 @@ def _resolve_store(store, db):
             )
         db = store.database()
     return store, db
+
+
+def _same_state(db: Database, prev: Optional[Database]) -> bool:
+    """Whether *db* is the state *prev*, the test by which a table serves
+    one initial database: identity first, then the states' cached
+    hashes, so a full comparison runs only when the hashes agree."""
+    return db is prev or (hash(db) == hash(prev) and db == prev)
 
 
 def _ambient_store(db):

@@ -56,7 +56,7 @@ from .formulas import (
     ordered_variables,
     walk_formulas,
 )
-from .interpreter import Solution, _resolve_store
+from .interpreter import Solution, _resolve_store, _same_state
 from .parser import as_goal
 from .program import Program
 from .tabling import canonical_call
@@ -75,6 +75,20 @@ _Answer = Tuple[Tuple[Constant, ...], Database]
 #: finite for safe programs, so a fixpoint never comes near it; reaching
 #: it raises :class:`SearchExhausted_impossible`.
 _MAX_ROUNDS = 10_000_000
+
+
+class _Table:
+    """The answer table of one initial database, with the worklist's
+    bookkeeping: each callee key's caller keys, in the order they first
+    consulted it, and the keys whose rules have been evaluated at least
+    once (a key can be computed and still have an empty answer set)."""
+
+    __slots__ = ("answers", "dependents", "computed")
+
+    def __init__(self):
+        self.answers: Dict[_Key, Set[_Answer]] = {}
+        self.dependents: Dict[_Key, Dict[_Key, None]] = {}
+        self.computed: Set[_Key] = set()
 
 
 class SequentialEngine:
@@ -100,16 +114,14 @@ class SequentialEngine:
         #: never moved.  Disable to pin the textual order.
         self.join_order = join_order
         self._check_sequential()
-        # Persistent across queries: the table only ever grows, and its
-        # entries are valid independently of which goal asked for them.
-        self._table: Dict[_Key, Set[_Answer]] = {}
-        # Dependency graph for the worklist driver: callee -> callers.
-        self._dependents: Dict[_Key, Set[_Key]] = {}
-        # Keys whose rules have been evaluated at least once (a key can
-        # be computed and still have an empty answer set).
-        self._computed: Set[_Key] = set()
-        # Per-evaluation scratch: keys consulted / newly registered.
-        self._consulted: Set[_Key] = set()
+        # Kept across queries from one initial database: the table only
+        # grows, and its entries are valid whichever goal asked for them.
+        self._table = _Table()
+        self._table_db: Optional[Database] = None
+        # Per-evaluation scratch: keys consulted (insertion-ordered, so
+        # the worklist order never depends on hashing) / newly
+        # registered.
+        self._consulted: Dict[_Key, None] = {}
         self._new_keys: List[_Key] = []
 
     def _check_sequential(self) -> None:
@@ -147,6 +159,18 @@ class SequentialEngine:
                 )
             if isinstance(sub, Call):
                 reads_table = True
+        table = self._table
+        if reads_table:
+            # A table serves one initial database, as the interpreter's
+            # does: a solve from another state starts with an empty
+            # table, so an engine over a store keeps one state's keys,
+            # not every state's.  The solve keeps the table it started
+            # with, because its answer replay reads it lazily.  A goal
+            # without a call keeps no state alive, so a store's old
+            # state is freed when the store moves on, not in a read.
+            if table.answers and not _same_state(db, self._table_db):
+                table = self._table = _Table()
+            self._table_db = db
         goal_vars = ordered_variables(goal)
         ev = _context.capture()
         root = ev.config(goal) if ev is not None else None
@@ -156,11 +180,11 @@ class SequentialEngine:
                 if reads_table:
                     with _context.span(ev, "table-fixpoint"), \
                             _context.observing(ev, "fixpoint"):
-                        self._run_fixpoint(goal, db, ev, root)
+                        self._run_fixpoint(goal, db, ev, root, table)
                 if ev is not None:
                     ev.table_size(*self.table_size)
                 emitted = set()
-                for theta, final_db in self._eval(goal, db, {}, ev):
+                for theta, final_db in self._eval(goal, db, {}, ev, table):
                     bindings = {v: walk(v, theta) for v in goal_vars}
                     key = (tuple(sorted(bindings.items())), final_db)
                     if key not in emitted:
@@ -190,7 +214,8 @@ class SequentialEngine:
     def table_size(self) -> Tuple[int, int]:
         """(number of keys, number of answers) -- exposed for the
         EXPTIME scaling benchmark."""
-        return len(self._table), sum(len(v) for v in self._table.values())
+        answers = self._table.answers
+        return len(answers), sum(len(v) for v in answers.values())
 
     # -- fixpoint driver ----------------------------------------------------------
     #
@@ -201,8 +226,11 @@ class SequentialEngine:
     # classical tabling argument.
 
     def _run_fixpoint(
-        self, goal: Formula, db: Database, ev: Optional[Observers], root
+        self, goal: Formula, db: Database, ev: Optional[Observers], root,
+        table: _Table,
     ) -> None:
+        answers = table.answers
+        dependents = table.dependents
         worklist: List[_Key] = []
         in_worklist: Set[_Key] = set()
         # This solve's call node per key (the table outlives the solve).
@@ -221,17 +249,17 @@ class SequentialEngine:
                     raise SearchExhausted_impossible()
                 key = worklist.pop()
                 in_worklist.discard(key)
-                self._computed.add(key)
-                before = len(self._table.get(key, ()))
-                self._consulted = set()
+                table.computed.add(key)
+                before = len(answers.get(key, ()))
+                self._consulted = {}
                 self._new_keys = []
-                self._recompute(key, ev, calls, root)
+                self._recompute(key, ev, calls, root, table)
                 for callee in self._consulted:
-                    self._dependents.setdefault(callee, set()).add(key)
+                    dependents.setdefault(callee, {})[key] = None
                 for fresh in self._new_keys:
                     enqueue(fresh)
-                if len(self._table.get(key, ())) != before:
-                    for dependent in self._dependents.get(key, ()):
+                if len(answers.get(key, ())) != before:
+                    for dependent in dependents.get(key, ()):
                         enqueue(dependent)
 
         # Alternate goal-seeding passes with worklist drains: a drain can
@@ -239,25 +267,27 @@ class SequentialEngine:
         # not instantiate before, so re-seed until the goal discovers
         # nothing new.
         for _ in range(_MAX_ROUNDS):  # pragma: no branch - returns inside
-            self._consulted = set()
+            self._consulted = {}
             self._new_keys = []
-            for _ in self._eval(goal, db, {}, ev):
+            for _ in self._eval(goal, db, {}, ev, table):
                 pass
             for key in self._new_keys:
                 enqueue(key)
             for key in self._consulted:
-                if key not in self._computed:
+                if key not in table.computed:
                     enqueue(key)
             if not worklist:
-                self._consulted = set()
+                self._consulted = {}
                 self._new_keys = []
                 return
             drain()
         raise SearchExhausted_impossible()  # pragma: no cover - loop bound
 
-    def _recompute(self, key: _Key, ev: Optional[Observers], calls, root) -> None:
+    def _recompute(
+        self, key: _Key, ev: Optional[Observers], calls, root, table: _Table
+    ) -> None:
         canon_atom, db_in = key
-        answers = self._table[key]
+        answers = table.answers[key]
         call_node = None
         if ev is not None:
             call_node = ev.recompute(calls, key, canon_atom, root)
@@ -274,7 +304,9 @@ class SequentialEngine:
             # runs eagerly (never suspends), so push/pop bracket exactly.
             token = ev.rule(rule.head, canon_atom.pred) if ev is not None else None
             try:
-                for theta_out, db_out in self._eval(rule.body, db_in, theta, ev):
+                for theta_out, db_out in self._eval(
+                    rule.body, db_in, theta, ev, table
+                ):
                     values = []
                     ground = True
                     for v in canon_vars:
@@ -305,7 +337,7 @@ class SequentialEngine:
 
     def _eval(
         self, f: Formula, db: Database, theta: Substitution,
-        ev: Optional[Observers],
+        ev: Optional[Observers], table: _Table,
     ) -> Iterator[Tuple[Substitution, Database]]:
         if isinstance(f, Truth):
             yield theta, db
@@ -341,14 +373,14 @@ class SequentialEngine:
             parts = f.parts
             if self.join_order:
                 parts = self._plan_seq(parts, db, theta, ev)
-            yield from self._eval_seq(parts, 0, db, theta, ev)
+            yield from self._eval_seq(parts, 0, db, theta, ev, table)
             return
         if isinstance(f, Isol):
             # Sequential execution has no siblings; isolation is identity.
-            yield from self._eval(f.body, db, theta, ev)
+            yield from self._eval(f.body, db, theta, ev, table)
             return
         if isinstance(f, Call):
-            yield from self._eval_call(f.atom, db, theta, ev)
+            yield from self._eval_call(f.atom, db, theta, ev, table)
             return
         if isinstance(f, Conc):
             raise UnsupportedProgramError(
@@ -400,28 +432,28 @@ class SequentialEngine:
 
     def _eval_seq(
         self, parts: Tuple[Formula, ...], idx: int, db: Database,
-        theta: Substitution, ev: Optional[Observers],
+        theta: Substitution, ev: Optional[Observers], table: _Table,
     ) -> Iterator[Tuple[Substitution, Database]]:
         if idx == len(parts):
             yield theta, db
             return
-        for theta2, db2 in self._eval(parts[idx], db, theta, ev):
-            yield from self._eval_seq(parts, idx + 1, db2, theta2, ev)
+        for theta2, db2 in self._eval(parts[idx], db, theta, ev, table):
+            yield from self._eval_seq(parts, idx + 1, db2, theta2, ev, table)
 
     def _eval_call(
         self, atom: Atom, db: Database, theta: Substitution,
-        ev: Optional[Observers],
+        ev: Optional[Observers], table: _Table,
     ) -> Iterator[Tuple[Substitution, Database]]:
         instantiated = apply_atom(atom, theta)
         canon_atom, originals = canonical_call(instantiated)
         key = (canon_atom, db)
-        self._consulted.add(key)
-        answers = self._table.get(key)
+        self._consulted[key] = None
+        answers = table.answers.get(key)
         if ev is not None:
             ev.table_probe(answers is not None)
         if answers is None:
             # Register the key; the worklist driver will compute it.
-            self._table[key] = set()
+            table.answers[key] = set()
             self._new_keys.append(key)
             return
         for values, db_out in _replay_order(answers):

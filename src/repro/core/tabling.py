@@ -46,49 +46,17 @@ paused earlier step rather than an enclosing one.
 ``tabling=False`` on the interpreter keeps the naive search as the
 differential oracle, and -- same discipline as ``por=False`` -- tabling
 is bypassed entirely while a fault injector is attached, so chaos
-reports stay byte-identical.  :func:`tabling_disabled` force-disables
-it process-wide for audits.
+reports stay byte-identical.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from .database import Database
 from .terms import Atom, Term, Variable
 
-__all__ = [
-    "AnswerTable",
-    "TableEntry",
-    "canonical_call",
-    "tabling_disabled",
-    "tabling_forced_off",
-]
-
-#: Process-wide force-off switch, mirrored from the POR reducer's
-#: discipline (:func:`repro.core.por.por_disabled`): audits flip it to
-#: rebuild a workload with tabling off without threading a parameter
-#: through every construction site.
-_FORCE_DISABLED = False
-
-
-def tabling_forced_off() -> bool:
-    """True while a :func:`tabling_disabled` block is active."""
-    return _FORCE_DISABLED
-
-
-@contextmanager
-def tabling_disabled():
-    """Force-disable tabling for interpreters *constructed* inside the
-    block (the differential smoke in CI and the profile audits)."""
-    global _FORCE_DISABLED
-    prev = _FORCE_DISABLED
-    _FORCE_DISABLED = True
-    try:
-        yield
-    finally:
-        _FORCE_DISABLED = prev
+__all__ = ["AnswerTable", "TableEntry", "canonical_call"]
 
 
 def canonical_call(atom: Atom) -> Tuple[Atom, List[Variable]]:
@@ -209,10 +177,6 @@ class AnswerTable:
                 return None
             entry = self._entries[(key, db)] = TableEntry()
         return entry
-
-    def peek(self, key: object, db: Database) -> Optional[TableEntry]:
-        """The entry for ``(key, db)`` if one exists (no interning)."""
-        return self._entries.get((key, db))
 
     def note_consumed(self, entry: TableEntry) -> None:
         """An in-progress *entry*'s snapshot was served: no generator on

@@ -17,16 +17,11 @@ Three pieces:
 * :func:`write_baselines` -- run each workload instrumented and write
   ``<name>.json`` per config (``tdlog profile baseline``).
 * :func:`diff_baselines` -- re-run and compare against the committed
-  snapshots with per-counter tolerances (``tdlog profile diff``); any
-  out-of-tolerance drift, in either direction, is a failure.  A PR that
-  legitimately moves a counter regenerates the baseline in the same
-  change, so the delta is reviewed where it happens.
-
-Tolerances are *relative* (fraction of the baseline value).  The
-default is exact (0.0) because the counters are deterministic; CI keeps
-it that way.  ``--tolerance``/``--counter name=frac`` exist for local
-what-if runs and for any future counter that turns out to be
-environment-sensitive.
+  snapshots (``tdlog profile diff``).  The counters are deterministic,
+  so the comparison is exact: any drift, in either direction, is a
+  failure.  A PR that legitimately moves a counter regenerates the
+  baseline in the same change, so the delta is reviewed where it
+  happens.
 """
 
 from __future__ import annotations
@@ -387,28 +382,16 @@ class DiffReport:
         return [d for d in self.deltas if not d.ok]
 
 
-def _within(base: float, cur: float, tolerance: float) -> bool:
-    if base == cur:
-        return True
-    allowance = abs(base) * tolerance
-    return abs(cur - base) <= allowance
-
-
 def _numeric_deltas(
-    kind: str,
-    base: Dict[str, float],
-    cur: Dict[str, float],
-    tolerances: Dict[str, float],
-    default_tolerance: float,
+    kind: str, base: Dict[str, float], cur: Dict[str, float]
 ) -> List[Delta]:
     deltas = []
     for name in sorted(set(base) | set(cur)):
-        tolerance = tolerances.get(name, default_tolerance)
         if name not in base:
             deltas.append(Delta(kind, name, None, cur[name], "new"))
         elif name not in cur:
             deltas.append(Delta(kind, name, base[name], None, "missing"))
-        elif _within(base[name], cur[name], tolerance):
+        elif base[name] == cur[name]:
             deltas.append(Delta(kind, name, base[name], cur[name], "ok"))
         else:
             status = "regressed" if cur[name] > base[name] else "improved"
@@ -417,22 +400,17 @@ def _numeric_deltas(
 
 
 def diff_snapshot(
-    baseline: Dict[str, object],
-    current: Dict[str, object],
-    tolerances: Optional[Dict[str, float]] = None,
-    default_tolerance: float = 0.0,
+    baseline: Dict[str, object], current: Dict[str, object]
 ) -> DiffReport:
     """Compare a current capture against a baseline record.
 
-    Counters and gauges compare numerically under the tolerance model;
-    ``info`` facts (engine backend, sublanguage) must match exactly --
-    a workload silently landing on a different engine is drift of the
-    worst kind.  More work than baseline is ``regressed``, less is
-    ``improved``; *both* fail the gate, because an unexplained
-    improvement usually means the workload stopped doing the work the
-    baseline measured.
+    Counters, gauges and ``info`` facts (engine backend, sublanguage)
+    must match exactly -- a workload silently landing on a different
+    engine is drift of the worst kind.  More work than baseline is
+    ``regressed``, less is ``improved``; *both* fail the gate, because
+    an unexplained improvement usually means the workload stopped doing
+    the work the baseline measured.
     """
-    tolerances = tolerances or {}
     report = DiffReport(config=str(baseline.get("config", "?")))
     for kind in ("counters", "gauges"):
         report.deltas.extend(
@@ -440,8 +418,6 @@ def diff_snapshot(
                 kind[:-1],
                 dict(baseline.get(kind) or {}),
                 dict(current.get(kind) or {}),
-                tolerances,
-                default_tolerance,
             )
         )
     base_info = dict(baseline.get("info") or {})
@@ -461,8 +437,6 @@ def diff_snapshot(
 
 def diff_baselines(
     baseline_dir: str,
-    tolerances: Optional[Dict[str, float]] = None,
-    default_tolerance: float = 0.0,
     configs: Optional[Sequence[ProfileConfig]] = None,
 ) -> Tuple[List[DiffReport], List[str]]:
     """Re-run the suite and diff each config against its committed
@@ -481,9 +455,7 @@ def diff_baselines(
             continue
         baseline = load_baseline(path)
         current = capture_snapshot(config)
-        reports.append(
-            diff_snapshot(baseline, current, tolerances, default_tolerance)
-        )
+        reports.append(diff_snapshot(baseline, current))
     return reports, problems
 
 
@@ -533,7 +505,7 @@ def render_diff(
     for problem in problems:
         lines.append("MISSING   %s" % problem)
     lines.append(
-        "profile diff: %d config(s), %d value(s) compared, %d out of tolerance%s"
+        "profile diff: %d config(s), %d value(s) compared, %d drifted%s"
         % (
             len(reports),
             total,
@@ -542,14 +514,3 @@ def render_diff(
         )
     )
     return "\n".join(lines)
-
-
-def parse_tolerance_overrides(pairs: Sequence[str]) -> Dict[str, float]:
-    """Parse ``name=frac`` CLI override strings into a tolerance map."""
-    out: Dict[str, float] = {}
-    for pair in pairs:
-        name, sep, frac = pair.partition("=")
-        if not sep or not name:
-            raise ValueError("expected name=fraction, got %r" % pair)
-        out[name] = float(frac)
-    return out

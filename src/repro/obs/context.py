@@ -347,12 +347,6 @@ class Observers:
         })
         self._charge("table.hit_credit", max(answers, 1), atom.pred)
 
-    def call_empty(self, atom, parent) -> None:
-        """A DFS branch dies on a complete, empty table entry."""
-        self._inc("table.hits")
-        self._record("table", atom, parent, disposition="table-hit",
-                     witness={"answers": 0, "complete": True})
-
     def iso_hit(self, body, answers: int) -> None:
         """An ``iso`` body is served from its complete table entry: a
         trace event and the hit credit."""

@@ -4,9 +4,22 @@ The worklist driver replaced naive full-table rounds; these tests pin
 the behaviours that broke (or could break) during that change.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import Database, SequentialEngine, parse_database, parse_goal, parse_program
+
+PATH = "path(X, Y) <- e(X, Y).\npath(X, Y) <- e(X, Z) * path(Z, Y)."
+
+
+def _answers(solutions):
+    return {
+        (tuple(sorted((str(v), str(t)) for v, t in s.bindings.items())), s.database)
+        for s in solutions
+    }
 
 
 class TestEmptyAnswerKeys:
@@ -111,3 +124,74 @@ class TestTableReuseAcrossQueries:
             parse_goal("stage1(X) * stage2(X)"), parse_database("src(v).")
         )
         assert sol.database == parse_database("src(v). mid(v). out(v).")
+
+
+class TestTableLifetime:
+    """A table serves one initial database, as the interpreter's does: a
+    solve from another state starts with an empty table."""
+
+    def test_commits_over_a_store_keep_the_table_bounded(self):
+        from repro import select_engine
+        from repro.store import MemoryStore
+
+        program = parse_program(
+            "bump <- c(N) * del.c(N) * M is N + 1 * ins.c(M).\n"
+            "rich <- c(N) * N >= 5."
+        )
+        engine = select_engine(program, store=MemoryStore(parse_database("c(0).")))
+        assert isinstance(engine.backend, SequentialEngine)
+        for _ in range(100):
+            assert engine.simulate("bump") is not None
+            list(engine.solve("rich"))
+        # The last state's key, not one for every state the store passed
+        # through.
+        assert engine.backend.table_size[0] <= 1
+
+    @pytest.mark.parametrize("goal", ["path(a, X)", "path(a, X) * path(X, Y)"])
+    def test_a_paused_solve_survives_another_states_solve(self, goal):
+        # The second solve empties the table under the paused first one,
+        # whose replay must still read the table it started with: the
+        # second goal's later ``path`` calls are looked up after the
+        # pause.
+        program = parse_program(PATH)
+        one = parse_database("e(a, b). e(b, c). e(c, d).")
+        two = parse_database("e(a, x). e(x, y).")
+        engine = SequentialEngine(program)
+        paused = engine.solve(parse_goal(goal), one)
+        first = next(paused)
+        assert _answers(engine.solve(parse_goal(goal), two)) == _answers(
+            SequentialEngine(program).solve(parse_goal(goal), two)
+        )
+        got = _answers([first, *paused])
+        assert got == _answers(SequentialEngine(program).solve(parse_goal(goal), one))
+        assert len(got) == 3
+
+
+class TestDeterministicWorklist:
+    def test_counters_equal_across_processes(self):
+        # The worklist enqueues keys in the order they were consulted,
+        # never in set order: a term's hash mixes in its class's, which
+        # is an address, so set order differs between processes even
+        # under one PYTHONHASHSEED.
+        script = (
+            "from repro import SequentialEngine, parse_goal\n"
+            "from repro.complexity import chain_edges, transitive_closure_program\n"
+            "from repro.obs import Instrumentation, instrumented\n"
+            "inst = Instrumentation.create()\n"
+            "with instrumented(inst):\n"
+            "    list(SequentialEngine(transitive_closure_program()).solve(\n"
+            "        parse_goal('path(X, Y)'), chain_edges(24)))\n"
+            "m = inst.metrics\n"
+            "print(m.counter('table.hits'), m.counter('table.recomputes'),\n"
+            "      m.counter('unify.attempts'))\n"
+        )
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(out.stdout.strip())
+        assert len(outputs) == 1, outputs

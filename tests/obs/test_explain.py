@@ -316,6 +316,17 @@ class TestBlockers:
         _, _, report = _why_not("t <- iso(permit(x) * ins.ok * del.ok).", "t", mode=mode)
         assert _blockers(report) == ["inside iso: waiting for fact permit(x)"]
 
+    def test_bfs_and_dfs_mark_dead_ends_alike(self):
+        # Both schedulers run one expansion, which marks a configuration
+        # failed-unify only when it had no step at all: one whose every
+        # step leads into a dead configuration keeps its disposition.
+        dispositions = [
+            _why_not("p <- ins.z.", "ins.a * license(W) * ins.b", mode=mode)[0]
+            .by_disposition()
+            for mode in ("bfs", "dfs")
+        ]
+        assert dispositions[0] == dispositions[1] == {"root": 1, "dead-config": 1}
+
 
 class TestDot:
     def test_dot_output_shape(self, bank_program, bank_db):
