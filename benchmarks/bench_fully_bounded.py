@@ -82,39 +82,51 @@ def test_refutation_is_bounded(benchmark):
     benchmark.pedantic(lambda: engine.succeeds("drain", db), rounds=3, iterations=1)
 
 
-def test_decision_cost_tracks_state_space(benchmark):
+def test_decision_cost_tracks_state_space(benchmark, bench_instrumentation):
     """Exhaustive deciding explores every reachable configuration.  On
     the drain family the reachable databases are all subsets of the item
     set (any deletion order), so the space -- and the exhaustive cost --
     is exponential in the item count, even though a single *witness*
     execution is linear.  That gap is the practical content of "fully
-    bounded": decidable, not free."""
+    bounded": decidable, not free.
+
+    The verdicts are on counted work: the configurations the decision
+    and the witness expand, read from the instrumentation every
+    benchmark runs under.  The seconds are printed as context."""
+    metrics = bench_instrumentation.metrics
     program = parse_program(
         "drain <- item(X) * del.item(X) * drain.\ndrain <- not item(_)."
     )
+
+    def expanded(fn):
+        before = metrics.counter("search.configs_expanded")
+        result, seconds = measure(fn)
+        return result, metrics.counter("search.configs_expanded") - before, seconds
+
     rows = []
     sizes = []
-    times = []
+    decided = []
     for n in (4, 6, 8, 10):
         db = parse_database(" ".join("item(i%02d)." % i for i in range(n)))
         interp = Interpreter(program, max_configs=10_000_000)
-        finals, seconds = measure(
+        finals, configs, seconds = expanded(
             lambda: interp.final_databases(parse_goal("drain"), db)
         )
         assert finals == {Database()}
         # one DFS witness, for contrast
-        _exe, witness_s = measure(
+        _exe, witness, witness_s = expanded(
             lambda: interp.simulate(parse_goal("drain"), db)
         )
-        rows.append([n, 2**n, seconds, witness_s])
+        rows.append([n, 2**n, configs, witness, seconds, witness_s])
         sizes.append(n)
-        times.append(max(seconds, 1e-6))
+        decided.append(configs)
     print_series(
         "C7: exhaustive decide (2^n subsets) vs one witness execution",
-        ["items", "2^items", "decide s", "witness s"],
+        ["items", "2^items", "decide configs", "witness configs",
+         "decide s", "witness s"],
         rows,
     )
-    assert estimate_growth(sizes, times) == "exponential"
+    assert estimate_growth(sizes, decided) == "exponential"
     # the witness stays far cheaper than the exhaustive decision
     assert rows[-1][3] < rows[-1][2]
 

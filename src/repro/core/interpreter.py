@@ -54,7 +54,7 @@ import random
 import time
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -83,12 +83,13 @@ from .transitions import (
     Step,
     _ckey_pair,
     canonical_key,
-    dead_config,
+    dead_step,
     enabled_steps,
     frontier_blocked,
     frontier_blockers,
     is_final,
     replay_into_store,
+    successor,
     update_footprint,
 )
 from .unify import Substitution, walk
@@ -373,7 +374,9 @@ class Interpreter:
             reducer=reducer, ev=ev, parent=parent,
         )
 
-    def _expand(self, proc, db, footprint, budget, ev, deadline, node, head=None):
+    def _expand(
+        self, proc, db, footprint, budget, ev, deadline, node, head=None, live=False
+    ):
         """The live steps of one configuration, as both schedulers
         expand it: count the expansion, check the deadline, take the
         steps (served from the answer table when *head*, the
@@ -383,7 +386,12 @@ class Interpreter:
         goal's update *footprint* (a ``dead-config`` child of *node*).
         A configuration with no step at all has ``failed``.  Lazy: a
         scheduler pays only for the steps it pulls, and builds the
-        substituted residual itself."""
+        successor process itself (:func:`successor`).
+
+        A configuration the schedulers created from a step passed the
+        dead check, so it is *live*: its steps re-check only the guards
+        they can flip (:func:`dead_step`).  Steps out of any other (a
+        root or a resumed one) take the full check."""
         if ev is not None:
             ev.expanded()
         if deadline is not None:
@@ -403,10 +411,7 @@ class Interpreter:
         for step in steps:
             budget.spend()
             stepped = True
-            # ``dead_config`` applies the step's bindings at the leaves.
-            if dead_config(
-                step.residual, step.database, insertable, deletable, step.subst
-            ):
+            if dead_step(step, proc, insertable, deletable, live):
                 if ev is not None:
                     ev.child(step, node, "dead-config", lambda: frontier_blockers(
                         step.residual, step.database, step.subst))
@@ -639,7 +644,8 @@ class Interpreter:
         # reports whatever the table holds).
         table = self._table if self.faults is None else None
         # The frontier is bucketed by canonical key: alongside the FIFO
-        # queue of (configuration, key) pairs, ``queued`` holds the keys
+        # queue of (configuration, key, live) triples (``live``: created
+        # from a step, see :meth:`_expand`), ``queued`` holds the keys
         # currently awaiting expansion and ``seen`` the keys already
         # expanded (or emitted).  A successor whose key is already
         # queued is *subsumed* -- a second schedule reached the same
@@ -653,17 +659,17 @@ class Interpreter:
         if state is None:
             start = Configuration(goal, db, tuple(goal_vars))
             start_key = self._key(start)
-            frontier = deque([(start, start_key)])
+            frontier = deque([(start, start_key, False)])
             seen = set()
             traces: Dict[object, Tuple[Action, ...]] = {start_key: ()}
             emitted = set()
         else:
-            frontier = deque((c, self._key(c)) for c in state.frontier)
+            frontier = deque((c, self._key(c), False) for c in state.frontier)
             seen = set(state.seen)
             traces = dict(state.traces) if state.traces is not None else {}
             emitted = set(state.emitted)
         naive_keys = set(state.naive) if state is not None else set()
-        queued = {key for _, key in frontier}
+        queued = {key for _, key, _ in frontier}
         # Provenance bookkeeping maps canonical config keys to node ids
         # in the derivation DAG (all None when no recorder is on).
         node_ids: Dict[object, Optional[int]] = {}
@@ -672,11 +678,11 @@ class Interpreter:
                 node_ids[frontier[0][1]] = ev.config(goal)
             else:
                 root = ev.config(goal, prefix="(resume) ")
-                for c, key in frontier:
+                for c, key, _ in frontier:
                     node_ids[key] = ev.config(c.process, root, "(resumed) ")
 
         while frontier:
-            config, config_key = frontier.popleft()
+            config, config_key, live = frontier.popleft()
             queued.discard(config_key)
             seen.add(config_key)
             if is_final(config.process):
@@ -694,9 +700,9 @@ class Interpreter:
             try:
                 for step in self._expand(
                     config.process, config.database, footprint, budget, ev,
-                    deadline, parent, head,
+                    deadline, parent, head, live,
                 ):
-                    new_proc = apply_subst(step.residual, step.subst)
+                    new_proc = successor(step)
                     new_answers = tuple(walk(t, step.subst) for t in config.answers)
                     succ = Configuration(new_proc, step.database, new_answers)
                     key = self._key(succ)
@@ -710,7 +716,7 @@ class Interpreter:
                     queued.add(key)
                     if want_trace:
                         traces[key] = traces.get(config_key, ()) + (step.action,)
-                    frontier.append((succ, key))
+                    frontier.append((succ, key, True))
                     if ev is not None:
                         node_ids[key] = ev.child(step, parent)
                         ev.frontier(len(frontier))
@@ -722,7 +728,7 @@ class Interpreter:
                 # layer runs this same handler as the exception
                 # propagates, so the outermost (user-goal) checkpoint
                 # wins.
-                frontier.appendleft((config, config_key))
+                frontier.appendleft((config, config_key, live))
                 if head is not None:
                     # The interrupt fired in a big-stepped (tabled)
                     # expansion, or at its deadline check; see
@@ -732,7 +738,7 @@ class Interpreter:
                 exc.checkpoint = Checkpoint(
                     goal=goal,
                     goal_vars=tuple(goal_vars),
-                    frontier=tuple(c for c, _ in frontier),
+                    frontier=tuple(c for c, _, _ in frontier),
                     seen=frozenset(seen),
                     emitted=frozenset(emitted),
                     traces=dict(traces) if want_trace else None,
@@ -921,8 +927,8 @@ class Interpreter:
         times: Optional[List[float]] = ev.stamps() if ev is not None else None
         faults = self.faults
 
-        def expand(proc: Formula, state: Database, pnode=None):
-            """Successor (step, residual process) pairs of one expansion
+        def expand(proc: Formula, state: Database, pnode=None, live=True):
+            """Successor (step, successor process) pairs of one expansion
             (:meth:`_expand`), ordered so that children whose frontier
             is immediately enabled come before blocked ones (see
             :func:`frontier_blocked`).  No head call is served from the
@@ -936,24 +942,30 @@ class Interpreter:
             execution, and eager materialization here would force it to
             enumerate its *entire* execution space even when the first
             one commits the goal.  (Seeded runs still materialize -- a
-            shuffle needs the full list.)
+            shuffle needs the full list -- but build a step's successor
+            process, and its action and updated state, only once the DFS
+            takes it.)
             """
             ready = []
             deferred = []
             for step in self._expand(
-                proc, state, footprint, budget, ev, deadline, pnode
+                proc, state, footprint, budget, ev, deadline, pnode, live=live
             ):
-                if frontier_blocked(step.local, step.database, step.subst):
+                # A finished branch (``local`` true) is never blocked,
+                # and asking would build an update's successor state.
+                if not is_final(step.local) and frontier_blocked(
+                    step.local, step.database, step.subst
+                ):
                     deferred.append(step)
                 elif rng is None:
-                    yield step, apply_subst(step.residual, step.subst)
+                    yield step, successor(step)
                 else:
                     ready.append(step)
             if rng is not None:
                 rng.shuffle(ready)
                 rng.shuffle(deferred)
             for step in ready + deferred:
-                yield step, apply_subst(step.residual, step.subst)
+                yield step, successor(step)
 
         # Each frame: [process, database, canonical key (None until
         # needed), step iterator, answers, hits_before, prov node,
@@ -961,7 +973,10 @@ class Interpreter:
         # on long workflow executions.
         root = ev.config(goal) if ev is not None else None
         stack: List[list] = [
-            [goal, db, None, expand(goal, db, root), tuple(goal_vars), 0, root, False]
+            [
+                goal, db, None, expand(goal, db, root, live=False),
+                tuple(goal_vars), 0, root, False,
+            ]
         ]
         if ev is not None:
             ev.depth(len(stack))

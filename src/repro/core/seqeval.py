@@ -61,7 +61,7 @@ from .parser import as_goal
 from .program import Program
 from .tabling import canonical_call
 from .terms import Atom, Constant, Variable
-from .unify import Substitution, apply_atom, unify_atoms, walk
+from .unify import Substitution, apply_atom, walk
 
 __all__ = ["SequentialEngine"]
 

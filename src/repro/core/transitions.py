@@ -28,7 +28,7 @@ sorted) so searches can memoize visited configurations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .database import Database
@@ -49,6 +49,7 @@ from .formulas import (
     Truth,
     apply_subst,
     conc,
+    free_variables,
     seq,
     walk_formulas,
 )
@@ -65,7 +66,9 @@ __all__ = [
     "canonical_key",
     "update_footprint",
     "dead_config",
+    "dead_step",
     "frontier_blockers",
+    "successor",
 ]
 
 
@@ -103,23 +106,95 @@ class Action:
         return str(self.atom)
 
 
-@dataclass(frozen=True)
 class Step:
     """One enabled transition out of a configuration.
 
-    ``residual`` is the full remaining process; ``local`` is just the
-    subformula that replaced the stepped redex (``true`` for elementary
-    operations, the instantiated rule body for a call).  Schedulers use
-    ``local`` to notice that a rule choice left its own branch blocked --
-    e.g. an iteration's stop rule unfolded before its flag exists -- and
-    defer that choice behind immediately runnable ones.
+    ``residual`` is the full remaining process, *before* applying
+    ``subst``; ``local`` is just the subformula that replaced the
+    stepped redex (``true`` for elementary operations, the instantiated
+    rule body for a call).  Schedulers use ``local`` to notice that a
+    rule choice left its own branch blocked -- e.g. an iteration's stop
+    rule unfolded before its flag exists -- and defer that choice behind
+    immediately runnable ones.
+
+    A search takes a fraction of the steps it enumerates, so the indexed
+    enumeration builds its steps lazily: a step keeps its ``redex``, the
+    context chain ``ctx`` enclosing it (see :func:`_plug`) and the
+    pre-step database ``source``, and builds ``residual``, ``action``
+    and, for ``ins``/``del``, ``database`` on first read.  Building is
+    pure, so when -- or whether -- a part is built changes nothing a
+    search observes.  Steps built whole (table-served and ``iso`` steps,
+    and the naive enumeration's) have ``redex`` None.
     """
 
-    action: Action
-    subst: Substitution
-    residual: Formula  # the full residual process, *before* applying subst
-    database: Database
-    local: Formula = TRUTH
+    __slots__ = ("subst", "local", "redex", "ctx", "source",
+                 "_residual", "_action", "_database")
+
+    def __init__(self, action: Action, subst: Substitution, residual: Formula,
+                 database: Database, local: Formula = TRUTH):
+        self._action = action
+        self.subst = subst
+        self._residual = residual
+        self._database = database
+        self.local = local
+        self.redex = None
+
+    @property
+    def residual(self) -> Formula:
+        residual = self._residual
+        if residual is None:
+            residual = self._residual = _plug(self.ctx, self.local)
+        return residual
+
+    @property
+    def action(self) -> Action:
+        action = self._action
+        if action is None:
+            action = self._action = _redex_action(self.redex, self.subst)
+        return action
+
+    @property
+    def database(self) -> Database:
+        database = self._database
+        if database is None:
+            redex = self.redex
+            if isinstance(redex, Ins):
+                database = self.source.insert(redex.atom)
+            else:
+                database = self.source.delete(redex.atom)
+            self._database = database
+        return database
+
+
+def _lazy_step(redex: Formula, ctx, subst: Substitution, db: Database,
+               local: Formula = TRUTH) -> Step:
+    """An enumerated step of *redex* from state *db*; an update's
+    successor state is left to build on first read."""
+    step = object.__new__(Step)
+    step.redex = redex
+    step.ctx = ctx
+    step.subst = subst
+    step.local = local
+    step._residual = step._action = None
+    if isinstance(redex, (Ins, Del)):
+        step.source = db
+        step._database = None
+    else:
+        step._database = db
+    return step
+
+
+def _redex_action(redex: Formula, subst: Substitution) -> Action:
+    """The trace record of stepping *redex* under *subst*."""
+    if isinstance(redex, Test):
+        return Action("test", _display_atom(apply_atom(redex.atom, subst)))
+    if isinstance(redex, Call):
+        return Action("call", _display_atom(apply_atom(redex.atom, subst)))
+    if isinstance(redex, Neg):
+        return Action("neg", _display_atom(redex.atom))
+    if isinstance(redex, Builtin):
+        return Action("builtin", detail=str(redex))
+    return Action("ins" if isinstance(redex, Ins) else "del", redex.atom)
 
 
 @dataclass(frozen=True)
@@ -267,50 +342,55 @@ def _plug(ctx, f: Formula = TRUTH) -> Formula:
     return f
 
 
+def successor(step: Step) -> Formula:
+    """The process *step* leads to: its residual with its substitution
+    applied.  For an enumerated step this is one pass up the context
+    chain, substituting into each frame's siblings as it plugs, instead
+    of plugging the residual and then rebuilding its spine under the
+    substitution; the two trees are equal."""
+    theta = step.subst
+    if step.redex is None:
+        return apply_subst(step.residual, theta)
+    if not theta:
+        return step.residual
+    f = apply_subst(step.local, theta)
+    ctx = step.ctx
+    while ctx is not None:
+        ctx, before, after = ctx
+        after = [apply_subst(p, theta) for p in after]
+        if before is None:
+            f = seq(f, *after)
+        else:
+            f = conc(*[apply_subst(p, theta) for p in before], f, *after)
+    return f
+
+
 def _steps(
     program: Program, proc: Formula, db: Database, isol_runner: IsolRunner, ctx=None
 ) -> Iterator[Step]:
+    # ``_never_steps`` has already excluded a non-ground update and a
+    # builtin over unbound variables: not errors, since a sibling sharing
+    # the variable may still bind it (cross-branch dataflow).
     if isinstance(proc, Truth) or _never_steps(proc):
         return
     if isinstance(proc, Test):
-        residual = None  # plugged on the first match, shared by the rest
         for theta in db.match(proc.atom):
-            if residual is None:
-                residual = _plug(ctx)
-            yield Step(
-                Action("test", _display_atom(apply_atom(proc.atom, theta))),
-                theta,
-                residual,
-                db,
-            )
+            yield _lazy_step(proc, ctx, theta, db)
         return
     if isinstance(proc, Neg):
         if not db.holds(proc.atom):
-            yield Step(Action("neg", _display_atom(proc.atom)), {}, _plug(ctx), db)
+            yield _lazy_step(proc, ctx, {}, db)
         return
-    if isinstance(proc, Ins):
-        if not proc.atom.is_ground():
-            # Not an error: a sibling branch sharing the variable may
-            # still bind it (cross-branch dataflow); until then the
-            # update is simply not enabled.  Genuinely unsafe programs
-            # are flagged by the static analysis instead.
-            return
-        yield Step(Action("ins", proc.atom), {}, _plug(ctx), db.insert(proc.atom))
-        return
-    if isinstance(proc, Del):
-        if not proc.atom.is_ground():
-            return  # blocked until a sibling binds the variables
-        yield Step(Action("del", proc.atom), {}, _plug(ctx), db.delete(proc.atom))
+    if isinstance(proc, (Ins, Del)):
+        yield _lazy_step(proc, ctx, {}, db)
         return
     if isinstance(proc, Builtin):
         try:
             theta = proc.evaluate({})
         except ValueError:
-            # Unbound arguments: blocked until a sibling binds them
-            # (same convention as unbound updates).
-            return
+            return  # e.g. arithmetic over non-integers: never enabled
         if theta is not None:
-            yield Step(Action("builtin", detail=str(proc)), theta, _plug(ctx), db)
+            yield _lazy_step(proc, ctx, theta, db)
         return
     if isinstance(proc, Call):
         sig = proc.atom.signature
@@ -322,13 +402,7 @@ def _steps(
         # this call shape, so repeated unfoldings skip the unification
         # scan over non-matching rules entirely.
         for rule, theta in program.match_rules(proc.atom):
-            yield Step(
-                Action("call", _display_atom(apply_atom(proc.atom, theta))),
-                theta,
-                _plug(ctx, rule.body),
-                db,
-                rule.body,
-            )
+            yield _lazy_step(proc, ctx, theta, db, rule.body)
         return
     if isinstance(proc, Seq):
         yield from _steps(
@@ -590,18 +664,93 @@ def dead_config(
     is the substituted frontier and the verdict is the same.
     """
     for guard in _frontier_guards(proc):
-        if isinstance(guard, Test):
-            if guard.atom.pred not in insertable and not db.holds(guard.atom, subst):
+        if _dead_guard(guard, db, insertable, deletable, subst):
+            return True
+    return False
+
+
+def _dead_guard(
+    guard: Formula,
+    db: Database,
+    insertable: frozenset,
+    deletable: frozenset,
+    subst: Substitution,
+) -> bool:
+    """Whether one frontier guard is permanently stuck (see
+    :func:`dead_config`)."""
+    if isinstance(guard, Test):
+        return guard.atom.pred not in insertable and not db.holds(guard.atom, subst)
+    if isinstance(guard, Neg):
+        return guard.atom.pred not in deletable and db.holds(guard.atom, subst)
+    try:
+        return guard.evaluate(subst) is None
+    except ValueError:
+        return False  # unbound variables: a sibling may still bind them
+
+
+def dead_step(
+    step: Step,
+    proc: Formula,
+    insertable: frozenset,
+    deletable: frozenset,
+    live: bool = True,
+) -> bool:
+    """:func:`dead_config` of the configuration *step* leads to from
+    *proc*, applying the step's bindings at the leaves.
+
+    When *proc*, over the step's pre-step database, is known to be
+    *live* (it has no dead frontier guard), an enumerated step is judged
+    incrementally.  It replaces one redex, makes its own bindings and
+    changes at most one predicate, so only these guards can flip:
+
+    * the new frontier at the stepped position: the guards of ``local``,
+      or, when ``local`` is ``true`` under a sequence, those of the next
+      element (under a concurrent composition the siblings are on the
+      frontier already);
+    * guards on *proc*'s frontier that mention a variable the step binds;
+    * absence tests on the predicate an ``ins`` step inserts, and tuple
+      tests on the predicate a ``del`` step deletes.
+
+    Every other guard keeps its verdict: a builtin depends only on its
+    variables, an insert only makes tuple tests truer, and a delete only
+    absence tests.  The stepped redex, if a guard, holds under its own
+    bindings.  Otherwise, and for a step built whole (table-served or
+    ``iso``, whose state may differ in any predicate), the full check
+    runs on the residual; one with no frontier guard is never dead, and
+    its state is not built for the check.
+    """
+    if step.redex is None or not live:
+        residual = step.residual
+        return bool(_frontier_guards(residual)) and dead_config(
+            residual, step.database, insertable, deletable, step.subst
+        )
+    subst = step.subst
+    local = step.local
+    if isinstance(local, Truth):
+        ctx = step.ctx
+        fresh = _frontier_guards(ctx[2][0]) if ctx is not None and ctx[1] is None else ()
+    else:
+        fresh = _frontier_guards(local)
+    for guard in fresh:
+        if _dead_guard(guard, step.database, insertable, deletable, subst):
+            return True
+    redex = step.redex
+    if isinstance(redex, (Ins, Del)):
+        flips = Neg if isinstance(redex, Ins) else Test
+        pred = redex.atom.pred
+        for guard in _frontier_guards(proc):
+            if (
+                isinstance(guard, flips)
+                and guard.atom.pred == pred
+                and _dead_guard(guard, step.database, insertable, deletable, subst)
+            ):
                 return True
-        elif isinstance(guard, Neg):
-            if guard.atom.pred not in deletable and db.holds(guard.atom, subst):
+    elif subst:
+        for guard in _frontier_guards(proc):
+            if not free_variables(guard).isdisjoint(subst) and _dead_guard(
+                guard, step.database, insertable, deletable, subst
+            ):
                 return True
-        else:
-            try:
-                if guard.evaluate(subst) is None:
-                    return True
-            except ValueError:
-                pass  # unbound variables: a sibling may still bind them
     return False
 
 

@@ -15,17 +15,17 @@ boundary: verification is exactly what boundedness buys you.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Tuple, Union
 
 from ..core.database import Database
 from ..core.errors import SearchBudgetExceeded
 from ..obs import context as _context
-from ..core.formulas import Formula, apply_subst
+from ..core.formulas import Formula
 from ..core.interpreter import Interpreter
 from ..core.parser import parse_goal
 from ..core.program import Program
-from ..core.transitions import canonical_key, enabled_steps, is_final
+from ..core.transitions import canonical_key, enabled_steps, is_final, successor
 
 __all__ = ["StateNode", "StateGraph", "explore"]
 
@@ -168,7 +168,7 @@ def explore(
                 ev.state()
                 steps = ev.metered(steps)
             for step in steps:
-                new_proc = apply_subst(step.residual, step.subst)
+                new_proc = successor(step)
                 succ_id, fresh = intern(new_proc, step.database)
                 label = str(step.action)
                 edges[node_id].append((label, succ_id))

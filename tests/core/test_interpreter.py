@@ -4,6 +4,7 @@ communication through the database, recursion, budgets."""
 import pytest
 
 import repro.core.interpreter as interpreter_module
+import repro.core.transitions as transitions_module
 from repro import (
     Database,
     Interpreter,
@@ -277,10 +278,11 @@ class TestFailedMemo:
 
 
 class TestResidualsOnDemand:
-    """A DFS step's substituted residual is built only for a step the
-    search takes: dead successors (``avail(1)``/``avail(2)`` leave
-    ``ok(A)`` unsatisfiable) and the deferral check are judged under the
-    step's substitution instead."""
+    """A DFS step's successor process, trace action and updated state are
+    built only for a step the search takes: dead successors
+    (``avail(1)``/``avail(2)`` leave ``ok(A)`` unsatisfiable), the
+    deferral check and the steps a seeded run shuffles but never takes
+    are judged on the lazy step instead."""
 
     TRACES = {
         None: ["call t", "avail(3)", "ok(3)", "ins.done(3)", "ins.z(1)"],
@@ -288,16 +290,23 @@ class TestResidualsOnDemand:
         1: ["ins.z(1)", "call t", "avail(3)", "ok(3)", "ins.done(3)"],
     }
 
-    @pytest.mark.parametrize("seed", [None, 0, 1])
-    def test_one_residual_per_taken_step(self, seed, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, owner, name):
         calls = []
-        original = interpreter_module.apply_subst
+        original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(interpreter_module, "apply_subst", counted)
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_one_residual_per_taken_step(self, seed, monkeypatch):
+        successors = self._count(monkeypatch, interpreter_module, "successor")
+        actions = self._count(monkeypatch, transitions_module, "Action")
+        derived = self._count(monkeypatch, Database, "_derive")
         interp = Interpreter(
             parse_program("t <- avail(A) * ok(A) * ins.done(A)."), por=False
         )
@@ -307,4 +316,6 @@ class TestResidualsOnDemand:
             seed=seed,
         )
         assert [str(a) for a in exe.trace] == self.TRACES[seed]
-        assert len(calls) == len(exe.trace) == 5
+        assert len(successors) == len(actions) == len(exe.trace) == 5
+        # One updated state per update taken: ``ins.done(3)``, ``ins.z(1)``.
+        assert len(derived) == 2

@@ -8,6 +8,7 @@ from repro.core.terms import Constant, Variable
 from repro.core.transitions import (
     canonical_key,
     dead_config,
+    dead_step,
     enabled_steps,
     frontier_blocked,
     is_final,
@@ -213,6 +214,33 @@ class TestDeadConfig:
         db = parse_database("qualified(tech0, tech).")
         assert dead_config(goal, db, ins, dels, {Variable("A"): Constant("clerk0")})
         assert not dead_config(goal, db, ins, dels)
+
+
+class TestDeadStep:
+    """Out of a live configuration, each pinned step leads to a dead one,
+    and the incremental check finds it through the guard it flips."""
+
+    @pytest.mark.parametrize(
+        "goal_text, db_text, action",
+        [
+            # A sibling guard sharing the bound variable; ``ok`` is
+            # never inserted.
+            ("a(X) | ok(X)", "a(1). ok(2).", "a(1)"),
+            # An absence test on an inserted, never-deleted predicate.
+            ("ins.p(1) | (not p(1) * x)", "", "ins.p(1)"),
+            # A tuple test on a deleted, never-inserted predicate.
+            ("del.q(1) | (q(1) * x)", "q(1).", "del.q(1)"),
+        ],
+    )
+    def test_step_into_dead_configuration(self, goal_text, db_text, action):
+        prog, steps = steps_of("", goal_text, db_text)
+        goal = prog.resolve_goal(parse_goal(goal_text))
+        db = parse_database(db_text)
+        ins, dels = update_footprint(prog, goal)
+        assert not dead_config(goal, db, ins, dels)
+        (step,) = [s for s in steps if str(s.action) == action]
+        assert dead_step(step, goal, ins, dels)
+        assert dead_config(step.residual, step.database, ins, dels, step.subst)
 
 
 class TestFrontierBlocked:

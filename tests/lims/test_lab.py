@@ -1,5 +1,8 @@
 """Tests for the genome-laboratory workload generator."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import Sublanguage, analyze
@@ -95,3 +98,27 @@ class TestSyntheticHistory:
     def test_deterministic_by_seed(self):
         assert synthetic_history(8, seed=7) == synthetic_history(8, seed=7)
         assert synthetic_history(8, seed=7) != synthetic_history(8, seed=8)
+
+
+class TestSeededTraces:
+    """Seeded lab simulations are pinned event for event: the scheduler's
+    step order, and hence every random draw of a seeded run, must not
+    change when the search gets faster.  The goldens in
+    ``lab_seeded_traces.json`` were recorded by :meth:`record`; a
+    change that alters them alters the search, not just its speed."""
+
+    GOLDEN = Path(__file__).with_name("lab_seeded_traces.json")
+    SEEDS = (0, 1, 2)
+
+    @staticmethod
+    def record(seed):
+        res = build_lab_simulator(iterate=True).run(sample_batch(4), seed=seed)
+        return {
+            "events": list(res.execution.events),
+            "history": sorted(str(fact) for fact in res.history),
+        }
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeded_run_matches_golden(self, seed):
+        golden = json.loads(self.GOLDEN.read_text())
+        assert self.record(seed) == golden[str(seed)]

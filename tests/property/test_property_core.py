@@ -25,7 +25,14 @@ from repro.core.formulas import (
 )
 from repro.core.parser import parse_goal as pg
 from repro.core.terms import Atom, Constant, Variable, atom
-from repro.core.transitions import canonical_key, dead_config, frontier_blocked
+from repro.core.transitions import (
+    canonical_key,
+    dead_config,
+    dead_step,
+    enabled_steps,
+    frontier_blocked,
+    successor,
+)
 from repro.core.unify import apply_atom, match_atom, unify_atoms, walk
 
 # -- strategies -------------------------------------------------------------
@@ -304,6 +311,58 @@ class TestSubstitutionAwareChecks:
         for node in walk_formulas(applied):
             if isinstance(node, (Seq, Conc)):
                 assert not any(isinstance(p, (type(node), Truth)) for p in node.parts)
+
+
+#: Rules for the generated calls (``p/1``, ``q/2``, ``r/2``): unfolding
+#: binds the caller's variables, and bodies put fresh guards, ``true`` or
+#: a concurrent composition at the stepped position.
+STEP_PROGRAM = parse_program(
+    """
+    p(0).
+    p(X) <- X > 1.
+    q(X, 1) <- r(X, X) * X = 2.
+    q(2, Y) <- iso(Y is 1 + 1) | p(Y).
+    r(X, Y) <- p(X) * p(Y).
+    """
+)
+
+
+def _no_iso(body, db, cap=None):
+    return iter(())
+
+
+def _without_iso(f):
+    """*f* with every ``iso`` replaced by its body, so its redexes step
+    without a nested search."""
+    if isinstance(f, Isol):
+        return _without_iso(f.body)
+    if isinstance(f, Seq):
+        return seq(*map(_without_iso, f.parts))
+    if isinstance(f, Conc):
+        return conc(*map(_without_iso, f.parts))
+    return f
+
+
+class TestIncrementalDeadCheck:
+    """Out of a live configuration, :func:`dead_step` re-checks only the
+    guards a step can flip; its verdict is the full :func:`dead_config`
+    of the step's successor, and :func:`successor` builds the tree that
+    substituting the plugged residual builds.  Each configuration runs
+    a formula whose redexes step beside one that may keep guards inside
+    an ``iso``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(theta_formulas, theta_formulas, theta_databases(), pred_sets, pred_sets)
+    def test_dead_step_matches_dead_config(self, stepping, other, db, ins, dels):
+        f = conc(_without_iso(stepping), other)
+        if dead_config(f, db, ins, dels):
+            return
+        for step in enabled_steps(STEP_PROGRAM, f, db, _no_iso):
+            verdict = dead_step(step, f, ins, dels)
+            assert verdict == dead_config(
+                step.residual, step.database, ins, dels, step.subst
+            )
+            assert successor(step) == apply_subst(step.residual, step.subst)
 
 
 # -- unification laws -----------------------------------------------------------
