@@ -150,7 +150,8 @@ class Database:
     def _sorted_facts(self, pred: str) -> list:
         cached = self._sorted.get(pred)
         if cached is None:
-            cached = sorted(self._index.get(pred, ()))
+            # One key per fact instead of two per comparison.
+            cached = sorted(self._index.get(pred, ()), key=Atom._sort_key)
             self._sorted[pred] = cached
         return cached
 
@@ -206,7 +207,10 @@ class Database:
                 continue
             pos = key[1]
             value = fact.args[pos]
-            new_idx = dict(idx)
+            # ``copy`` stays on CPython's fast clone path even after a
+            # delete has left the dict with a dummy slot; ``dict(idx)``
+            # falls back to re-inserting every key then.
+            new_idx = idx.copy()
             bucket = new_idx.get(value, [])
             if removed:
                 new_bucket = _without(bucket, fact)

@@ -250,9 +250,20 @@ class Atom:
         return (self.pred, tuple(t._sort_key() for t in self.args))
 
     def __lt__(self, other):
-        if isinstance(other, Atom):
-            return self._sort_key() < other._sort_key()
-        return NotImplemented
+        # The order of ``_sort_key``, without building either key: only
+        # the first pair of arguments that differ is compared.  Interned
+        # constants make ``is`` a cheap skip; equal-named variables are
+        # distinct objects with equal keys, so their keys still decide.
+        if not isinstance(other, Atom):
+            return NotImplemented
+        if self.pred != other.pred:
+            return self.pred < other.pred
+        for mine, theirs in zip(self.args, other.args):
+            if mine is not theirs:
+                mine, theirs = mine._sort_key(), theirs._sort_key()
+                if mine != theirs:
+                    return mine < theirs
+        return len(self.args) < len(other.args)
 
     def __repr__(self) -> str:
         return "Atom(pred=%r, args=%r)" % (self.pred, self.args)
