@@ -241,7 +241,9 @@ class Builtin(Formula):
     """A comparison ``left op right`` or binding ``var is expr``.
 
     * For op in ``= != < <= > >=`` both sides must be ground at execution
-      time; the comparison is evaluated over constant values.
+      time; the comparison is evaluated over constant values.  An
+      ordering between values of different types (``a < 3``) does not
+      hold.
     * For op ``is`` the right side is an arithmetic expression that must
       be ground; the left side is unified with the result.
     """
@@ -277,7 +279,11 @@ class Builtin(Formula):
             raise ValueError("unknown builtin operator %r" % (self.op,))
         lv = _eval_arith(self.left, subst)
         rv = _eval_arith(self.right, subst)
-        return subst if fn(lv, rv) else None
+        try:
+            holds = fn(lv, rv)
+        except TypeError:
+            return None  # an ordering across value types does not hold
+        return subst if holds else None
 
 
 def _eval_arith(expr: ArithExpr, subst: Substitution):

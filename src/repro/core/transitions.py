@@ -648,8 +648,9 @@ def dead_config(
 
     * a tuple test with no matching fact, on a predicate nothing can
       insert (waiting for a fact that can never arrive);
-    * an absence test that currently fails, on a predicate nothing can
-      delete; or
+    * an absence test that is ground (under *subst*) and currently
+      fails, on a predicate nothing can delete -- a variable a sibling
+      may still bind keeps it alive, as it keeps a builtin; or
     * a failing builtin (builtins are state-independent).
 
     This prunes exponentially many doomed interleavings: without it, a
@@ -681,7 +682,13 @@ def _dead_guard(
     if isinstance(guard, Test):
         return guard.atom.pred not in insertable and not db.holds(guard.atom, subst)
     if isinstance(guard, Neg):
-        return guard.atom.pred not in deletable and db.holds(guard.atom, subst)
+        # Only a ground absence test is stuck for good: a sibling may
+        # still bind a variable to a value no fact has.
+        return (
+            guard.atom.pred not in deletable
+            and apply_atom(guard.atom, subst).is_ground()
+            and db.holds(guard.atom, subst)
+        )
     try:
         return guard.evaluate(subst) is None
     except ValueError:

@@ -149,7 +149,7 @@ CRASH_POINTS = (
     "pre-fsync",             # before the WAL row is written: nothing durable
     "post-fsync",            # row durable, mirror not updated (the torn moment)
     "mid-checkpoint-fold",   # inside the snapshot rewrite, before COMMIT
-    "mid-savepoint-release", # scope popped, SQL RELEASE never executed
+    "mid-savepoint-release", # scope popped, its staged rows never written
 )
 
 

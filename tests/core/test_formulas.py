@@ -116,6 +116,13 @@ class TestBuiltinEvaluate:
         f = Builtin("<", BinOp("+", Constant(1), Constant(1)), Constant(3))
         assert f.evaluate({}) == {}
 
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_ordering_across_types_does_not_hold(self, op):
+        # ``a < 3`` is false, not a TypeError out of the search.
+        assert Builtin(op, Constant("a"), Constant(3)).evaluate({}) is None
+        assert Builtin(op, Constant(3), Constant("a")).evaluate({}) is None
+        assert Builtin("!=", Constant("a"), Constant(3)).evaluate({}) == {}
+
 
 class TestTraversals:
     def test_formula_variables_in_order(self):

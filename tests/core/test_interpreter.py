@@ -16,6 +16,7 @@ from repro import (
 from repro.core.errors import SafetyError
 from repro.obs import instrumented
 from repro.obs.provenance import ProvenanceRecorder, recording
+from repro.store import using_store_provider
 
 
 def run_all(program_text, goal_text, db_text="", **kw):
@@ -239,6 +240,24 @@ class TestSimulate:
         assert exe.database in interp.final_databases(parse_goal("simulate"), db)
 
 
+class TestMixedTypeComparison:
+    """``a < 3`` does not hold: the comparison step is not enabled and
+    the dead check prunes its branch, instead of a ``TypeError``
+    escaping the search."""
+
+    PROGRAM, GOAL, FACTS = "p(X) <- x(X) * X < 3.", "p(Y)", "x(a). x(1)."
+
+    def test_bfs(self):
+        (sol,) = run_all(self.PROGRAM, self.GOAL, self.FACTS)
+        assert {str(v): str(t) for v, t in sol.bindings.items()} == {"Y": "1"}
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_dfs(self, seed):
+        interp = Interpreter(parse_program(self.PROGRAM))
+        exe = interp.simulate(parse_goal(self.GOAL), parse_database(self.FACTS), seed=seed)
+        assert {str(v): str(t) for v, t in exe.bindings.items()} == {"Y": "1"}
+
+
 class TestFailedMemo:
     """The DFS failed-state memo: states proven to fail are pruned when
     another interleaving reaches them, and a run that never backtracks
@@ -310,11 +329,14 @@ class TestResidualsOnDemand:
         interp = Interpreter(
             parse_program("t <- avail(A) * ok(A) * ins.done(A)."), por=False
         )
-        exe = interp.simulate(
-            parse_goal("t | ins.z(1)"),
-            parse_database("avail(1). avail(2). avail(3). ok(3)."),
-            seed=seed,
-        )
+        # No ambient store: seeding one and committing to it would
+        # derive states of its own, which are not the search's.
+        with using_store_provider(None):
+            exe = interp.simulate(
+                parse_goal("t | ins.z(1)"),
+                parse_database("avail(1). avail(2). avail(3). ok(3)."),
+                seed=seed,
+            )
         assert [str(a) for a in exe.trace] == self.TRACES[seed]
         assert len(successors) == len(actions) == len(exe.trace) == 5
         # One updated state per update taken: ``ins.done(3)``, ``ins.z(1)``.

@@ -1,6 +1,8 @@
 """Unit tests for terms and atoms."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.core.terms import (
     Atom,
@@ -71,6 +73,34 @@ class TestAtom:
         atoms = {atom("p", "a"), atom("p", "a"), atom("q", "a")}
         assert len(atoms) == 2
         assert sorted(atoms) == [atom("p", "a"), atom("q", "a")]
+
+
+#: Arguments that exercise every branch of the order: ints, strings
+#: (``"1"`` stringifies like ``1``), ``True``/``1`` (equal but sorting
+#: apart) and variables (equal-named ones are distinct objects).
+order_terms = st.sampled_from(
+    [Constant(v) for v in (0, 1, 2, "1", "a", "b", True, False)]
+) | st.sampled_from(["X", "Y"]).map(Variable)
+order_atoms = st.builds(
+    Atom,
+    st.sampled_from(["p", "q"]),
+    st.lists(order_terms, max_size=3).map(tuple),
+)
+
+
+class TestAtomOrder:
+    """``Atom.__lt__`` compares only the first differing arguments, yet
+    orders exactly as the full sort keys do."""
+
+    @given(order_atoms, order_atoms)
+    def test_lt_is_the_sort_key_order(self, a, b):
+        assert (a < b) == (a._sort_key() < b._sort_key())
+
+    @given(st.lists(order_atoms, max_size=12))
+    def test_sorts_agree(self, atoms):
+        by_lt = sorted(atoms)
+        assert by_lt == sorted(atoms, key=Atom._sort_key)
+        assert [a._sort_key() for a in by_lt] == sorted(a._sort_key() for a in atoms)
 
 
 class TestConversions:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, parse_database, parse_goal, parse_program
+from repro import Database, Interpreter, parse_database, parse_goal, parse_program
 from repro.core.formulas import Conc, Truth
 from repro.core.terms import Constant, Variable
 from repro.core.transitions import (
@@ -241,6 +241,41 @@ class TestDeadStep:
         (step,) = [s for s in steps if str(s.action) == action]
         assert dead_step(step, goal, ins, dels)
         assert dead_config(step.residual, step.database, ins, dels, step.subst)
+
+
+class TestNonGroundAbsence:
+    """An absence test is dead only once it is ground: a sibling may
+    still bind its variable to a value no fact has.  Here ``q(X)`` binds
+    X = 2, and ``not p(2)`` holds although ``p(1)`` does."""
+
+    PROGRAM, GOAL, FACTS = "", "(t * not p(X)) | q(X)", "t. p(1). q(2)."
+
+    def _setup(self):
+        prog = parse_program(self.PROGRAM)
+        return prog, prog.resolve_goal(parse_goal(self.GOAL)), parse_database(self.FACTS)
+
+    def test_not_dead_until_ground(self):
+        prog, goal, db = self._setup()
+        ins, dels = update_footprint(prog, goal)
+        residual = prog.resolve_goal(parse_goal("not p(X) | q(X)"))
+        assert not dead_config(residual, db, ins, dels)
+        assert dead_config(residual, db, ins, dels, {Variable("X"): Constant(1)})
+        assert not dead_config(residual, db, ins, dels, {Variable("X"): Constant(2)})
+
+    @pytest.mark.parametrize("por", [True, False])
+    def test_solve_finds_the_answer(self, por):
+        prog, goal, db = self._setup()
+        solutions = list(Interpreter(prog, por=por).solve(goal, db))
+        assert [{str(v): str(t) for v, t in s.bindings.items()} for s in solutions] == [
+            {"X": "2"}
+        ]
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_simulate_finds_the_answer(self, seed):
+        prog, goal, db = self._setup()
+        exe = Interpreter(prog).simulate(goal, db, seed=seed)
+        assert exe is not None
+        assert {str(v): str(t) for v, t in exe.bindings.items()} == {"X": "2"}
 
 
 class TestFrontierBlocked:

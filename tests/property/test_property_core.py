@@ -4,7 +4,7 @@ semantic invariants."""
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro import Database, Interpreter, parse_goal, parse_program
+from repro import Database, Interpreter, SearchBudgetExceeded, parse_goal, parse_program
 from repro.core.formulas import (
     BinOp,
     Builtin,
@@ -32,6 +32,7 @@ from repro.core.transitions import (
     enabled_steps,
     frontier_blocked,
     successor,
+    update_footprint,
 )
 from repro.core.unify import apply_atom, match_atom, unify_atoms, walk
 
@@ -240,7 +241,8 @@ def _dead_reference(f, db, ins, dels):
     if isinstance(f, Test):
         return f.atom.pred not in ins and not db.holds(f.atom)
     if isinstance(f, Neg):
-        return f.atom.pred not in dels and db.holds(f.atom)
+        # Only a ground absence test: a sibling may bind a variable.
+        return f.atom.pred not in dels and f.atom.is_ground() and db.holds(f.atom)
     if isinstance(f, Builtin):
         try:
             return f.evaluate({}) is None
@@ -363,6 +365,27 @@ class TestIncrementalDeadCheck:
                 step.residual, step.database, ins, dels, step.subst
             )
             assert successor(step) == apply_subst(step.residual, step.subst)
+
+
+class TestDeadConfigSound:
+    """A configuration :func:`dead_config` prunes has no solution: the
+    unreduced, untabled search finds none from it, given the footprint
+    of the program and the configuration itself.  Searches that exhaust
+    their small budget decide nothing and are skipped."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(theta_formulas, theta_databases(), thetas())
+    def test_dead_means_no_solution(self, f, db, theta):
+        f = apply_subst(f, theta)
+        ins, dels = update_footprint(STEP_PROGRAM, f)
+        if not dead_config(f, db, ins, dels):
+            return
+        interp = Interpreter(STEP_PROGRAM, por=False, tabling=False, max_configs=300)
+        try:
+            solution = next(iter(interp.solve(f, db)), None)
+        except SearchBudgetExceeded:
+            return
+        assert solution is None
 
 
 # -- unification laws -----------------------------------------------------------

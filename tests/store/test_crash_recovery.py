@@ -89,8 +89,8 @@ class TestKillMidAppend:
             for fact in facts(10, "tmp"):
                 store.insert(fact)
         # Appends 3 and 4 happened inside the never-released savepoint;
-        # the crash voids the whole scope even though the rows were
-        # written: savepoint-scoped WAL rows only commit on RELEASE.
+        # the crash voids the whole scope: its rows are staged, and only
+        # the outermost release writes them.
         with SqliteStore(path) as recovered:
             assert recovered.database() == base
 
