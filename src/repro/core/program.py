@@ -41,7 +41,7 @@ from .formulas import (
     formula_variables,
     walk_formulas,
 )
-from .terms import Atom, Signature, Term, Variable
+from .terms import Atom, Constant, Signature, Term, Variable
 from .unify import Substitution, unify_atoms
 
 __all__ = ["Rule", "Program", "ProgramError"]
@@ -51,26 +51,24 @@ class ProgramError(ValueError):
     """Raised for ill-formed rulebases (e.g. updating a derived predicate)."""
 
 
-def _canon_call(atom: Atom) -> Tuple[Atom, Dict[Variable, Variable]]:
-    """Abstract a call atom to its shape: variables are renamed to
-    reserved names by first occurrence (``\\x00`` cannot appear in source
-    variable names), constants are kept.  Two calls with the same shape
-    match the same rules with α-equivalent unifiers."""
-    mapping: Dict[Variable, Variable] = {}
+def _canon_call(atom: Atom, kept: frozenset) -> Tuple[Atom, Dict[Term, Term]]:
+    """Abstract a call atom to its shape: variables, and constants that
+    equal no constant of a matching rule head (*kept* holds those), are
+    renamed to reserved variables and constants by first occurrence
+    (``\\x00`` cannot appear in source names).  Equal constants share a
+    placeholder, and a placeholder equals no head constant, so two calls
+    with the same shape match the same rules with unifiers equal up to
+    the returned renaming (original term -> reserved term)."""
+    mapping: Dict[Term, Term] = {}
     args = []
-    changed = False
     for t in atom.args:
-        if isinstance(t, Variable):
+        if t not in kept:
             c = mapping.get(t)
             if c is None:
-                c = Variable("\x00%d" % len(mapping))
-                mapping[t] = c
-            args.append(c)
-            changed = True
-        else:
-            args.append(t)
-    if not changed:
-        return atom, mapping
+                kind = Variable if isinstance(t, Variable) else Constant
+                c = mapping[t] = kind("\x00%d" % len(mapping))
+            t = c
+        args.append(t)
     return Atom(atom.pred, tuple(args)), mapping
 
 
@@ -149,6 +147,15 @@ class Program:
             self._derived.setdefault(rule.head.signature, []).append(rule)
         self._fresh_counter = itertools.count(1)
         self._match_cache: Dict[Atom, list] = {}
+        # Per signature, the constants of its rule heads: the only
+        # constants a call keeps in its cached shape.
+        self._head_constants: Dict[Signature, frozenset] = {
+            sig: frozenset(
+                t for rule in rules for t in rule.head.args
+                if isinstance(t, Constant)
+            )
+            for sig, rules in self._derived.items()
+        }
         self._footprint: Optional[Tuple[frozenset, frozenset]] = None
         self._validate()
 
@@ -239,15 +246,20 @@ class Program:
 
         Equivalent to scanning :meth:`fresh_rules_for` and unifying each
         renamed head, but which heads match -- and with what unifier, up
-        to renaming -- depends only on the call's *shape* (its constants
-        and variable-sharing pattern), so the result is memoized per
-        canonicalized call atom.  Repeated unfoldings of the same call
-        shape then skip head unification entirely: only the matching
-        rules are renamed and their cached unifier templates are
-        instantiated with the call's actual variables.
+        to renaming -- depends only on the call's *shape*: its pattern
+        of shared variables and equal constants, and those of its
+        constants that some head of its signature has.  The result is
+        memoized per canonicalized call atom, so the cache grows with
+        the shapes a program calls, not with the constants it calls
+        them on.  Repeated unfoldings of the same shape skip head
+        unification entirely: only the matching rules are renamed and
+        their cached unifier templates are instantiated with the call's
+        own terms.
         """
         sig = call_atom.signature
-        canon, mapping = _canon_call(call_atom)
+        canon, mapping = _canon_call(
+            call_atom, self._head_constants.get(sig, frozenset())
+        )
         entry = self._match_cache.get(canon)
         rules = self._derived.get(sig, ())
         if entry is None:
@@ -262,13 +274,12 @@ class Program:
             self._match_cache[canon] = entry
         if not entry:
             return
-        inv: Dict[Variable, Term] = {c: v for v, c in mapping.items()}
+        inv: Dict[Term, Term] = {c: t for t, c in mapping.items()}
         for idx, ctheta in entry:
             suffix = "#%d" % next(self._fresh_counter)
             theta: Dict[Variable, Term] = {}
             for v, t in ctheta.items():
-                if isinstance(t, Variable):
-                    t = inv[t]
+                t = inv.get(t, t)
                 actual = inv.get(v)
                 if actual is None:
                     actual = Variable(v.name + suffix)

@@ -1,11 +1,16 @@
 """Unit tests for rulebases: resolution, validation, renaming."""
 
+import re
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.formulas import Call, Ins, Seq, Test, Truth
 from repro.core.parser import parse_program, parse_rules
 from repro.core.program import Program, ProgramError, Rule
-from repro.core.terms import Atom, Variable, atom
+from repro.core.terms import Atom, Constant, Variable, atom
+from repro.core.unify import apply_atom, unify_atoms
 
 
 class TestResolution:
@@ -99,3 +104,74 @@ class TestProgramAPI:
         prog = parse_program("axiom(a).\naxiom(b).\nok <- axiom(X).")
         assert prog.is_derived(("axiom", 1))
         assert len(prog.rules_for(("axiom", 1))) == 2
+
+
+def _plain(term):
+    """*term* without the ``#n`` suffix rule renaming gives variables."""
+    if isinstance(term, Variable):
+        return Variable(term.name.split("#")[0])
+    return term
+
+
+def _rule_text(rule):
+    return re.sub(r"#\d+", "", str(rule))
+
+
+def _instance(atom_, theta):
+    return tuple(_plain(t) for t in apply_atom(atom_, theta).args)
+
+
+MATCH_PROGRAM = """
+q(X, X, Y).
+q(a, Y, Y).
+q(X, Y, Z) <- r(X).
+"""
+match_terms = st.sampled_from(
+    [Constant(v) for v in ("a", "b", 1, True)] + [Variable(v) for v in "XYZ"]
+)
+
+
+class TestMatchRules:
+    """Indexed call dispatch caches one entry per call shape: constants
+    at positions no rule head constrains are abstracted, so ground
+    calls on new constants reuse the entry, and every answer equals the
+    naive scan's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(match_terms, match_terms, match_terms), max_size=6))
+    def test_agrees_with_naive_scan(self, calls):
+        prog = parse_program(MATCH_PROGRAM)
+        for args in calls:
+            call = Atom("q", args)
+            fast = list(prog.match_rules(call))
+            naive = [
+                (rule, theta)
+                for rule in prog.fresh_rules_for(call.signature)
+                for theta in [unify_atoms(rule.head, call)]
+                if theta is not None
+            ]
+            assert [_rule_text(r) for r, _ in fast] == [_rule_text(r) for r, _ in naive]
+            for (rule, theta), (_rule, expected) in zip(fast, naive):
+                assert apply_atom(rule.head, theta) == apply_atom(call, theta)
+                assert _instance(call, theta) == _instance(call, expected)
+
+    def test_ground_calls_share_one_entry(self):
+        prog = parse_program("transfer(F, T, Amt) <- from(F, Amt) * to(T, Amt).")
+        for i in range(50):
+            call = atom("transfer", "a%d" % i, "b%d" % i, i)
+            ((_rule, theta),) = prog.match_rules(call)
+            assert sorted(str(t) for t in theta.values()) == sorted(
+                ["a%d" % i, "b%d" % i, str(i)]
+            )
+        assert len(prog._match_cache) == 1
+        # A repeated constant is a different shape: F = T.
+        list(prog.match_rules(atom("transfer", "a", "a", 1)))
+        assert len(prog._match_cache) == 2
+
+    def test_head_constants_stay_in_the_shape(self):
+        prog = parse_program(MATCH_PROGRAM)
+        ((_r1, t1), (_r2, t2)) = prog.match_rules(atom("q", "a", "a", "b"))
+        assert {str(v).split("#")[0]: str(t) for v, t in t1.items()} == {"X": "a", "Y": "b"}
+        assert {str(v).split("#")[0]: str(t) for v, t in t2.items()} == {
+            "X": "a", "Y": "a", "Z": "b"}
+        assert len(list(prog.match_rules(atom("q", "a", "b", "b")))) == 2

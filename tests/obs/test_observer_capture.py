@@ -71,7 +71,7 @@ class TestCaptureAtFirstPull:
         split, inst, attr, _ = observe(bfs_search, False, split=True)
         assert len(split) == len(inside) == 5
         assert unify_pair(inst, attr) == unify_pair(inst_in, attr_in)
-        assert inst.metrics.counter("unify.attempts") == 32
+        assert inst.metrics.counter("unify.attempts") == 22
         assert inst.metrics.counters == inst_in.metrics.counters
 
     def test_bfs_recorder_nodes_are_all_counted(self):
