@@ -2,7 +2,7 @@
 
 Paper artifact: Theorem 4.7 ("if we eliminate recursion altogether, then
 data complexity plummets from RE to less than PTIME").  A fixed
-nonrecursive program is evaluated over growing databases; the measured
+nonrecursive program is evaluated over growing databases; the counted
 cost curve must classify as polynomial -- the contrast to C2's
 exponential curve on the same harness.
 """
@@ -17,31 +17,61 @@ from repro.complexity import (
     nonrecursive_path_program,
     print_series,
 )
+from repro.core.terms import atom
 
 
-def test_nonrecursive_polynomial_scaling(benchmark):
+def every_node_a_source(n):
+    db = chain_edges(n, extra_random=n // 2, seed=n)
+    return db.insert_all(atom("src", i) for i in range(n + 1))
+
+
+def four_edge_pairs(db):
+    """The (X, Y) pairs joined by a path of exactly four edges."""
+    succ = {}
+    for fact in db.facts("e"):
+        succ.setdefault(fact.args[0], set()).add(fact.args[1])
+    pairs = set()
+    for fact in db.facts("src"):
+        ends = {fact.args[0]}
+        for _ in range(4):
+            ends = {y for x in ends for y in succ.get(x, ())}
+        pairs |= {(fact.args[0], y) for y in ends}
+    return pairs
+
+
+def test_nonrecursive_polynomial_scaling(benchmark, bench_instrumentation):
+    """Every node is a source and the search is exhaustive (one final
+    database per 4-path), so the work reads the whole database.  The
+    growth verdict is on counted work: the unification attempts, read
+    from the instrumentation every benchmark runs under.  The seconds
+    are printed as context."""
     program = nonrecursive_path_program()
+    metrics = bench_instrumentation.metrics
     rows = []
     sizes = []
-    times = []
-    for n in (20, 40, 80, 160, 320):
-        db = chain_edges(n, extra_random=n // 2, seed=n)
+    attempts = []
+    for n in (10, 20, 40, 80, 160):
+        db = every_node_a_source(n)
         engine = select_engine(program)
-        ok, seconds = measure(lambda: engine.succeeds("witness", db))
-        assert ok  # a chain of length >= 4 always has a 4-path
-        rows.append([n, len(db), seconds])
+        before = metrics.counter("unify.attempts")
+        finals, seconds = measure(lambda: engine.final_databases("witness", db))
+        unified = metrics.counter("unify.attempts") - before
+        assert len(finals) == len(four_edge_pairs(db))
+        rows.append([n, len(db), unified, seconds])
         sizes.append(len(db))
-        times.append(max(seconds, 1e-6))
+        attempts.append(unified)
     print_series(
         "C4: nonrecursive TD -- cost vs database size",
-        ["chain length", "|db|", "seconds"],
+        ["chain length", "|db|", "unify attempts", "seconds"],
         rows,
     )
-    assert estimate_growth(sizes, times) == "polynomial"
+    assert estimate_growth(sizes, attempts) == "polynomial"
 
-    db = chain_edges(80, extra_random=40, seed=80)
+    db = every_node_a_source(40)
     engine = select_engine(program)
-    benchmark.pedantic(lambda: engine.succeeds("witness", db), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: engine.final_databases("witness", db), rounds=3, iterations=1
+    )
 
 
 def test_negative_instances_also_polynomial(benchmark):

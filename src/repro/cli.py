@@ -13,7 +13,6 @@ Usage examples::
         --resume-from run.ckpt
     tdlog store inspect bank.tdlog --json
     tdlog store fsck bank.tdlog --repair
-    tdlog analyze --demo-lab 4
     tdlog explain workflow.td --goal 'transfer(a, b, 30)' --db bank.facts
     tdlog explain workflow.td --goal 'transfer(a, b, 999)' --db bank.facts --why-not
     tdlog explain --audit-por
@@ -22,25 +21,22 @@ Usage examples::
     tdlog profile baseline
     tdlog profile diff
     tdlog profile hotspots --top 10 --speedscope profile.speedscope.json
-    tdlog profile export-otlp workflow.td --goal 'simulate' --out otlp.json
     tdlog chaos --plans 50 --seed 0
     tdlog chaos --only bank_transfer --json chaos.json
 
 ``run`` finds one successful execution (the simulator) and prints its
 trace and final database; ``solve`` enumerates all solutions (bindings +
-final state); ``classify`` prints the sublanguage analysis.  ``analyze``
-computes workflow analytics (per-task latency, agent utilization, queue
-wait, critical path) from an event log or a demo simulation; ``explain``
+final state); ``classify`` prints the sublanguage analysis; ``explain``
 records derivation provenance and renders proof trees, why-not failure
 summaries, and the partial-order-reduction pruning audit; ``bench``
 times the profile-suite workloads (wall clock, best/mean over repeats;
 ``perfbench/`` is the calibrated benchmark);
 ``profile`` manages counter baselines (``baseline``/``diff``, the CI
-regression gate) and exports traces/metrics as OTLP JSON
-(``export-otlp``); ``store inspect`` prints a durable ``.tdlog``
-store's snapshot generation, WAL tail, checksum status, lease holder,
-and per-predicate fact counts (read-only, so it works on damaged or
-in-use files); ``store fsck`` verifies a store's checksums and meta
+regression gate) and the attributed cost profile (``hotspots``);
+``store inspect`` prints a durable ``.tdlog`` store's snapshot
+generation, WAL tail, checksum status, lease holder, and per-predicate
+fact counts (read-only, so it works on damaged or in-use files);
+``store fsck`` verifies a store's checksums and meta
 coherence offline and can quarantine a damaged WAL tail (``--repair``)
 -- see docs/STORAGE.md; ``chaos`` runs the differential fault-injection
 suite (seeded fault plans against every chaos workload, asserting the
@@ -319,63 +315,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_repl(args: argparse.Namespace) -> int:
-    from .repl import Repl
-
-    Repl().loop()
-    return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Workflow analytics from an event-log JSON file or a demo run."""
-    from .workflow.analytics import render_analytics
-    from .workflow.eventlog import EventRecord
-
-    if args.eventlog:
-        with open(args.eventlog) as handle:
-            payload = json.load(handle)
-        records = [
-            EventRecord(
-                seq=int(entry["seq"]),
-                kind=str(entry["kind"]),
-                item=str(entry.get("item", "")),
-                task=entry.get("task"),
-                agent=entry.get("agent"),
-                fact=entry.get("fact"),
-                span_id=entry.get("span_id"),
-            )
-            for entry in payload
-        ]
-        spans = []
-        if args.trace:
-            from .obs import read_jsonl
-
-            with open(args.trace) as handle:
-                spans = read_jsonl(handle.read())
-        print(render_analytics(records, spans=spans))
-        return 0
-
-    # Demo mode: simulate the paper's genome-lab pipeline (Examples
-    # 3.1-3.3) instrumented, so the report includes the span join.
-    from contextlib import nullcontext
-
-    from .lims import build_lab_simulator, gel_pipeline, sample_batch
-    from .obs import active, instrumented
-
-    obs = active()
-    context = nullcontext(obs) if obs.enabled else instrumented()
-    with context as inst:
-        simulator = build_lab_simulator()
-        result = simulator.run(sample_batch(args.demo_lab))
-    print("genome-lab demo: %d samples through the gel pipeline\n" % args.demo_lab)
-    print(
-        render_analytics(
-            result, spec=gel_pipeline(iterate=False), spans=inst.tracer.spans
-        )
-    )
-    return 0
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Answer explanation: proof trees, why-not reports, pruning audit.
 
@@ -621,36 +560,6 @@ def _cmd_profile_hotspots(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_profile_export_otlp(args: argparse.Namespace) -> int:
-    from .obs import Instrumentation, instrumented, read_jsonl
-    from .obs.otlp import export_otlp, spans_to_otlp
-
-    if args.from_trace:
-        with open(args.from_trace) as handle:
-            payload = spans_to_otlp(read_jsonl(handle.read()))
-    else:
-        if not args.program or not args.goal:
-            print(
-                "error: export-otlp needs a PROGRAM and --goal "
-                "(or --from-trace FILE)",
-                file=sys.stderr,
-            )
-            return 2
-        program = _load_program(args.program)
-        db = _load_db(args.db)
-        engine = select_engine(program, args.goal, max_configs=args.max_configs)
-        inst = Instrumentation.create()
-        with instrumented(inst):
-            for _ in engine.solve(args.goal, db):
-                pass
-        payload = export_otlp(inst)
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print("OTLP JSON written to %s" % args.out)
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Differential fault-injection sweep (see docs/ROBUSTNESS.md).
 
@@ -816,28 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_graph.set_defaults(fn=_cmd_graph)
 
-    p_repl = sub.add_parser("repl", help="interactive TD session")
-    p_repl.set_defaults(fn=_cmd_repl)
-
-    p_analyze = sub.add_parser(
-        "analyze",
-        help="workflow analytics: per-task latency, utilization, critical path",
-    )
-    p_analyze.add_argument(
-        "eventlog", nargs="?",
-        help="event-log JSON file (as written by repro.workflow.eventlog.to_json); "
-             "omit to run the genome-lab demo",
-    )
-    p_analyze.add_argument(
-        "--trace", metavar="FILE",
-        help="span trace (JSON lines) to join for wall-clock attribution",
-    )
-    p_analyze.add_argument(
-        "--demo-lab", type=int, default=3, metavar="N",
-        help="demo mode: samples to push through the gel pipeline (default 3)",
-    )
-    p_analyze.set_defaults(fn=_cmd_analyze)
-
     p_explain = sub.add_parser(
         "explain",
         help="proof trees, why-not reports, and the POR pruning audit",
@@ -882,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument(
         "--json", metavar="FILE",
         help="write the provenance log as JSON lines to FILE "
-             "(round-trips through the span model / OTLP export)",
+             "(round-trips through the span model)",
     )
     p_explain.set_defaults(fn=_cmd_explain)
 
@@ -904,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_profile = sub.add_parser(
-        "profile", help="counter baselines, regression diffs, OTLP export"
+        "profile", help="counter baselines, regression diffs, cost hotspots"
     )
     profile_sub = p_profile.add_subparsers(dest="profile_command", required=True)
 
@@ -969,26 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="weight dimension for --folded/--speedscope (default time)",
     )
     p_hot.set_defaults(fn=_cmd_profile_hotspots)
-
-    p_export = profile_sub.add_parser(
-        "export-otlp", help="export a run's spans and metrics as OTLP JSON"
-    )
-    p_export.add_argument(
-        "program", nargs="?",
-        help="path to a .td program file (run instrumented, then export)",
-    )
-    p_export.add_argument("--goal", help="goal to execute")
-    p_export.add_argument("--db", help="path to an initial-database facts file")
-    p_export.add_argument("--max-configs", type=int, default=200_000)
-    p_export.add_argument(
-        "--from-trace", metavar="FILE",
-        help="convert an existing --trace-out JSON-lines file instead of running",
-    )
-    p_export.add_argument(
-        "--out", default="otlp.json", metavar="FILE",
-        help="output path (default otlp.json)",
-    )
-    p_export.set_defaults(fn=_cmd_profile_export_otlp)
 
     p_store = sub.add_parser(
         "store", help="inspect and manage durable stores (.tdlog files)"
@@ -1058,8 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.set_defaults(fn=_cmd_chaos)
 
     for command in (
-        p_classify, p_solve, p_run, p_graph, p_repl, p_analyze,
-        p_explain, p_chaos,
+        p_classify, p_solve, p_run, p_graph, p_explain, p_chaos,
     ):
         _add_obs_flags(command)
 

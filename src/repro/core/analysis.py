@@ -292,12 +292,8 @@ def _recursive_calls_positioned(
 def _safety_warnings(program: Program) -> List[str]:
     warnings: List[str] = []
     for rule in program.rules:
-        bound = {v for v in rule.head.variables()}
-        after = _bound_after(rule.body, frozenset(bound), warnings, str(rule.head))
-        missing = [v for v in rule.head.variables() if v not in after]
-        # Head variables bound neither by the call pattern nor the body
-        # would produce non-ground answers at runtime; flag them here.
-        del missing  # head vars are in `bound` already; nothing to check
+        bound = frozenset(rule.head.variables())
+        _bound_after(rule.body, bound, warnings, str(rule.head))
     return warnings
 
 

@@ -92,16 +92,11 @@ def _with(facts: list, fact: Atom) -> list:
 
 
 def _without(facts: list, fact: Atom) -> list:
-    """A copy of the sorted list *facts* with *fact* removed.
-
-    Bisection finds the fact in O(log n) comparisons and the copy runs
-    at C speed.  Constants that compare equal across types but sort
-    apart (``True`` and ``1``) can leave an equal fact outside the
-    bisected slot; the linear scan covers that case."""
+    """A copy of the sorted list *facts*, which holds *fact*, with *fact*
+    removed.  Equal facts share a sort key, so bisection finds it in
+    O(log n) comparisons; the copy runs at C speed."""
     i = bisect_left(facts, fact)
-    if i < len(facts) and facts[i] == fact:
-        return facts[:i] + facts[i + 1 :]
-    return [f for f in facts if f != fact]
+    return facts[:i] + facts[i + 1 :]
 
 
 class Database:

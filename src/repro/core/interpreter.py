@@ -73,7 +73,7 @@ from .database import Database
 from .errors import AttemptBudgetExceeded, DeadlineExceeded, SearchBudgetExceeded
 from .formulas import TRUTH, Call, Formula, Seq, apply_subst, ordered_variables, seq
 from .parser import as_goal
-from .por import PartialOrderReducer, por_forced_off
+from .por import PartialOrderReducer, por_forced_off, update_footprint
 from .program import Program
 from .tabling import AnswerTable, canonical_call
 from .terms import Atom, Term, Variable
@@ -90,7 +90,6 @@ from .transitions import (
     is_final,
     replay_into_store,
     successor,
-    update_footprint,
 )
 from .unify import Substitution, walk
 
@@ -107,19 +106,11 @@ class Solution:
 
 @dataclass(frozen=True)
 class Execution:
-    """A complete successful execution: solution plus the action trace.
-
-    ``action_times`` (set only by instrumented :meth:`Interpreter.
-    simulate` runs) gives one ``time.perf_counter()`` stamp per trace
-    action -- the moment the scheduler committed to it -- so consumers
-    like the workflow scheduler can reconstruct exact per-task spans.
-    ``None`` on uninstrumented runs and on BFS executions.
-    """
+    """A complete successful execution: solution plus the action trace."""
 
     bindings: Substitution
     database: Database
     trace: Tuple[Action, ...]
-    action_times: Optional[Tuple[float, ...]] = None
 
     @property
     def events(self) -> Tuple[str, ...]:
@@ -619,10 +610,10 @@ class Interpreter:
                     ev.finished(budget.used, budget.limit, self._table)
         if result is None:
             return None
-        answers, final_db, trace, times = result
+        answers, final_db, trace = result
         if store is not None:
             _commit_execution(store, trace)
-        return Execution(dict(zip(goal_vars, answers)), final_db, trace, times)
+        return Execution(dict(zip(goal_vars, answers)), final_db, trace)
 
     # -- BFS core ---------------------------------------------------------------
 
@@ -921,10 +912,6 @@ class Interpreter:
         use_memo = self.faults is None
         limit_hits = 0  # depth-truncation events (blocks unsound fail-memo)
         trace: List[Action] = []
-        # Wall-clock stamps per committed action, mirrored with ``trace``
-        # push-for-push and pop-for-pop; only collected on instrumented
-        # runs so the hot loop stays clean.
-        times: Optional[List[float]] = ev.stamps() if ev is not None else None
         faults = self.faults
 
         def expand(proc: Formula, state: Database, pnode=None, live=True):
@@ -990,8 +977,6 @@ class Interpreter:
             for step, new_proc in steps:
                 new_answers = tuple(walk(t, step.subst) for t in answers)
                 trace.append(step.action)
-                if times is not None:
-                    times.append(time.perf_counter())
                 child = None
                 if ev is not None:
                     child = ev.child(step, fnode)
@@ -999,17 +984,10 @@ class Interpreter:
                 if is_final(new_proc):
                     if ev is not None:
                         ev.solution(child, new_answers)
-                    return (
-                        new_answers,
-                        step.database,
-                        tuple(trace),
-                        tuple(times) if times is not None else None,
-                    )
+                    return new_answers, step.database, tuple(trace)
                 if len(stack) >= max_depth:
                     limit_hits += 1
                     trace.pop()
-                    if times is not None:
-                        times.pop()
                     if ev is not None:
                         ev.mark(child, "depth-limit")
                     continue
@@ -1019,8 +997,6 @@ class Interpreter:
                 )
                 if bucket and new_key in bucket:
                     trace.pop()
-                    if times is not None:
-                        times.pop()
                     if ev is not None:
                         ev.mark(child, "frontier-subsumed", {"where": "failed-memo"})
                     continue
@@ -1053,8 +1029,6 @@ class Interpreter:
                 stack.pop()
                 if trace:
                     trace.pop()
-                    if times is not None and times:
-                        times.pop()
         return None
 
     # -- isolation ----------------------------------------------------------------

@@ -13,11 +13,11 @@ relation as :func:`repro.core.transitions.enabled_steps`:
 
 * Every formula node gets a **footprint** -- the predicates it may read
   (tuple tests, absence tests), insert, and delete, with calls expanded
-  through the program's call graph (a per-signature closure cached on
-  the program, like :meth:`Program.update_footprint`).  This extends
-  the ``_never_steps`` freeness summaries from the indexed enumerator:
-  where those decide *whether* a redex can step, footprints decide
-  *what* the step can touch.
+  through the program's call graph (the per-signature closure
+  :meth:`Program.signature_footprints`, cached on the program).  This
+  extends the ``_never_steps`` freeness summaries from the indexed
+  enumerator: where those decide *whether* a redex can step,
+  footprints decide *what* the step can touch.
 * At a concurrent node, a branch is **ample** when its frontier
   footprint cannot conflict with anything its siblings (or any
   concurrent competitor higher in the process tree) may ever do, and it
@@ -77,10 +77,8 @@ from .formulas import (
     Test,
     Truth,
     free_variables,
-    walk_formulas,
 )
 from .program import Program
-from .terms import Signature
 from .transitions import IsolRunner, Step, _never_steps, _steps
 
 __all__ = [
@@ -90,7 +88,7 @@ __all__ = [
     "frontier_footprint",
     "por_disabled",
     "por_forced_off",
-    "signature_footprints",
+    "update_footprint",
 ]
 
 #: When set, every :class:`repro.core.interpreter.Interpreter`
@@ -134,53 +132,6 @@ Footprint = Tuple[frozenset, frozenset, frozenset]
 EMPTY_FOOTPRINT: Footprint = (_EMPTY, _EMPTY, _EMPTY)
 
 
-def signature_footprints(program: Program) -> Dict[Signature, Footprint]:
-    """Per-derived-signature footprint closure, cached on the program.
-
-    The direct footprint of each rule body is closed over the call
-    graph by fixpoint iteration, so ``footprints[sig]`` covers every
-    predicate any unfolding of ``sig`` may ever read, insert, or
-    delete.  Programs are immutable, so the closure is computed once.
-    """
-    cached = getattr(program, "_por_signature_footprints", None)
-    if cached is not None:
-        return cached
-    direct: Dict[Signature, Tuple[set, set, set]] = {}
-    calls: Dict[Signature, set] = {}
-    for rule in program.rules:
-        sig = rule.head.signature
-        reads, ins, dels = direct.setdefault(sig, (set(), set(), set()))
-        callees = calls.setdefault(sig, set())
-        for sub in walk_formulas(rule.body):
-            if isinstance(sub, (Test, Neg)):
-                reads.add(sub.atom.pred)
-            elif isinstance(sub, Ins):
-                ins.add(sub.atom.pred)
-            elif isinstance(sub, Del):
-                dels.add(sub.atom.pred)
-            elif isinstance(sub, Call):
-                callees.add(sub.atom.signature)
-    changed = True
-    while changed:
-        changed = False
-        for sig, callees in calls.items():
-            acc = direct[sig]
-            for callee in callees:
-                sub_fp = direct.get(callee)
-                if sub_fp is None:
-                    continue  # undefined call: the engine raises on it
-                for mine, theirs in zip(acc, sub_fp):
-                    if not theirs <= mine:
-                        mine |= theirs
-                        changed = True
-    result = {
-        sig: (frozenset(r), frozenset(i), frozenset(d))
-        for sig, (r, i, d) in direct.items()
-    }
-    setattr(program, "_por_signature_footprints", result)
-    return result
-
-
 def footprint(program: Program, f: Formula) -> Footprint:
     """Everything *f* may ever read / insert / delete (call closure
     included).  Cached on the node, tagged with the program it was
@@ -196,7 +147,7 @@ def footprint(program: Program, f: Formula) -> Footprint:
     elif isinstance(f, Del):
         fp = (_EMPTY, _EMPTY, frozenset((f.atom.pred,)))
     elif isinstance(f, Call):
-        fp = signature_footprints(program).get(f.atom.signature, EMPTY_FOOTPRINT)
+        fp = program.signature_footprints().get(f.atom.signature, EMPTY_FOOTPRINT)
     elif isinstance(f, (Seq, Conc)):
         fp = EMPTY_FOOTPRINT
         for p in f.parts:
@@ -207,6 +158,23 @@ def footprint(program: Program, f: Formula) -> Footprint:
         fp = EMPTY_FOOTPRINT
     object.__setattr__(f, "_por_fp", (program, fp))
     return fp
+
+
+def update_footprint(program: Program, *goals: Formula) -> Tuple[frozenset, frozenset]:
+    """Predicates the program (plus the given goals) can ever insert or
+    delete.  Used by :func:`~repro.core.transitions.dead_config`: tests
+    on predicates outside the insert footprint can never *become* true,
+    absence tests on predicates outside the delete footprint can never
+    become true either.
+
+    The rulebase's part is :meth:`Program.update_footprint`; each goal
+    adds the updates of its :func:`footprint`, cached on its node.
+    """
+    insertable, deletable = program.update_footprint()
+    for goal in goals:
+        _, ins, dels = footprint(program, goal)
+        insertable, deletable = insertable | ins, deletable | dels
+    return insertable, deletable
 
 
 def frontier_footprint(program: Program, f: Formula) -> Footprint:

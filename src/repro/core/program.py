@@ -156,6 +156,7 @@ class Program:
             )
             for sig, rules in self._derived.items()
         }
+        self._signature_footprints: Optional[Dict[Signature, tuple]] = None
         self._footprint: Optional[Tuple[frozenset, frozenset]] = None
         self._validate()
 
@@ -286,19 +287,63 @@ class Program:
                 theta[actual] = t
             yield rules[idx].rename(suffix), theta
 
+    def signature_footprints(self) -> Dict[Signature, Tuple[frozenset, ...]]:
+        """Per-derived-signature ``(reads, inserts, deletes)`` closure
+        (cached).
+
+        The direct footprint of each rule body is closed over the call
+        graph by fixpoint iteration, so ``footprints[sig]`` covers every
+        predicate any unfolding of ``sig`` may ever read, insert, or
+        delete.  Partial-order reduction charges each call with its
+        closure; :meth:`update_footprint` is the union of them all.
+        """
+        cached = self._signature_footprints
+        if cached is not None:
+            return cached
+        direct: Dict[Signature, Tuple[set, set, set]] = {}
+        calls: Dict[Signature, set] = {}
+        for rule in self._rules:
+            sig = rule.head.signature
+            reads, ins, dels = direct.setdefault(sig, (set(), set(), set()))
+            callees = calls.setdefault(sig, set())
+            for sub in walk_formulas(rule.body):
+                if isinstance(sub, (Test, Neg)):
+                    reads.add(sub.atom.pred)
+                elif isinstance(sub, Ins):
+                    ins.add(sub.atom.pred)
+                elif isinstance(sub, Del):
+                    dels.add(sub.atom.pred)
+                elif isinstance(sub, Call):
+                    callees.add(sub.atom.signature)
+        changed = True
+        while changed:
+            changed = False
+            for sig, callees in calls.items():
+                acc = direct[sig]
+                for callee in callees:
+                    sub_fp = direct.get(callee)
+                    if sub_fp is None:
+                        continue  # undefined call: the engine raises on it
+                    for mine, theirs in zip(acc, sub_fp):
+                        if not theirs <= mine:
+                            mine |= theirs
+                            changed = True
+        cached = {
+            sig: (frozenset(r), frozenset(i), frozenset(d))
+            for sig, (r, i, d) in direct.items()
+        }
+        self._signature_footprints = cached
+        return cached
+
     def update_footprint(self) -> Tuple[frozenset, frozenset]:
         """Predicates any rule body can insert / delete (cached)."""
         cached = self._footprint
         if cached is None:
-            insertable = set()
-            deletable = set()
-            for rule in self._rules:
-                for sub in walk_formulas(rule.body):
-                    if isinstance(sub, Ins):
-                        insertable.add(sub.atom.pred)
-                    elif isinstance(sub, Del):
-                        deletable.add(sub.atom.pred)
-            cached = (frozenset(insertable), frozenset(deletable))
+            closures = self.signature_footprints().values()
+            cached = (
+                frozenset().union(*(fp[1] for fp in closures)),
+                frozenset().union(*(fp[2] for fp in closures)),
+            )
             self._footprint = cached
         return cached
 

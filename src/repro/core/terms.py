@@ -62,7 +62,9 @@ class Constant:
 
     Ordering is total but purely syntactic (integers sort apart from
     strings) -- it exists so databases iterate deterministically, not to
-    compare values; use builtins for value comparisons.
+    compare values; use builtins for value comparisons.  Constants are
+    interned per ``(type, value)``, so equality is identity:
+    ``Constant(True) != Constant(1)``, as their renderings differ.
     """
 
     __slots__ = ("value", "_hash", "__weakref__")
@@ -70,10 +72,6 @@ class Constant:
     _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, value: ConstValue):
-        # Key by (type, value) so Constant(1) and Constant("1") intern
-        # apart even though 1 == "1" is False anyway; bool is an int
-        # subclass and may share a slot with its int twin -- harmless,
-        # since equality and hashing stay value-based.
         key = (value.__class__, value)
         cached = cls._interned.get(key)
         if cached is not None:
@@ -86,19 +84,6 @@ class Constant:
 
     def __setattr__(self, name, _value):
         raise AttributeError("Constant is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, Constant):
-            return self.value == other.value
-        return NotImplemented
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self) -> int:
         return self._hash

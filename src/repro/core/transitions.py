@@ -51,7 +51,6 @@ from .formulas import (
     conc,
     free_variables,
     seq,
-    walk_formulas,
 )
 from .program import Program
 from .terms import Atom, Term, Variable
@@ -64,7 +63,6 @@ __all__ = [
     "is_final",
     "enabled_steps",
     "canonical_key",
-    "update_footprint",
     "dead_config",
     "dead_step",
     "frontier_blockers",
@@ -581,30 +579,6 @@ def replay_into_store(actions, store) -> None:
 # ---------------------------------------------------------------------------
 # Dead-configuration pruning
 # ---------------------------------------------------------------------------
-
-
-def update_footprint(program: Program, *goals: Formula):
-    """Predicates the program (plus the given goals) can ever insert or
-    delete.  Used by :func:`dead_config`: tests on predicates outside the
-    insert footprint can never *become* true, absence tests on predicates
-    outside the delete footprint can never become true either.
-
-    The rulebase's contribution is cached on the program (rulebases are
-    immutable), so nested isolation searches -- which recompute the
-    footprint for each sub-goal -- only walk the sub-goal itself.
-    """
-    insertable, deletable = program.update_footprint()
-    if not goals:
-        return insertable, deletable
-    ins_extra = set(insertable)
-    del_extra = set(deletable)
-    for body in goals:
-        for sub in walk_formulas(body):
-            if isinstance(sub, Ins):
-                ins_extra.add(sub.atom.pred)
-            elif isinstance(sub, Del):
-                del_extra.add(sub.atom.pred)
-    return frozenset(ins_extra), frozenset(del_extra)
 
 
 def _frontier_guards(proc: Formula) -> Tuple[Formula, ...]:

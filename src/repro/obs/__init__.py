@@ -37,7 +37,6 @@ from .progress import ProgressReporter
 from .provenance import ProvNode, ProvenanceRecorder, active_recorder, recording
 from .report import render_report
 from .tracer import Span, Tracer, read_jsonl
-from .otlp import export_otlp, metrics_to_otlp, spans_to_otlp, write_otlp
 
 # NOTE: repro.obs.explain is deliberately NOT imported here -- it depends
 # on the core engines, which in turn import this package.  Import it
@@ -57,12 +56,8 @@ __all__ = [
     "active_attributor",
     "active_recorder",
     "attributing",
-    "export_otlp",
     "instrumented",
-    "metrics_to_otlp",
     "read_jsonl",
     "recording",
     "render_report",
-    "spans_to_otlp",
-    "write_otlp",
 ]

@@ -191,10 +191,6 @@ class Observers:
             inserted=ins, deleted=dels, **fields,
         )
 
-    def stamps(self) -> Optional[list]:
-        """A list for per-action wall-clock stamps, on instrumented runs."""
-        return [] if self.instrumentation is not None else None
-
     # -- configurations (small-step engines) -----------------------------------
 
     def config(self, formula, parent=None, prefix: str = "") -> Optional[int]:

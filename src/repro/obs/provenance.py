@@ -46,9 +46,8 @@ Serialization reuses the tracer's span model: :meth:`to_jsonl` emits
 one span-shaped JSON object per node (``span_id`` ``p<n>``,
 ``parent_id``, ``name`` ``prov.<disposition>``, attrs carrying the
 node fields, start/end encoding the depth), so a provenance log is
-readable by :func:`repro.obs.tracer.read_jsonl`, exportable by
-:func:`repro.obs.otlp.spans_to_otlp`, and reloadable by
-:meth:`ProvenanceRecorder.from_jsonl` -- one format, three consumers.
+readable by :func:`repro.obs.tracer.read_jsonl` and reloadable by
+:meth:`ProvenanceRecorder.from_jsonl` -- one format, two consumers.
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ class ProvNode:
 
         ``start``/``end`` encode the tree depth (provenance has no
         wall-clock), and complex attrs are JSON-encoded strings so the
-        dict round-trips through ``read_jsonl`` and OTLP untouched.
+        dict round-trips through ``read_jsonl`` untouched.
         """
         attrs: Dict[str, object] = {
             "kind": self.kind,
@@ -289,7 +288,7 @@ class ProvenanceRecorder:
     # -- serialization --------------------------------------------------------
 
     def nodes_to_spans(self) -> List[Dict[str, object]]:
-        """Every node in the serialized-span shape (OTLP-exportable)."""
+        """Every node in the serialized-span shape."""
         return [node.as_span() for node in self.nodes]
 
     def to_jsonl(self) -> str:

@@ -142,29 +142,6 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def add_span(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        parent_id: Optional[str] = None,
-        **attrs: object,
-    ) -> Span:
-        """Record an already-measured span with explicit endpoints.
-
-        For retrospective spans whose boundaries were captured outside
-        the tracer -- e.g. the workflow scheduler stamping one span per
-        task execution from the simulation's action timestamps, after
-        the run finished.  The parent is given explicitly (the open
-        stack is in the wrong state by the time the caller knows the
-        boundaries).
-        """
-        self._next_id += 1
-        span = Span("s%d" % self._next_id, parent_id, name, attrs, start)
-        span.end = end
-        self.spans.append(span)
-        return span
-
     # -- analysis / serialization ---------------------------------------------
 
     @property

@@ -52,22 +52,7 @@ from .constraints import (
 )
 from .enforce import enforce
 from .eventlog import event_log, timeline, to_json
-from .analytics import (
-    AgentStats,
-    CriticalPath,
-    ItemFlow,
-    TaskExecution,
-    TaskStats,
-    agent_utilization,
-    attribute_wall_clock,
-    critical_path,
-    item_flows,
-    latency_by_task,
-    render_analytics,
-    task_executions,
-)
 from .staffing import StaffingReport, analyze_staffing, peak_role_demand
-from .visualize import ascii_tree, to_dot
 
 __all__ = [
     "Agent",
@@ -93,21 +78,8 @@ __all__ = [
     "StaffingReport",
     "WorkflowSimulator",
     "WorkflowSpec",
-    "AgentStats",
-    "CriticalPath",
-    "ItemFlow",
-    "TaskExecution",
-    "TaskStats",
-    "agent_utilization",
     "agent_workload",
     "analyze_staffing",
-    "ascii_tree",
-    "attribute_wall_clock",
-    "critical_path",
-    "item_flows",
-    "latency_by_task",
-    "render_analytics",
-    "task_executions",
     "check_history",
     "check_trace",
     "enforce",
@@ -118,6 +90,5 @@ __all__ = [
     "peak_role_demand",
     "task_counts",
     "timeline",
-    "to_dot",
     "to_json",
 ]

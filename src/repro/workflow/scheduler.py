@@ -256,76 +256,6 @@ class WorkflowSimulator:
                 "workflow simulation cannot commit (deadlock or "
                 "unsatisfiable resource requirements)"
             )
-        if span is not None and execution.action_times:
-            _emit_task_spans(obs.tracer, execution, span.span_id)
         return SimulationResult(
             execution, span_id=span.span_id if span is not None else None
         )
-
-
-def _timed_events(execution: Execution) -> List[Tuple[str, float]]:
-    """Flattened (event string, timestamp) pairs of an instrumented run.
-
-    Timestamps come from :attr:`Execution.action_times`, one per
-    top-level trace action; an ``iso`` executes atomically, so every
-    event inside its subtrace inherits the isolation step's stamp.
-    """
-
-    out: List[Tuple[str, float]] = []
-
-    def walk(action: Action, when: float) -> None:
-        if action.kind == "iso":
-            for sub in action.subtrace:
-                walk(sub, when)
-        elif action.kind in ("ins", "del"):
-            out.append((str(action), when))
-
-    for action, when in zip(execution.trace, execution.action_times):
-        walk(action, when)
-    return out
-
-
-def _emit_task_spans(tracer, execution: Execution, parent_id: str) -> None:
-    """Stamp one finished ``workflow.task`` span per completed task
-    execution, parented on the enclosing ``workflow.simulate`` span.
-
-    Start/done events pair FIFO per ``(task, item)`` -- the same
-    discipline :func:`repro.workflow.analytics.task_executions` uses --
-    and each span carries an ``occurrence`` index (done order) so
-    analytics can join spans to executions even when a retried task runs
-    the same (task, item) pair more than once.  An ``aborted`` event
-    closes its start without emitting a span: the attempt never
-    completed, so it has no task duration.
-    """
-    # Imported lazily: eventlog imports this module at load time.
-    from .eventlog import _parse_args
-
-    open_starts: dict = {}
-    occurrences: dict = {}
-    for event, when in _timed_events(execution):
-        if event.startswith("ins.started("):
-            task, item = _parse_args(event)[:2]
-            open_starts.setdefault((task, item), []).append(when)
-        elif event.startswith("ins.done("):
-            task, item, agent = _parse_args(event)[:3]
-            starts = open_starts.get((task, item))
-            if not starts:
-                continue
-            start = starts.pop(0)
-            occurrence = occurrences.get((task, item), 0)
-            occurrences[(task, item)] = occurrence + 1
-            tracer.add_span(
-                "workflow.task",
-                start,
-                when,
-                parent_id=parent_id,
-                task=task,
-                item=item,
-                agent=agent,
-                occurrence=occurrence,
-            )
-        elif event.startswith("ins.aborted("):
-            task, item = _parse_args(event)[:2]
-            starts = open_starts.get((task, item))
-            if starts:
-                starts.pop(0)

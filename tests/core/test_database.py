@@ -1,7 +1,5 @@
 """Unit tests for immutable database states."""
 
-import weakref
-
 import pytest
 
 from repro.core.database import Database, Schema, SchemaError
@@ -242,20 +240,18 @@ class TestUpdateCost:
         assert counts["__lt__"] == 0
         assert atom("balance", "a1000", 1000) not in list(smaller)
 
-    def test_delete_finds_equal_fact_sorted_apart(self, monkeypatch):
-        # True == 1, but bool constants sort before int ones, so the
-        # bisected slot of p(1, a) does not hold the stored p(True, a).
-        # A fresh intern table lets p(1, a) be built as its own object.
-        stored = atom("p", True, "a")
-        db = Database([stored, atom("p", 0, "a"), atom("p", 5, "a")])
-        list(db.match(Atom("p", (X, self.Y))))  # warm the sorted list
-        list(db.match(Atom("p", (Constant(0), self.Y))))  # and the index
-        monkeypatch.setattr(Atom, "_interned", weakref.WeakValueDictionary())
-        one = atom("p", 1, "a")
-        assert one == stored and one is not stored
-        smaller = db.delete(one)
-        assert [str(f) for f in smaller] == ["p(0, a)", "p(5, a)"]
-        assert list(smaller.match(Atom("p", (Constant(1), self.Y)))) == []
+    def test_delete_keeps_the_typed_twin(self):
+        # True and 1 are distinct constants: q(1) and q(True) are two
+        # facts, and deleting one leaves the other in the warm sorted
+        # list and index bucket.
+        db = Database([atom("q", 1), atom("q", True)])
+        assert len(db) == 2
+        list(db.match(Atom("q", (X,))))  # warm the sorted list
+        list(db.match(Atom("q", (Constant(1),))))  # and the index
+        smaller = db.delete(atom("q", 1))
+        assert [str(f) for f in smaller] == ["q(True)"]
+        assert list(smaller.match(Atom("q", (Constant(1),)))) == []
+        assert len(list(smaller.match(Atom("q", (Constant(True),))))) == 1
 
 
 class TestSchema:

@@ -22,7 +22,6 @@ from repro.core.por import (
     _conflicts,
     footprint,
     frontier_footprint,
-    signature_footprints,
 )
 from repro.obs import Instrumentation, instrumented
 
@@ -39,16 +38,18 @@ class TestFootprints:
             middle <- item(X) * del.item(X).
             """
         )
-        fps = signature_footprints(program)
+        fps = program.signature_footprints()
         assert fps[("middle", 0)] == fp(reads=["item"], dels=["item"])
         # top's closure includes everything middle may do.
         assert fps[("top", 0)] == fp(
             reads=["item"], ins=["log"], dels=["item"]
         )
+        # The program-wide update footprint is the closures' union.
+        assert program.update_footprint() == (frozenset({"log"}), frozenset({"item"}))
 
     def test_closure_is_cached_on_the_program(self):
         program = parse_program("p <- ins.a.")
-        assert signature_footprints(program) is signature_footprints(program)
+        assert program.signature_footprints() is program.signature_footprints()
 
     def test_footprint_of_negation_is_a_read(self):
         program = parse_program("p <- not q(_).")
@@ -63,7 +64,7 @@ class TestFootprints:
             odd <- tick(T) * del.tick(T) * even.
             """
         )
-        fps = signature_footprints(program)
+        fps = program.signature_footprints()
         assert fps[("even", 0)] == fps[("odd", 0)] == fp(
             reads=["done", "tick"], dels=["tick"]
         )

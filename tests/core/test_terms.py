@@ -137,9 +137,15 @@ class TestInterning:
         assert Constant(7) is Constant(7)
 
     def test_bool_and_int_do_not_collide(self):
-        # True == 1 in Python; the intern key includes the value's type.
+        # True == 1 in Python; the intern key includes the value's type,
+        # and equality is identity, so the atoms differ as they print,
+        # whichever of them is built first.
         assert Constant(True) is not Constant(1)
+        assert Constant(True) != Constant(1)
         assert Constant(False) is not Constant(0)
+        assert atom("p", 1) is not atom("p", True)
+        assert atom("p", True) is not atom("p", 1)
+        assert str(atom("p", True)) == "p(True)"
 
     def test_equal_atoms_are_identical(self):
         assert atom("p", "a", 1) is atom("p", "a", 1)

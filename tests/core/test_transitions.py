@@ -5,6 +5,7 @@ import pytest
 from repro import Database, Interpreter, parse_database, parse_goal, parse_program
 from repro.core.formulas import Conc, Truth
 from repro.core.terms import Constant, Variable
+from repro.core.por import update_footprint
 from repro.core.transitions import (
     canonical_key,
     dead_config,
@@ -12,7 +13,6 @@ from repro.core.transitions import (
     enabled_steps,
     frontier_blocked,
     is_final,
-    update_footprint,
 )
 
 

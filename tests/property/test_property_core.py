@@ -25,6 +25,7 @@ from repro.core.formulas import (
 )
 from repro.core.parser import parse_goal as pg
 from repro.core.terms import Atom, Constant, Variable, atom
+from repro.core.por import update_footprint
 from repro.core.transitions import (
     canonical_key,
     dead_config,
@@ -32,7 +33,6 @@ from repro.core.transitions import (
     enabled_steps,
     frontier_blocked,
     successor,
-    update_footprint,
 )
 from repro.core.unify import apply_atom, match_atom, unify_atoms, walk
 

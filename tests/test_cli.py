@@ -152,6 +152,16 @@ class TestWhyNot:
             main(["diagnose", str(program), "--goal", "go"])
 
 
+@pytest.mark.parametrize(
+    "argv", [["repl"], ["analyze", "--demo-lab", "2"], ["profile", "export-otlp"]]
+)
+def test_retired_command_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 class TestBench:
     def test_table_and_json(self, tmp_path, capsys):
         out = tmp_path / "timings.json"

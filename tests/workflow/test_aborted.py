@@ -1,5 +1,5 @@
 """Aborted terminations are recorded distinctly: compiler abort rules,
-monitor queries, event-log records, and abort-aware analytics."""
+monitor queries, and event-log records."""
 
 import json
 
@@ -16,11 +16,6 @@ from repro.workflow import (
     Task,
     WorkflowSimulator,
     WorkflowSpec,
-)
-from repro.workflow.analytics import (
-    render_analytics,
-    task_aborts,
-    task_executions,
 )
 from repro.workflow.compiler import compile_workflows
 from repro.workflow.eventlog import event_log, timeline, to_json
@@ -137,24 +132,6 @@ class TestEventLog:
         assert "task_aborted" in timeline(outage_result)
         payload = json.loads(to_json(outage_result))
         assert any(r["kind"] == "task_aborted" for r in payload)
-
-
-class TestAnalytics:
-    def test_aborted_attempts_do_not_mispair_latency(self, outage_result):
-        records = event_log(outage_result)
-        executions = task_executions(records)
-        # Only the completed task yields an interval; the aborted
-        # attempt must not be paired with some other task's done event.
-        assert {e.task for e in executions} == {"scan"}
-        assert all(e.done_seq > e.start_seq for e in executions)
-
-    def test_task_aborts_counts_per_task(self, outage_result):
-        assert task_aborts(event_log(outage_result)) == {"prep": 1}
-
-    def test_render_analytics_reports_aborts(self, outage_result):
-        text = render_analytics(event_log(outage_result))
-        assert "aborted attempts" in text
-        assert "prep" in text
 
 
 class TestRetryRecovery:
