@@ -682,8 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--no-tabling", action="store_true",
-        help="disable answer tabling on the small-step engine (the naive "
-             "search is the differential oracle; see docs/PERFORMANCE.md)",
+        help="disable answer tabling on the small-step engine, which runs "
+             "every goal that updates (the naive search is the differential "
+             "oracle; see docs/PERFORMANCE.md)",
     )
     p_solve.add_argument(
         "--checkpoint-out", metavar="FILE",

@@ -15,7 +15,7 @@ from ..core.parser import parse_goal, parse_program
 from ..core.program import Program
 from ..core.terms import atom
 from ..machines.andor import AndOrGraph
-from ..machines.counter import CounterMachine, Dec, Halt, Inc
+from ..machines.counter import CounterMachine, Inc
 
 __all__ = [
     "binary_counter_family",

@@ -6,15 +6,16 @@ This subpackage is the paper's primary contribution.  The layering:
     first-order machinery and immutable database states;
 ``formulas`` / ``program`` / ``parser`` / ``pretty``
     the language -- AST, rulebases, concrete syntax;
-``transitions`` / ``interpreter``
+``transitions`` / ``interpreter`` / ``tabling``
     the procedural interpretation (small-step semantics) and the full-TD
-    engine (BFS semi-decision procedure + DFS simulation scheduler);
+    engine (BFS semi-decision procedure + DFS simulation scheduler),
+    whose answer tables decide the ``|``-free goals that update;
 ``seqeval``
-    the tabled decision procedure for the sequential sublanguage, which
-    also evaluates the ``|``-free query-only and nonrecursive programs;
+    the tabled decision procedure for reads: goals that use no ``|``
+    and reach no update (query-only TD);
 ``analysis`` / ``engine``
     the sublanguage classifier and the engine façade that routes each
-    program to the weakest adequate evaluator.
+    goal to the weakest adequate evaluator.
 """
 
 from .analysis import Analysis, Sublanguage, analyze, classify

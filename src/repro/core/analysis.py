@@ -24,7 +24,7 @@ variable-boundedness (safety) check.  :func:`analyze` produces a report;
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .formulas import (
@@ -42,10 +42,10 @@ from .formulas import (
     formula_variables,
     walk_formulas,
 )
-from .program import Program, Rule
+from .program import Program
 from .terms import Signature, Variable
 
-__all__ = ["Sublanguage", "Analysis", "analyze", "classify"]
+__all__ = ["Sublanguage", "Analysis", "analyze", "classify", "reads_only"]
 
 
 class Sublanguage(enum.Enum):
@@ -426,3 +426,19 @@ def analyze(program: Program, goal: Optional[Formula] = None) -> Analysis:
 def classify(program: Program, goal: Optional[Formula] = None) -> Sublanguage:
     """The smallest paper sublanguage containing *program* (and *goal*)."""
     return analyze(program, goal).classify()
+
+
+def reads_only(program: Program, goal: Formula) -> bool:
+    """True when *goal* uses no ``|`` and nothing it reaches inserts or
+    deletes: its updates and those of its calls' closures in
+    :meth:`Program.signature_footprints` are empty.  Such a goal is a
+    read of one state, the fragment the sequential evaluator decides."""
+    footprints = program.signature_footprints()
+    for sub in walk_formulas(goal):
+        if isinstance(sub, (Conc, Ins, Del)):
+            return False
+        if isinstance(sub, Call):
+            closure = footprints.get(sub.atom.signature)
+            if closure is not None and (closure[1] or closure[2]):
+                return False
+    return True

@@ -1,42 +1,42 @@
-"""Engine façade: pick the weakest adequate evaluator for a program.
+"""Engine façade: pick the weakest adequate evaluator for each goal.
 
 The paper's complexity map is prescriptive for implementations: the less
 expressive the sublanguage, the better the evaluation strategy available.
-:func:`select_engine` runs the classifier and routes:
+:func:`select_engine` runs the classifier, and the :class:`Engine` it
+returns routes each goal:
 
-========================  =============================  ==============
-sublanguage               engine                         termination
-========================  =============================  ==============
-query-only TD             tabled sequential evaluator    decision proc.
-nonrecursive TD           tabled sequential evaluator;   decision proc.
-                          small-step BFS with ``|``
-fully bounded TD          small-step exhaustive search   decision proc.
-sequential TD             tabled sequential evaluator    decision proc.
-full TD                   small-step BFS                 semi-decision
-========================  =============================  ==============
+=============================  =============================  ==============
+goal                           engine                         termination
+=============================  =============================  ==============
+reads (no ``|``, no update     tabled sequential evaluator    decision proc.
+reached), ``|``-free program
+sequential or nonrecursive     tabled interpreter             decision proc.
+TD that updates
+nonrecursive or fully          small-step BFS, tabled         decision proc.
+bounded TD with ``|``
+full TD                        small-step BFS, tabled         semi-decision
+=============================  =============================  ==============
 
-Nonrecursive TD has no evaluator of its own: without ``|`` it lies inside
-sequential TD, whose tabled worklist stays polynomial in the data when
-the call graph is acyclic (docs/SEMANTICS.md section 4); with ``|`` the
-configuration space is finite, so the small-step search terminates.  The
+A read is classical Datalog over one state, which the sequential
+evaluator decides.  Every other goal runs on the one interpreter the
+engine owns: on ``|``-free sequential TD its generator/consumer tables
+close every recursion (docs/SEMANTICS.md section 3), and on an acyclic
+call graph they stay polynomial in the data (section 4).  The
 classification -- ``Engine.sublanguage``, ``Engine.decidable`` and the
 ``time.<sublanguage>`` timer -- still reports the paper's map.
 
 :class:`Engine` wraps the result with a uniform API (``succeeds``,
-``solve``, ``final_databases``, ``simulate``) so examples, tests and
-benchmarks do not care which evaluator runs underneath.  Every
-interpreter the façade builds, as the backend or over an analytic one
-for ``simulate``/``resume``, gets the ``max_configs`` and ``tabling``
-that :func:`select_engine` was given.
+``solve``, ``final_databases``, ``simulate``, ``resume``) so examples,
+tests and benchmarks do not care which evaluator runs underneath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Set, Union
 
 from ..obs.context import Instrumentation, active
-from .analysis import Analysis, Sublanguage, analyze
+from .analysis import Analysis, Sublanguage, analyze, reads_only
 from .database import Database
 from .errors import ReproError
 from .formulas import Formula
@@ -61,10 +61,6 @@ def _annotate(exc: ReproError, goal: Union[str, Formula]) -> ReproError:
         exc.goal = goal
     return exc
 
-#: Sublanguages whose ``|``-free programs the tabled sequential evaluator
-#: decides.
-_TABLED = {Sublanguage.QUERY_ONLY, Sublanguage.NONRECURSIVE, Sublanguage.SEQUENTIAL}
-
 #: Sublanguages for which the selected procedure is guaranteed to halt.
 _DECIDABLE = {
     Sublanguage.QUERY_ONLY,
@@ -76,32 +72,41 @@ _DECIDABLE = {
 
 @dataclass
 class Engine:
-    """A program bundled with the evaluator chosen for its sublanguage."""
+    """A program bundled with its evaluators: the interpreter, and the
+    sequential evaluator for the reads of a ``|``-free program."""
 
     program: Program
+    #: The evaluator of the goal :func:`select_engine` was given; without
+    #: one, of the program's goals (the reader when no rule updates).
     backend: _Backend
     analysis: Analysis
     sublanguage: Sublanguage
-    #: The small-step options :func:`select_engine` was given; every
-    #: interpreter built over an analytic backend uses them too.
-    max_configs: int = field(default=200_000, init=False)
-    tabling: bool = field(default=True, init=False)
+    #: Runs every goal that updates or uses ``|``, and every
+    #: ``simulate`` and ``resume``.
+    interpreter: Interpreter
+    #: Runs the reads; ``None`` when the program (or the goal it was
+    #: built with) uses ``|``.
+    reader: Optional[SequentialEngine]
 
     @property
     def decidable(self) -> bool:
         """True when evaluation is guaranteed to terminate."""
         return self.sublanguage in _DECIDABLE
 
-    def _goal(self, goal: Union[str, Formula]) -> Formula:
-        return as_goal(goal)
+    def route(self, goal: Formula) -> _Backend:
+        """The evaluator for *goal*: the reader when it uses no ``|`` and
+        nothing it reaches inserts or deletes, else the interpreter."""
+        if self.reader is not None and reads_only(self.program, goal):
+            return self.reader
+        return self.interpreter
 
-    def _describe(self) -> Instrumentation:
+    def _describe(self, backend: _Backend) -> Instrumentation:
         """Stamp the active instrumentation (if any) with what runs here:
         backend class, sublanguage, decidability.  Returns the bundle so
         callers can hang timers off it."""
         obs = active()
         if obs.enabled:
-            obs.metrics.set_info("engine.backend", type(self.backend).__name__)
+            obs.metrics.set_info("engine.backend", type(backend).__name__)
             obs.metrics.set_info("engine.sublanguage", self.sublanguage.value)
             obs.metrics.set_info("engine.decidable", str(self.decidable).lower())
         return obs
@@ -109,25 +114,13 @@ class Engine:
     def _timer_name(self) -> str:
         return "time.%s" % self.sublanguage.name.lower()
 
-    def _interpreter(self) -> Interpreter:
-        """The small-step interpreter for traces and checkpoints: the
-        backend itself when it is one, else a fresh interpreter over the
-        same program and store, with this engine's ``max_configs`` and
-        ``tabling``."""
-        if isinstance(self.backend, Interpreter):
-            return self.backend
-        return Interpreter(
-            self.program,
-            max_configs=self.max_configs,
-            store=self.backend.store,
-            tabling=self.tabling,
-        )
-
     def succeeds(self, goal: Union[str, Formula], db: Optional[Database] = None) -> bool:
         """Does some execution of *goal* from *db* commit?"""
         try:
-            with self._describe().timer(self._timer_name()):
-                return self.backend.succeeds(self._goal(goal), db)
+            formula = as_goal(goal)
+            backend = self.route(formula)
+            with self._describe(backend).timer(self._timer_name()):
+                return backend.succeeds(formula, db)
         except ReproError as exc:
             raise _annotate(exc, goal)
 
@@ -140,11 +133,11 @@ class Engine:
     ) -> Iterator[Solution]:
         """Enumerate (answer bindings, final state) pairs.
 
-        *deadline* arms a cooperative stop on the small-step backend
-        (full/bounded TD); the analytic backends are decision procedures
-        and ignore it.  With ``db=None`` the initial state comes from
-        the backend's attached store (``store=`` on
-        :func:`select_engine`, or the ambient provider).
+        *deadline* arms a cooperative stop on the interpreter; the
+        sequential evaluator is a decision procedure over reads and
+        ignores it.  With ``db=None`` the initial state comes from the
+        attached store (``store=`` on :func:`select_engine`, or the
+        ambient provider).
 
         Like the backends, the façade reports to the instrumentation
         active at the first pull: that is where it stamps the backend
@@ -154,12 +147,14 @@ class Engine:
         this façade as the same exception object (``spent``/
         ``checkpoint`` intact), with the user's goal stamped on.
         """
-        obs = self._describe()
+        formula = as_goal(goal)
+        backend = self.route(formula)
+        obs = self._describe(backend)
         name = self._timer_name()
-        if deadline is not None and isinstance(self.backend, Interpreter):
-            inner = self.backend.solve(self._goal(goal), db, deadline=deadline)
+        if backend is self.interpreter:
+            inner = backend.solve(formula, db, deadline=deadline)
         else:
-            inner = self.backend.solve(self._goal(goal), db)
+            inner = backend.solve(formula, db)
         while True:
             try:
                 if not obs.enabled:
@@ -174,18 +169,19 @@ class Engine:
             yield solution
 
     def resume(self, checkpoint: Checkpoint, **kwargs) -> Iterator[Solution]:
-        """Continue an interrupted small-step search (see
-        :meth:`Interpreter.resume`); checkpoints only come from the
-        small-step backend, so an interpreter always handles this."""
-        return self._interpreter().resume(checkpoint, **kwargs)
+        """Continue an interrupted search (see :meth:`Interpreter.resume`);
+        checkpoints only come from the interpreter."""
+        return self.interpreter.resume(checkpoint, **kwargs)
 
     def final_databases(
         self, goal: Union[str, Formula], db: Optional[Database] = None
     ) -> Set[Database]:
         """All states the transaction can leave the database in."""
         try:
-            with self._describe().timer(self._timer_name()):
-                return self.backend.final_databases(self._goal(goal), db)
+            formula = as_goal(goal)
+            backend = self.route(formula)
+            with self._describe(backend).timer(self._timer_name()):
+                return backend.final_databases(formula, db)
         except ReproError as exc:
             raise _annotate(exc, goal)
 
@@ -200,16 +196,14 @@ class Engine:
     ) -> Optional[Execution]:
         """One successful execution with its full action trace.
 
-        Simulation always uses the small-step scheduler (traces are a
-        small-step notion), regardless of the analytic backend.  When a
-        store is attached the winning trace is committed to it (see
-        :meth:`Interpreter.simulate`).
+        Simulation always runs on the interpreter (traces are a
+        small-step notion).  When a store is attached the winning trace
+        is committed to it (see :meth:`Interpreter.simulate`).
         """
-        interp = self._interpreter()
         try:
-            with self._describe().timer(self._timer_name()):
-                return interp.simulate(
-                    self._goal(goal), db, seed=seed, max_depth=max_depth,
+            with self._describe(self.interpreter).timer(self._timer_name()):
+                return self.interpreter.simulate(
+                    as_goal(goal), db, seed=seed, max_depth=max_depth,
                     deadline=deadline,
                 )
         except ReproError as exc:
@@ -224,43 +218,43 @@ def select_engine(
     store=None,
     tabling: bool = True,
 ) -> Engine:
-    """Classify *program* (and *goal*, if given) and build the matching
-    engine.
+    """Classify *program* (and *goal*, if given) and build its engine.
 
-    Query-only, nonrecursive and sequential programs run on the tabled
-    :class:`SequentialEngine` when neither the program nor the goal uses
-    ``|``; everything else runs on the small-step :class:`Interpreter`
-    (see the table in this module's docstring).  An engine chosen
-    without a goal rejects a later ``|`` goal it cannot evaluate with
-    :class:`UnsupportedProgramError`; pass the goal to route on it.
+    The engine routes each goal it is asked (see the table in this
+    module's docstring): a read -- no ``|``, and nothing the goal
+    reaches inserts or deletes -- of a ``|``-free program runs on the
+    tabled :class:`SequentialEngine`; every other goal, and every
+    ``simulate`` and ``resume``, runs on the engine's one tabled
+    :class:`Interpreter`.  *goal* only sets ``Engine.backend`` and the
+    reported class.
 
-    ``max_configs`` bounds every small-step search the engine makes:
-    the backend's, and those ``simulate``/``resume`` build over an
-    analytic backend.  ``tabling=False`` disables answer tabling in the
-    same interpreters (docs/PERFORMANCE.md); the sequential evaluator
-    tables by construction and ignores both.  ``store`` attaches a
-    storage backend (see :class:`repro.store.Store` and
-    docs/STORAGE.md) to whichever backend is selected.  Observers are
-    not options: every search the engine runs reports to the metrics,
-    derivation recorder and cost attributor active at its first pull
+    ``max_configs`` bounds every interpreter search and ``tabling=False``
+    disables its answer tables (docs/PERFORMANCE.md); the sequential
+    evaluator tables by construction and ignores both.  ``store``
+    attaches a storage backend (see :class:`repro.store.Store` and
+    docs/STORAGE.md) to both evaluators.  Observers are not options:
+    every search the engine runs reports to the metrics, derivation
+    recorder and cost attributor active at its first pull
     (:func:`repro.obs.instrumented`, :func:`repro.obs.recording`,
     :func:`repro.obs.attributing`).
     """
     if goal is not None:
         goal = as_goal(goal)
     analysis = analyze(program, goal)
-    sub = analysis.classify()
-    backend: _Backend
-    if sub in _TABLED and not analysis.uses_conc:
-        backend = SequentialEngine(program, store=store)
-    else:
-        backend = Interpreter(
-            program, max_configs=max_configs, store=store, tabling=tabling
-        )
-    engine = Engine(program=program, backend=backend, analysis=analysis, sublanguage=sub)
-    engine.max_configs = max_configs
-    engine.tabling = tabling
-    return engine
+    interpreter = Interpreter(
+        program, max_configs=max_configs, store=store, tabling=tabling
+    )
+    reader = None if analysis.uses_conc else SequentialEngine(program, store=store)
+    # Without a goal, a program none of whose rules updates is all reads.
+    reads = analysis.query_only if goal is None else reads_only(program, goal)
+    return Engine(
+        program=program,
+        backend=reader if reader is not None and reads else interpreter,
+        analysis=analysis,
+        sublanguage=analysis.classify(),
+        interpreter=interpreter,
+        reader=reader,
+    )
 
 
 def solve(

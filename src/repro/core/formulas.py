@@ -226,9 +226,8 @@ class BinOp:
         return "(%s %s %s)" % (self.left, self.op, self.right)
 
 
-_COMPARISONS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+#: The orderings; ``=`` and ``!=`` compare constants by identity.
+_ORDERINGS = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
     ">": lambda a, b: a > b,
@@ -241,11 +240,14 @@ class Builtin(Formula):
     """A comparison ``left op right`` or binding ``var is expr``.
 
     * For op in ``= != < <= > >=`` both sides must be ground at execution
-      time; the comparison is evaluated over constant values.  An
-      ordering between values of different types (``a < 3``) does not
-      hold.
+      time.  ``=`` and ``!=`` compare constants by identity, as
+      unification does (constants are interned per type and value, so
+      ``True = 1`` does not hold).  An ordering holds only between two
+      integers (booleans excluded) or two strings: ``a < 3`` does not.
     * For op ``is`` the right side is an arithmetic expression that must
-      be ground; the left side is unified with the result.
+      be ground; the left side is unified with the typed result.
+      Arithmetic is over integers only: a string or a boolean operand
+      raises :class:`ValueError`, as an unbound one does.
     """
 
     op: str
@@ -269,40 +271,39 @@ class Builtin(Formula):
             left = walk(left, subst)
             if isinstance(left, Variable):
                 out = dict(subst)
-                out[left] = Constant(value)
+                out[left] = value
                 return out
-            if isinstance(left, Constant) and left.value == value:
-                return subst
-            return None
-        fn = _COMPARISONS.get(self.op)
-        if fn is None:
+            return subst if left is value else None
+        ordering = _ORDERINGS.get(self.op)
+        if ordering is None and self.op not in ("=", "!="):
             raise ValueError("unknown builtin operator %r" % (self.op,))
-        lv = _eval_arith(self.left, subst)
-        rv = _eval_arith(self.right, subst)
-        try:
-            holds = fn(lv, rv)
-        except TypeError:
-            return None  # an ordering across value types does not hold
+        left = _eval_arith(self.left, subst)
+        right = _eval_arith(self.right, subst)
+        if ordering is None:
+            holds = (left is right) == (self.op == "=")
+        else:
+            lv, rv = left.value, right.value
+            holds = type(lv) is type(rv) and type(lv) in (int, str) and ordering(lv, rv)
         return subst if holds else None
 
 
-def _eval_arith(expr: ArithExpr, subst: Substitution):
+def _eval_arith(expr: ArithExpr, subst: Substitution) -> Constant:
     if isinstance(expr, BinOp):
-        lv = _eval_arith(expr.left, subst)
-        rv = _eval_arith(expr.right, subst)
-        if not isinstance(lv, int) or not isinstance(rv, int):
+        lv = _eval_arith(expr.left, subst).value
+        rv = _eval_arith(expr.right, subst).value
+        if type(lv) is not int or type(rv) is not int:
             raise ValueError("arithmetic over non-integers: %s" % (expr,))
         if expr.op == "+":
-            return lv + rv
+            return Constant(lv + rv)
         if expr.op == "-":
-            return lv - rv
+            return Constant(lv - rv)
         if expr.op == "*":
-            return lv * rv
+            return Constant(lv * rv)
         raise ValueError("unknown arithmetic operator %r" % (expr.op,))
     term = walk(expr, subst)
     if isinstance(term, Variable):
         raise ValueError("unbound variable %s in builtin" % (term,))
-    return term.value
+    return term
 
 
 # ---------------------------------------------------------------------------

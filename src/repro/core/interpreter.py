@@ -608,6 +608,13 @@ class Interpreter:
             finally:
                 if ev is not None:
                     ev.finished(budget.used, budget.limit, self._table)
+        if store is not None:
+            # A simulate over a store leaves no table behind: a commit
+            # replaces the state it served, and dropping it first keeps
+            # its states out of the commit's memory.
+            self._table_db = None
+            if self._table is not None:
+                self._table = AnswerTable()
         if result is None:
             return None
         answers, final_db, trace = result

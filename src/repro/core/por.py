@@ -65,7 +65,6 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .database import Database
 from .formulas import (
-    Builtin,
     Call,
     Conc,
     Del,

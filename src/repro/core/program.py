@@ -21,12 +21,11 @@ The parser emits every body atom as a generic :class:`~repro.core.formulas.Call`
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .database import Schema
 from .formulas import (
-    Builtin,
     Call,
     Conc,
     Del,

@@ -1,53 +1,45 @@
-"""Tabled big-step evaluator for *sequential* Transaction Datalog.
+"""Tabled big-step evaluator for the reads of sequential Transaction
+Datalog.
 
-Sequential TD is the sublanguage without concurrent composition.  The
-paper (Theorem 4.5) shows it is data complete for EXPTIME -- in sharp
-contrast to full TD's RE-completeness -- and in particular *decidable*.
-This module is the decision procedure.  The engine façade also routes
-the ``|``-free query-only and nonrecursive programs here; on an acyclic
-call graph the worklist below stays polynomial in the data
-(docs/SEMANTICS.md section 4).
+A goal that uses no ``|`` and whose closure -- the goal plus every rule
+it can reach -- neither inserts nor deletes is a *query*: it reads one
+database state and leaves it as it was, and its meaning is a set of
+answer bindings.  That is classical Datalog with negation and builtins
+(the paper's T5 row), and this module is its tabled, top-down decision
+procedure.  The engine façade routes such goals here; every goal that
+updates runs on the tabled interpreter (:mod:`repro.core.tabling`,
+docs/SEMANTICS.md sections 3 and 4), and this engine rejects it with
+:class:`UnsupportedProgramError`.
 
-The semantic insight it implements: the meaning of a sequential TD
-predicate is a binary relation on database states.  For a fixed program
-and initial state, the reachable states are subsets of a finite Herbrand
-base (TD is safe: no new constants are invented), so the relation
+Over one state, the meaning of a call is the relation
 
-    (call atom, input state)  -->  { (answer bindings, output state) }
+    canonical call atom  -->  { answer bindings }
 
-has a finite table, computable as a least fixpoint.  We compute it by
-*tabling* with a dependency-driven worklist: evaluation registers every
-call it encounters as a table key and records which keys consulted it;
-when a key's answer set grows, only its recorded dependents are
-re-evaluated.  Termination is guaranteed by the finiteness of keys and
-answers; completeness by the monotone least-fixpoint argument, lifted
-from Datalog to state pairs -- this is exactly the sense in which the
-paper says Datalog optimization techniques like tabling apply to TD.
-
-Recursion depth is *not* bounded here, which matters: sequential TD can
-still use recursion-as-storage (a counter encoded in recursion depth),
-and top-down evaluation would diverge on it.  The table is what restores
-termination -- recursion that revisits a (call, state) pair contributes
-nothing new and closes the loop.
+which has a finite table (no new constants are invented), computable
+as a least fixpoint.  We compute it by *tabling* with a
+dependency-driven worklist: evaluation registers every call it
+encounters as a table key and records which keys consulted it; when a
+key's answer set grows, only its recorded dependents are re-evaluated.
+Termination follows from the finiteness of keys and answers, and
+completeness from the monotone least-fixpoint argument.  Recursion
+depth is not bounded: a call that revisits a key reads its answers so
+far and closes the loop.
 """
 
 from __future__ import annotations
 
-import itertools
-from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import context as _context
 from ..obs.context import Observers
 from .database import Database, plan_join
 from .errors import SafetyError, UnsupportedProgramError
+from .analysis import reads_only
 from .formulas import (
     Builtin,
     Call,
     Conc,
-    Del,
     Formula,
-    Ins,
     Isol,
     Neg,
     Seq,
@@ -65,11 +57,8 @@ from .unify import Substitution, apply_atom, walk
 
 __all__ = ["SequentialEngine"]
 
-#: A table key: the canonicalized call atom plus the input state.
-_Key = Tuple[Atom, Database]
-#: A table answer: constants for the canonical variables, plus the output
-#: state.
-_Answer = Tuple[Tuple[Constant, ...], Database]
+#: A table answer: constants for the canonical call's variables.
+_Answer = Tuple[Constant, ...]
 
 #: Safety bound on worklist drains and goal-seeding passes.  The table is
 #: finite for safe programs, so a fixpoint never comes near it; reaching
@@ -78,25 +67,27 @@ _MAX_ROUNDS = 10_000_000
 
 
 class _Table:
-    """The answer table of one initial database, with the worklist's
-    bookkeeping: each callee key's caller keys, in the order they first
-    consulted it, and the keys whose rules have been evaluated at least
-    once (a key can be computed and still have an empty answer set)."""
+    """The answer table of one database, keyed by canonical call atom,
+    with the worklist's bookkeeping: each callee key's caller keys, in
+    the order they first consulted it, and the keys whose rules have
+    been evaluated at least once (a key can be computed and still have
+    an empty answer set)."""
 
     __slots__ = ("answers", "dependents", "computed")
 
     def __init__(self):
-        self.answers: Dict[_Key, Set[_Answer]] = {}
-        self.dependents: Dict[_Key, Dict[_Key, None]] = {}
-        self.computed: Set[_Key] = set()
+        self.answers: Dict[Atom, Set[_Answer]] = {}
+        self.dependents: Dict[Atom, Dict[Atom, None]] = {}
+        self.computed: Set[Atom] = set()
 
 
 class SequentialEngine:
-    """Decision procedure for sequential TD via tabled evaluation.
+    """Decision procedure for query-only sequential TD via tabled
+    evaluation.
 
-    Raises :class:`UnsupportedProgramError` if the program or goal uses
-    concurrent composition.  ``iso(a)`` is accepted and equals ``a``:
-    with no siblings to interleave, isolation is a no-op.
+    Raises :class:`UnsupportedProgramError` on a goal that uses
+    concurrent composition or reaches an update.  ``iso(a)`` is
+    accepted and equals ``a``: a read has nothing to isolate.
     """
 
     def __init__(self, program: Program, *, join_order: bool = True, store=None):
@@ -110,64 +101,51 @@ class SequentialEngine:
         #: sequence by bound-argument selectivity before evaluating.
         #: Sound because tests read but never write: a contiguous test
         #: run is a conjunctive query, and any join order enumerates the
-        #: same substitutions.  Updates, negation, and builtins are
-        #: never moved.  Disable to pin the textual order.
+        #: same substitutions.  Negation and builtins are never moved.
+        #: Disable to pin the textual order.
         self.join_order = join_order
-        self._check_sequential()
-        # Kept across queries from one initial database: the table only
-        # grows, and its entries are valid whichever goal asked for them.
+        # Kept across queries of one database: the table only grows,
+        # and its entries are valid whichever goal asked for them.
         self._table = _Table()
         self._table_db: Optional[Database] = None
         # Per-evaluation scratch: keys consulted (insertion-ordered, so
         # the worklist order never depends on hashing) / newly
         # registered.
-        self._consulted: Dict[_Key, None] = {}
-        self._new_keys: List[_Key] = []
-
-    def _check_sequential(self) -> None:
-        for rule in self.program.rules:
-            for sub in walk_formulas(rule.body):
-                if isinstance(sub, Conc):
-                    raise UnsupportedProgramError(
-                        "rule for %s uses concurrent composition; "
-                        "the sequential engine cannot evaluate it"
-                        % (rule.head,)
-                    )
+        self._consulted: Dict[Atom, None] = {}
+        self._new_keys: List[Atom] = []
 
     # -- public API -------------------------------------------------------------
 
     def solve(
         self, goal: "str | Formula", db: Optional[Database] = None
     ) -> Iterator[Solution]:
-        """Enumerate all (bindings, final state) pairs for *goal*.
+        """Enumerate all answer bindings for *goal*, each with the
+        database it read.
 
         *goal* may be a formula or concrete syntax.  Complete and
         terminating: this is a decision procedure.  With ``db=None``
         the initial state comes from the attached store (explicit
-        ``store=`` or the ambient provider); the evaluation is a
-        read-only query on it.
+        ``store=`` or the ambient provider).
         """
         _, db = _resolve_store(self.store, db)
         goal = self.program.resolve_goal(as_goal(goal))
+        if not reads_only(self.program, goal):
+            raise UnsupportedProgramError(
+                "goal uses | or updates the database; the sequential "
+                "evaluator only reads, use the interpreter"
+            )
         # Only a call reads the table: a goal without one needs no
         # fixpoint, just the one evaluation that enumerates its answers.
-        reads_table = False
-        for sub in walk_formulas(goal):
-            if isinstance(sub, Conc):
-                raise UnsupportedProgramError(
-                    "goal uses concurrent composition; use the full interpreter"
-                )
-            if isinstance(sub, Call):
-                reads_table = True
+        reads_table = any(isinstance(sub, Call) for sub in walk_formulas(goal))
         table = self._table
         if reads_table:
-            # A table serves one initial database, as the interpreter's
-            # does: a solve from another state starts with an empty
-            # table, so an engine over a store keeps one state's keys,
-            # not every state's.  The solve keeps the table it started
-            # with, because its answer replay reads it lazily.  A goal
-            # without a call keeps no state alive, so a store's old
-            # state is freed when the store moves on, not in a read.
+            # A table serves one database, as the interpreter's does: a
+            # solve over another state starts with an empty table, so an
+            # engine over a store keeps one state's keys, not every
+            # state's.  The solve keeps the table it started with,
+            # because its answer replay reads it lazily.  A goal without
+            # a call keeps no state alive, so a store's old state is
+            # freed when the store moves on, not in a read.
             if table.answers and not _same_state(db, self._table_db):
                 table = self._table = _Table()
             self._table_db = db
@@ -184,9 +162,9 @@ class SequentialEngine:
                 if ev is not None:
                     ev.table_size(*self.table_size)
                 emitted = set()
-                for theta, final_db in self._eval(goal, db, {}, ev, table):
+                for theta in self._eval(goal, db, {}, ev, table):
                     bindings = {v: walk(v, theta) for v in goal_vars}
-                    key = (tuple(sorted(bindings.items())), final_db)
+                    key = tuple(sorted(bindings.items()))
                     if key not in emitted:
                         emitted.add(key)
                         if ev is not None:
@@ -197,8 +175,8 @@ class SequentialEngine:
                                 apply_atom(goal.atom, bindings)
                                 if isinstance(goal, Call) else goal,
                                 bindings,
-                            ), db, final_db)
-                        yield Solution(bindings, final_db)
+                            ))
+                        yield Solution(bindings, db)
 
         yield from _context.observed_pulls(ev, _search(), "seqeval")
 
@@ -212,8 +190,7 @@ class SequentialEngine:
 
     @property
     def table_size(self) -> Tuple[int, int]:
-        """(number of keys, number of answers) -- exposed for the
-        EXPTIME scaling benchmark."""
+        """(number of keys, number of answers) of the current table."""
         answers = self._table.answers
         return len(answers), sum(len(v) for v in answers.values())
 
@@ -231,12 +208,12 @@ class SequentialEngine:
     ) -> None:
         answers = table.answers
         dependents = table.dependents
-        worklist: List[_Key] = []
-        in_worklist: Set[_Key] = set()
+        worklist: List[Atom] = []
+        in_worklist: Set[Atom] = set()
         # This solve's call node per key (the table outlives the solve).
-        calls: Dict[_Key, Optional[int]] = {}
+        calls: Dict[Atom, Optional[int]] = {}
 
-        def enqueue(key: _Key) -> None:
+        def enqueue(key: Atom) -> None:
             if key not in in_worklist:
                 in_worklist.add(key)
                 worklist.append(key)
@@ -253,7 +230,7 @@ class SequentialEngine:
                 before = len(answers.get(key, ()))
                 self._consulted = {}
                 self._new_keys = []
-                self._recompute(key, ev, calls, root, table)
+                self._recompute(key, db, ev, calls, root, table)
                 for callee in self._consulted:
                     dependents.setdefault(callee, {})[key] = None
                 for fresh in self._new_keys:
@@ -284,13 +261,13 @@ class SequentialEngine:
         raise SearchExhausted_impossible()  # pragma: no cover - loop bound
 
     def _recompute(
-        self, key: _Key, ev: Optional[Observers], calls, root, table: _Table
+        self, canon_atom: Atom, db: Database, ev: Optional[Observers], calls,
+        root, table: _Table,
     ) -> None:
-        canon_atom, db_in = key
-        answers = table.answers[key]
+        answers = table.answers[canon_atom]
         call_node = None
         if ev is not None:
-            call_node = ev.recompute(calls, key, canon_atom, root)
+            call_node = ev.recompute(calls, canon_atom, root)
         canon_vars = [t for t in canon_atom.args if isinstance(t, Variable)]
         # Deduplicate canonical variables preserving order.
         seen: Dict[Variable, None] = {}
@@ -304,9 +281,7 @@ class SequentialEngine:
             # runs eagerly (never suspends), so push/pop bracket exactly.
             token = ev.rule(rule.head, canon_atom.pred) if ev is not None else None
             try:
-                for theta_out, db_out in self._eval(
-                    rule.body, db_in, theta, ev, table
-                ):
+                for theta_out in self._eval(rule.body, db, theta, ev, table):
                     values = []
                     ground = True
                     for v in canon_vars:
@@ -320,7 +295,7 @@ class SequentialEngine:
                             "rule for %s does not bind all head variables"
                             % (canon_atom,)
                         )
-                    entry = (tuple(values), db_out)
+                    entry = tuple(values)
                     if entry in answers:
                         continue
                     answers.add(entry)
@@ -328,7 +303,7 @@ class SequentialEngine:
                         ev.derived(call_node, rule.head, lambda: (
                             apply_atom(canon_atom, dict(zip(canon_vars, values))),
                             dict(zip(canon_vars, values)),
-                        ), db_in, db_out)
+                        ))
             finally:
                 if token is not None:
                     ev.leave(token)
@@ -338,28 +313,16 @@ class SequentialEngine:
     def _eval(
         self, f: Formula, db: Database, theta: Substitution,
         ev: Optional[Observers], table: _Table,
-    ) -> Iterator[Tuple[Substitution, Database]]:
+    ) -> Iterator[Substitution]:
         if isinstance(f, Truth):
-            yield theta, db
+            yield theta
             return
         if isinstance(f, Test):
-            yield from ((t, db) for t in db.match(f.atom, theta))
+            yield from db.match(f.atom, theta)
             return
         if isinstance(f, Neg):
             if not db.holds(f.atom, theta):
-                yield theta, db
-            return
-        if isinstance(f, Ins):
-            a = apply_atom(f.atom, theta)
-            if not a.is_ground():
-                raise SafetyError("ins with unbound variables: %s" % (a,))
-            yield theta, db.insert(a)
-            return
-        if isinstance(f, Del):
-            a = apply_atom(f.atom, theta)
-            if not a.is_ground():
-                raise SafetyError("del with unbound variables: %s" % (a,))
-            yield theta, db.delete(a)
+                yield theta
             return
         if isinstance(f, Builtin):
             try:
@@ -367,7 +330,7 @@ class SequentialEngine:
             except ValueError as exc:
                 raise SafetyError(str(exc)) from exc
             if out is not None:
-                yield out, db
+                yield out
             return
         if isinstance(f, Seq):
             parts = f.parts
@@ -376,7 +339,7 @@ class SequentialEngine:
             yield from self._eval_seq(parts, 0, db, theta, ev, table)
             return
         if isinstance(f, Isol):
-            # Sequential execution has no siblings; isolation is identity.
+            # A read has nothing to isolate.
             yield from self._eval(f.body, db, theta, ev, table)
             return
         if isinstance(f, Call):
@@ -396,12 +359,11 @@ class SequentialEngine:
         (:func:`repro.core.database.plan_join`).
 
         Only tests are moved, and only within their contiguous run: a
-        test neither updates the database nor can fail for safety
-        reasons, so the run is a conjunctive query whose answer set is
+        run of tests is a conjunctive query whose answer set is
         order-independent.  Negation stays put (its meaning depends on
-        which variables the *preceding* conjuncts bound) and so do
-        builtins (which raise :class:`SafetyError` on unbound input).
-        Selectivity uses the database at sequence entry -- a heuristic
+        which variables the *preceding* conjuncts bound), and so do
+        calls and builtins (which raise :class:`SafetyError` on unbound
+        input).  Selectivity uses the database read -- a heuristic
         only; correctness never depends on the plan.
         """
         out: List[Formula] = []
@@ -433,20 +395,18 @@ class SequentialEngine:
     def _eval_seq(
         self, parts: Tuple[Formula, ...], idx: int, db: Database,
         theta: Substitution, ev: Optional[Observers], table: _Table,
-    ) -> Iterator[Tuple[Substitution, Database]]:
+    ) -> Iterator[Substitution]:
         if idx == len(parts):
-            yield theta, db
+            yield theta
             return
-        for theta2, db2 in self._eval(parts[idx], db, theta, ev, table):
-            yield from self._eval_seq(parts, idx + 1, db2, theta2, ev, table)
+        for theta2 in self._eval(parts[idx], db, theta, ev, table):
+            yield from self._eval_seq(parts, idx + 1, db, theta2, ev, table)
 
     def _eval_call(
         self, atom: Atom, db: Database, theta: Substitution,
         ev: Optional[Observers], table: _Table,
-    ) -> Iterator[Tuple[Substitution, Database]]:
-        instantiated = apply_atom(atom, theta)
-        canon_atom, originals = canonical_call(instantiated)
-        key = (canon_atom, db)
+    ) -> Iterator[Substitution]:
+        key, originals = canonical_call(apply_atom(atom, theta))
         self._consulted[key] = None
         answers = table.answers.get(key)
         if ev is not None:
@@ -456,7 +416,11 @@ class SequentialEngine:
             table.answers[key] = set()
             self._new_keys.append(key)
             return
-        for values, db_out in _replay_order(answers):
+        # Set iteration order follows the hash seed; replaying in the
+        # order of the values' strings (then of the values, which keeps
+        # ``1`` apart from ``"1"``) keeps solution order, and everything
+        # downstream of it, the same in every process.
+        for values in sorted(answers, key=lambda a: (tuple(map(str, a)), a)):
             out = dict(theta)
             consistent = True
             for v, value in zip(originals, values):
@@ -467,39 +431,7 @@ class SequentialEngine:
                     consistent = False
                     break
             if consistent:
-                yield out, db_out
-
-
-def _replay_order(answers: Set[_Answer]) -> List[_Answer]:
-    """A table entry's answers in a fixed order: by the strings of their
-    values, ties broken by the strings of the output database's facts.
-
-    Set iteration order follows ``PYTHONHASHSEED``; a fixed replay order
-    keeps solution order, and everything downstream of it, the same in
-    every process.  Only answers whose value strings tie have their
-    databases rendered, each database at most once: a query-only call's
-    answers share one state and differ in their values, so a table hit
-    costs in proportion to its answers, not to the size of the state.
-    """
-    by_values = sorted(
-        ((tuple(map(str, answer[0])), answer) for answer in answers),
-        key=itemgetter(0),
-    )
-    rendered: Dict[Database, Tuple[str, ...]] = {}
-
-    def render(answer: _Answer) -> Tuple[str, ...]:
-        db = answer[1]
-        if db not in rendered:
-            rendered[db] = tuple(str(f) for f in db)
-        return rendered[db]
-
-    order: List[_Answer] = []
-    for _, run in itertools.groupby(by_values, key=itemgetter(0)):
-        tied = [answer for _, answer in run]
-        if len(tied) > 1:
-            tied.sort(key=render)
-        order.extend(tied)
-    return order
+                yield out
 
 
 class SearchExhausted_impossible(RuntimeError):

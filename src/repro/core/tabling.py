@@ -1,12 +1,14 @@
-"""Answer tabling for the concurrent interpreter.
+"""Answer tabling for the interpreter.
 
 The T6 row of the paper observes that test+insert TD admits
 Datalog-style tabled evaluation; Fodor & Kifer ("Efficient Tabling
 Mechanisms for Transaction Logic Programs") give the algorithms for the
-sequential Horn case, which :mod:`repro.core.seqeval` already
-implements.  This module brings the same idea to the *concurrent*
-interpreter (:class:`repro.core.interpreter.Interpreter`), where it is
-only sound in restricted positions:
+sequential Horn case.  This module tables the interpreter
+(:class:`repro.core.interpreter.Interpreter`), which the engine façade
+runs on every goal that updates, so on ``|``-free programs it is the
+decision procedure of sequential TD (docs/SEMANTICS.md section 3);
+:mod:`repro.core.seqeval` tables reads.  A table is only sound in
+restricted positions:
 
 * A call in **head position** -- the whole process is ``p(t)`` or
   ``p(t) * rest`` -- executes with no possibility of external
@@ -24,13 +26,12 @@ only sound in restricted positions:
 
 A table key is the pair ``(canonical call or body shape, database)``:
 states are immutable and cache their hash, so a lookup costs one dict
-probe, exactly as in the sequential evaluator's table.  Each entry
-keeps its answers -- normalized values plus final database -- in one
-insertion-ordered dict, which is both the dedup index and the serve
-order.  Every answer is kept, non-ground ones included, so the tabled
-search returns exactly the naive search's (answers, final database)
-pairs; the differential oracles in ``tests/core/test_tabling.py`` and
-``tests/property/`` pin that.
+probe.  Each entry keeps its answers -- normalized values plus final
+database -- in one insertion-ordered dict, which is both the dedup
+index and the serve order.  Every answer is kept, non-ground ones
+included, so the tabled search returns exactly the naive search's
+(answers, final database) pairs; the differential oracles in
+``tests/core/test_tabling.py`` and ``tests/property/`` pin that.
 
 Recursive calls use consumer/generator **suspension** in the local-SLG
 style: the generator for a key iterates its alternatives (the matching
@@ -62,8 +63,8 @@ __all__ = ["AnswerTable", "TableEntry", "canonical_call"]
 def canonical_call(atom: Atom) -> Tuple[Atom, List[Variable]]:
     """Rename the atom's variables to V0, V1, ... in order of occurrence.
 
-    Same convention as the sequential engine's table keys: constants
-    stay, repeated variables share one canonical name.  Returns the
+    Constants stay, and repeated variables share one canonical name
+    (the sequential engine's table keys use it too).  Returns the
     canonical atom and the original variables in canonical index order,
     so served answers can be mapped back onto the caller's terms.
     """

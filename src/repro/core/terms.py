@@ -32,7 +32,7 @@ still by value, and code must never rely on ``is`` for term comparison.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 __all__ = [
     "Constant",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..obs import context as _obs
-from .terms import Atom, Constant, Term, Variable
+from .terms import Atom, Term, Variable
 
 __all__ = [
     "Substitution",

@@ -10,7 +10,7 @@ literals for safety (negation last).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..core.terms import Atom, Signature, Variable
 

@@ -2,7 +2,8 @@
 
 The paper points out that in the tame TD sublanguages "well-known
 optimization techniques (such as magic sets or tabling) can be applied".
-Tabling lives in :mod:`repro.core.seqeval`; this module supplies the
+Tabling lives in :mod:`repro.core.seqeval` (reads) and
+:mod:`repro.core.tabling` (goals that update); this module supplies the
 other named technique for the Datalog substrate.
 
 Given a query with some arguments bound, the transformation specializes
@@ -27,7 +28,7 @@ negative literals raises :class:`ValueError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..core.database import Database
 from ..core.terms import Atom, Constant, Term, Variable

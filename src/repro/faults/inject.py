@@ -19,7 +19,7 @@ the interpreter's own deterministic expansion order.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ..core.errors import DeadlineExceeded, SearchBudgetExceeded
 from ..core.transitions import Action, Step, frontier_blocked

@@ -22,7 +22,7 @@ derives everything from a single integer seed via ``random.Random``
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 __all__ = [

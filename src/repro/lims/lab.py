@@ -17,7 +17,6 @@ from ..core.database import Database
 from ..core.terms import Atom, atom
 from ..workflow import (
     Agent,
-    Choice,
     Emit,
     Iterate,
     ParFlow,

@@ -17,10 +17,10 @@ of its (finitely many) successors are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..core.database import Database
-from ..core.formulas import Builtin, BinOp, Call, Formula, Test, TRUTH, seq
+from ..core.formulas import Builtin, BinOp, Call, Test, TRUTH, seq
 from ..core.program import Program, Rule
 from ..core.terms import Atom, Constant, Variable, atom
 

@@ -18,7 +18,7 @@ Program format: a list of instructions indexed by position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 __all__ = ["Inc", "Dec", "Halt", "CounterMachine", "CounterProgramError"]
 

@@ -12,13 +12,13 @@ native breadth-first explorer below serves as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..core.database import Database
-from ..core.formulas import Call, Del, Formula, Ins, Neg, Test, conc, seq
+from ..core.formulas import Call, Del, Formula, Ins, Neg, Test, seq
 from ..core.program import Program, Rule
-from ..core.terms import Atom, atom
+from ..core.terms import atom
 
 __all__ = ["PetriNet", "petri_to_td"]
 

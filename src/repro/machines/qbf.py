@@ -21,11 +21,10 @@ in the number of quantifiers, as measured in ``bench_seq_exptime``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.database import Database
-from ..core.formulas import Call, Del, Formula, Ins, Test, conc, seq
+from ..core.formulas import Call, Del, Formula, Ins, Test, seq
 from ..core.program import Program, Rule
 from ..core.terms import Atom, Constant, Variable, atom
 

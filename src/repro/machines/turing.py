@@ -8,8 +8,8 @@ commits under the full-TD interpreter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 __all__ = ["TuringMachine", "TMConfig", "tm_to_two_stack"]
 

@@ -14,7 +14,7 @@ symbol ending on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 __all__ = ["TwoStackMachine", "TwoStackConfig", "BOTTOM"]
 

@@ -10,9 +10,9 @@ changed, long before wall time shows it on a noisy CI box.
 Three pieces:
 
 * :func:`profile_suite` -- the fixed, named workloads the baselines
-  cover: one per engine family (tabled sequential on a nonrecursive
-  and a recursive program, full-TD BFS, fully-bounded search, workflow
-  simulation), built from the paper's own examples so the gate tracks
+  cover: one per engine family (the tabled interpreter on a
+  nonrecursive update, the tabled sequential evaluator on a recursive
+  read, full-TD BFS, fully-bounded search, workflow simulation), built from the paper's own examples so the gate tracks
   the programs the repo is *about*.
 * :func:`write_baselines` -- run each workload instrumented and write
   ``<name>.json`` per config (``tdlog profile baseline``).
@@ -244,7 +244,7 @@ def profile_suite() -> List[ProfileConfig]:
     return [
         ProfileConfig(
             "bank_transfer",
-            "Examples 2.1-2.2 nested banking transfer (tabled sequential evaluator, iso)",
+            "Examples 2.1-2.2 nested banking transfer (tabled interpreter, iso)",
             _run_bank,
         ),
         ProfileConfig(

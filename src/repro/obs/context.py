@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 
 from .hotspots import rule_label
 from .metrics import Metrics
-from .provenance import config_digest, db_delta, render_bindings
+from .provenance import config_digest, render_bindings
 from .tracer import Tracer
 
 __all__ = [
@@ -175,20 +175,18 @@ class Observers:
         if capped:
             self._gauge("table.capped", capped)
 
-    def answer(self, parent=None, describe=None, db_in=None, db_out=None) -> None:
+    def answer(self, parent=None, describe=None) -> None:
         """An engine entry hands its caller an answer: ``search.solutions``;
         with *describe* (a thunk returning ``(label, bindings)``), an
-        ``answer`` node marked ``solution`` with its database delta."""
+        ``answer`` node marked ``solution``."""
         self._inc("search.solutions")
         if self.recorder is not None and describe is not None:
-            self._answer_node(parent, describe, db_in, db_out, disposition="solution")
+            self._answer_node(parent, describe, disposition="solution")
 
-    def _answer_node(self, parent, describe, db_in, db_out, **fields) -> None:
+    def _answer_node(self, parent, describe, **fields) -> None:
         label, bindings = describe()
-        ins, dels = db_delta(db_in, db_out)
         self._record(
-            "answer", label, parent, bindings=render_bindings(bindings),
-            inserted=ins, deleted=dels, **fields,
+            "answer", label, parent, bindings=render_bindings(bindings), **fields
         )
 
     # -- configurations (small-step engines) -----------------------------------
@@ -396,30 +394,24 @@ class Observers:
         """A join planner changed a body's order: ``join.reorders``."""
         self._inc("join.reorders")
 
-    def recompute(self, calls: dict, key, call, root) -> Optional[int]:
-        """A seqeval table key is re-evaluated: ``table.recomputes``.
-        Returns its ``call`` node, recorded once per solve in *calls*."""
+    def recompute(self, calls: dict, call, root) -> Optional[int]:
+        """A seqeval table key, the canonical *call*, is re-evaluated:
+        ``table.recomputes``.  Returns its ``call`` node, recorded once
+        per solve in *calls*."""
         self._inc("table.recomputes")
         if self.recorder is None:
             return None
-        if key not in calls:
-            calls[key] = self._record("call", call, root)
-        return calls[key]
+        if call not in calls:
+            calls[call] = self._record("call", call, root)
+        return calls[call]
 
-    def derived(self, parent, head, describe, db_in, db_out) -> None:
+    def derived(self, parent, head, describe) -> None:
         """Rule *head* added an answer to a seqeval table: one
-        ``steps.expansions`` and the state change as ``db.delta``, and an
-        ``answer`` node (*describe* returns ``(label, bindings)``)."""
-        attr = self.attributor
-        if attr is not None:
-            attr.charge("steps.expansions", 1)
-            delta = len(db_out.difference(db_in)) + len(db_in.difference(db_out))
-            if delta:
-                attr.charge("db.delta", delta)
+        ``steps.expansions``, and an ``answer`` node (*describe* returns
+        ``(label, bindings)``)."""
+        self._charge("steps.expansions", 1)
         if self.recorder is not None:
-            self._answer_node(
-                parent, describe, db_in, db_out, witness={"rule": str(head)}
-            )
+            self._answer_node(parent, describe, witness={"rule": str(head)})
 
     def fact(self, fact, head, premises, nodes: dict, root) -> None:
         """Rule *head* derived a new Datalog fact: one

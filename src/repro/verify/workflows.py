@@ -16,14 +16,14 @@ and reports what a designer wants signed off before go-live:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..core.database import Database
 from ..core.formulas import Call, Formula, conc
 from ..core.terms import atom
 from ..workflow.scheduler import WorkflowSimulator
-from .properties import can_reach, deadlocks, inevitably, invariant_holds, may_diverge
-from .statespace import StateGraph, explore
+from .properties import deadlocks, invariant_holds, may_diverge
+from .statespace import explore
 
 __all__ = ["WorkflowReport", "verify_workflow"]
 

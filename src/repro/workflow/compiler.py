@@ -37,7 +37,7 @@ against.  The default (``False``) compiles exactly as before.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..core.formulas import (
     Call,

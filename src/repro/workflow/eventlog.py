@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .scheduler import SimulationResult
 

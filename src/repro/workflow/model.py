@@ -9,10 +9,9 @@ variable ``W``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.terms import Atom
 
 __all__ = [
     "Task",

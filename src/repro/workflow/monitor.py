@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.database import Database
 from ..core.terms import Atom, Variable
-from ..datalog import DatalogProgram, DatalogRule, Literal, evaluate
+from ..datalog import DatalogProgram, DatalogRule, Literal
 
 __all__ = [
     "completed_items",

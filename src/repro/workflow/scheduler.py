@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.database import Database
-from ..core.formulas import Call, Conc, Del, Formula, Ins, Isol, Neg, Test, conc, seq
+from ..core.formulas import Call, Del, Formula, Ins, Isol, Neg, Test, conc, seq
 from ..obs.context import active
 from ..core.interpreter import Execution, Interpreter
 from ..core.program import Program, Rule

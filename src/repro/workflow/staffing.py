@@ -17,7 +17,7 @@ uncovered role) instantly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .model import (
@@ -32,7 +32,6 @@ from .model import (
     SeqFlow,
     Step,
     Subflow,
-    Task,
     WaitFor,
     WorkflowSpec,
 )

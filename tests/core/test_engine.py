@@ -9,11 +9,13 @@ from repro import (
     SequentialEngine,
     Sublanguage,
     UnsupportedProgramError,
+    Variable,
     parse_database,
     parse_goal,
     parse_program,
     select_engine,
 )
+from repro.obs import Instrumentation, instrumented
 
 
 class TestRouting:
@@ -24,33 +26,89 @@ class TestRouting:
         assert eng.decidable
 
     def test_nonrecursive_routes_by_concurrency(self):
-        # Nonrecursive TD has no evaluator of its own: without | it runs
-        # on the tabled sequential evaluator, with | on the interpreter.
+        # Nonrecursive TD has no evaluator of its own: a goal that
+        # updates runs on the tabled interpreter, with or without |.
         # Either way the façade reports the paper's classification.
         eng = select_engine(parse_program("p <- q(X) * ins.r(X)."))
         assert eng.sublanguage is Sublanguage.NONRECURSIVE
         assert eng.decidable
-        assert isinstance(eng.backend, SequentialEngine)
+        assert isinstance(eng.backend, Interpreter)
+        assert eng.backend is eng.interpreter
         eng = select_engine(parse_program("p <- ins.a | ins.b."))
         assert eng.sublanguage is Sublanguage.NONRECURSIVE
         assert eng.decidable
         assert isinstance(eng.backend, Interpreter)
+        assert eng.reader is None
         # A | in the goal alone is enough.
         eng = select_engine(parse_program("m(X) <- ins.k(X)."), "m(a) | m(b)")
         assert eng.sublanguage is Sublanguage.NONRECURSIVE
         assert isinstance(eng.backend, Interpreter)
 
-    def test_goalless_sequential_engine_rejects_concurrent_goal(self):
-        # Routing sees only what it is given: without the goal, a |-free
-        # program gets the sequential evaluator, which cannot run |.
+    def test_goalless_engine_answers_concurrent_goal(self):
+        # Routing is per goal: an engine built without one sends a
+        # later | goal to its interpreter.
         eng = select_engine(parse_program("m(X) <- ins.k(X)."))
+        (sol,) = eng.solve("m(a) | m(b)", Database())
+        assert sol.database == parse_database("k(a). k(b).")
+        assert eng.route(parse_goal("m(a) | m(b)")) is eng.interpreter
+
+    def test_read_on_updating_program_runs_on_sequential_engine(self):
+        # ``balance(a, B)`` reaches no update, so it stays on the
+        # sequential evaluator even though ``transfer`` updates.
+        eng = select_engine(parse_program(
+            "transfer(F, T, A) <- balance(F, B) * B >= A * del.balance(F, B)"
+            " * N is B - A * ins.balance(F, N) * ins.paid(T, A)."
+        ))
+        db = parse_database("balance(a, 10).")
+        assert eng.backend is eng.interpreter
+        assert eng.route(parse_goal("balance(a, B)")) is eng.reader
+        assert isinstance(eng.reader, SequentialEngine)
+        inst = Instrumentation.create()
+        with instrumented(inst):
+            (sol,) = eng.solve("balance(a, B)", db)
+        assert str(sol.bindings[Variable("B")]) == "10"
+        assert inst.metrics.info["engine.backend"] == "SequentialEngine"
+        with instrumented(inst):
+            assert eng.succeeds("transfer(a, b, 3)", db)
+        assert inst.metrics.info["engine.backend"] == "Interpreter"
+
+    def test_sequential_engine_rejects_update_goal(self):
+        program = parse_program("p <- q(X) * ins.r(X).\nw(X) <- q(X).")
+        db = parse_database("q(a).")
         with pytest.raises(UnsupportedProgramError):
-            list(eng.solve("m(a) | m(b)", Database()))
+            list(SequentialEngine(program).solve("p", db))
+        with pytest.raises(UnsupportedProgramError):
+            list(SequentialEngine(program).solve("w(X) * ins.r(X)", db))
+        assert len(list(SequentialEngine(program).solve("w(X)", db))) == 1
+
+    def test_every_update_entry_runs_on_the_interpreter(self):
+        # solve, succeeds, final_databases, simulate and resume of a
+        # |-free goal that updates all run on the engine's interpreter,
+        # on an engine built with or without the goal.
+        program = parse_program("p <- q(X) * ins.r(X).")
+        db = parse_database("q(a). q(b).")
+        for eng in (select_engine(program), select_engine(program, "p")):
+            assert eng.route(parse_goal("p")) is eng.interpreter
+            inst = Instrumentation.create()
+            with instrumented(inst):
+                assert len(list(eng.solve("p", db))) == 2
+                assert eng.succeeds("p", db)
+                assert len(eng.final_databases("p", db)) == 2
+                assert eng.simulate("p", db) is not None
+            assert inst.metrics.info["engine.backend"] == "Interpreter"
+            assert inst.metrics.counter("table.misses") > 0
+        eng = select_engine(program, max_configs=1)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            list(eng.solve("p", db))
+        eng = select_engine(program)
+        assert len(list(eng.resume(info.value.checkpoint))) == 2
 
     def test_sequential_routes_to_tabled(self):
+        # Sequential TD that updates runs on the tabled interpreter.
         eng = select_engine(parse_program("p <- p * ins.x.\np <- del.go."))
         assert eng.sublanguage is Sublanguage.SEQUENTIAL
-        assert isinstance(eng.backend, SequentialEngine)
+        assert isinstance(eng.backend, Interpreter)
+        assert eng.backend.tabling
 
     def test_fully_bounded_routes_to_interpreter(self):
         prog = parse_program(
@@ -102,17 +160,19 @@ class TestUniformAPI:
         assert any("e(" in ev for ev in exe.events)
 
     def test_all_backends_agree(self):
-        # one program expressible in several fragments, forced through
-        # each backend explicitly and through the façade
-        prog = parse_program("t <- q(X) * not r(X) * ins.r(X).")
-        goal = parse_goal("t")
+        # one program forced through each evaluator explicitly and
+        # through the façade: the update goal on the tabled and the
+        # naive interpreter, the read on the sequential evaluator too
+        prog = parse_program("t <- q(X) * not r(X) * ins.r(X).\nu(X) <- q(X) * not r(X).")
         db = parse_database("q(a). q(b). r(b).")
-        finals = [
-            Interpreter(prog).final_databases(goal, db),
-            SequentialEngine(prog).final_databases(goal, db),
-            select_engine(prog, goal).final_databases(goal, db),
-        ]
-        assert finals[0] == finals[1] == finals[2]
+        for text, engines in (
+            ("t", (Interpreter(prog), Interpreter(prog, tabling=False))),
+            ("u(X)", (Interpreter(prog), SequentialEngine(prog))),
+        ):
+            goal = parse_goal(text)
+            finals = [e.final_databases(goal, db) for e in engines]
+            finals.append(select_engine(prog, goal).final_databases(goal, db))
+            assert finals[0] == finals[1] == finals[2]
 
 
 class TestFacadeOptions:

@@ -22,6 +22,8 @@ from repro.core.formulas import (
     seq,
     walk_formulas,
 )
+from repro import Database, Interpreter, SequentialEngine, parse_program
+from repro.core.errors import SafetyError
 from repro.core.terms import Atom, Constant, Variable, atom
 
 X, Y = Variable("X"), Variable("Y")
@@ -122,6 +124,62 @@ class TestBuiltinEvaluate:
         assert Builtin(op, Constant("a"), Constant(3)).evaluate({}) is None
         assert Builtin(op, Constant(3), Constant("a")).evaluate({}) is None
         assert Builtin("!=", Constant("a"), Constant(3)).evaluate({}) == {}
+
+
+class TestTypedBuiltins:
+    """Builtins compare typed constants, as unification does: over a
+    database holding only ``p(True)``, ``True`` is not ``1``."""
+
+    PROGRAM = """
+    g(X) <- p(X) * X = 1.
+    h <- p(1).
+    lt(X) <- p(X) * X < 3.
+    inc(Y) <- p(X) * Y is X + 1.
+    one(X) <- p(X) * X is 0 + 1.
+    """
+
+    @staticmethod
+    def outcome(engine, goal, value):
+        db = Database([atom("p", value)])
+        try:
+            return [
+                {str(v): t for v, t in s.bindings.items()}
+                for s in engine.solve(goal, db)
+            ]
+        except SafetyError:
+            return "safety error"
+
+    @pytest.fixture(params=["interpreter", "sequential"])
+    def engine(self, request):
+        program = parse_program(self.PROGRAM)
+        if request.param == "interpreter":
+            return Interpreter(program)
+        return SequentialEngine(program)
+
+    def test_equality_is_identity(self, engine):
+        assert self.outcome(engine, "g(X)", True) == []
+        assert self.outcome(engine, "h", True) == []
+        assert self.outcome(engine, "g(X)", 1) == [{"X": Constant(1)}]
+        assert Builtin("=", Constant(True), Constant(1)).evaluate({}) is None
+        assert Builtin("!=", Constant(True), Constant(1)).evaluate({}) == {}
+
+    def test_ordering_only_between_ints_or_strings(self, engine):
+        assert self.outcome(engine, "lt(X)", True) == []
+        assert self.outcome(engine, "lt(X)", 2) == [{"X": Constant(2)}]
+        assert Builtin("<", Constant("a"), Constant("b")).evaluate({}) == {}
+        assert Builtin("<", Constant(False), Constant(True)).evaluate({}) is None
+
+    def test_arithmetic_over_a_bool_fails_as_over_a_string(self, engine):
+        assert self.outcome(engine, "inc(Y)", True) == self.outcome(engine, "inc(Y)", "a")
+        assert self.outcome(engine, "inc(Y)", 1) == [{"Y": Constant(2)}]
+        if isinstance(engine, Interpreter):
+            assert self.outcome(engine, "inc(Y)", True) == []
+        with pytest.raises(ValueError):
+            Builtin("is", X, BinOp("+", Constant(True), Constant(1))).evaluate({})
+
+    def test_is_compares_the_typed_result(self, engine):
+        assert self.outcome(engine, "one(X)", True) == []
+        assert self.outcome(engine, "one(X)", 1) == [{"X": Constant(1)}]
 
 
 class TestTraversals:

@@ -1,8 +1,8 @@
 """Nonrecursive TD through the engine façade.
 
-Nonrecursive programs have no evaluator of their own: ``select_engine``
-runs the ``|``-free ones on the tabled sequential evaluator and the
-others on the interpreter, and still classifies both as nonrecursive.
+Nonrecursive programs have no evaluator of their own: the engine runs
+their goals that update on the tabled interpreter, with or without
+``|``, and still classifies them as nonrecursive.
 """
 
 import pytest
@@ -10,13 +10,13 @@ import pytest
 from repro import (
     Database,
     Interpreter,
-    SequentialEngine,
     Sublanguage,
     parse_database,
     parse_goal,
     parse_program,
     select_engine,
 )
+from repro.obs import Instrumentation, instrumented
 
 
 def engine(text, goal=None):
@@ -63,9 +63,14 @@ class TestEvaluation:
             widget(X) <- part(X).
             """
         )
-        sols = list(e.solve(parse_goal("pairup"), parse_database("part(a). part(b).")))
-        assert isinstance(e.backend, SequentialEngine)
+        inst = Instrumentation.create()
+        with instrumented(inst):
+            sols = list(
+                e.solve(parse_goal("pairup"), parse_database("part(a). part(b)."))
+            )
+        assert isinstance(e.backend, Interpreter)
         assert len(sols) == 4
+        assert inst.metrics.counter("table.hits") >= 1
 
 
 class TestConcurrentFallback:

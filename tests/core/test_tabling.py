@@ -422,10 +422,13 @@ class TestTableLifetime:
         assert isinstance(engine.backend, Interpreter)
         for _ in range(20):
             assert engine.simulate("transfer(a, b, 1)") is not None
-        # The last commit's keys (its iso body, withdraw and deposit),
-        # not three for every state the store passed through.
-        assert engine.backend._table.keys == 3
+            # A simulate over a store leaves no table behind.
+            assert engine.backend._table.keys == 0
         assert store.database() == parse_database("balance(a, 80). balance(b, 30).")
+        # A search from the committed state fills the table for that
+        # state alone: transfer, its iso body, withdraw and deposit.
+        assert len(list(engine.solve("transfer(a, b, 1)"))) == 1
+        assert engine.backend._table.keys == 4
 
     def test_an_equal_database_keeps_the_warm_table(self):
         program = parse_program(_PATH_TD)

@@ -8,7 +8,6 @@ import pytest
 from repro import (
     Database,
     Interpreter,
-    SequentialEngine,
     parse_database,
     parse_goal,
     parse_program,
@@ -236,15 +235,6 @@ class TestUpdateCharges:
         assert [t["db.delta"] for t in iso] == [2, 2, 2]
         assert [t["db.delta"] for t in call] == [2, 2, 2]
         assert iso[2]["steps.expansions"] == call[2]["steps.expansions"] == 5
-
-    def test_seqeval_answer_delta_is_not_capped(self):
-        updates = " * ".join("ins.done(i%d)" % i for i in range(100))
-        program = parse_program("go <- step0.\nstep0 <- %s." % updates)
-        with attributing() as attr:
-            answers = list(SequentialEngine(program).solve("go", Database()))
-        assert len(answers) == 1
-        # Two table answers (``step0`` and ``go``), 100 inserts each.
-        assert attr.totals()["db.delta"] == 200
 
 
 class TestExports:

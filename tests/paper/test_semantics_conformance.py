@@ -12,12 +12,12 @@ import pytest
 from repro import (
     Interpreter,
     SequentialEngine,
-    Sublanguage,
     parse_database,
     parse_goal,
     parse_program,
     select_engine,
 )
+from repro.core.analysis import reads_only
 
 # Each case: (name, program, goal, db, expected final databases)
 CASES = [
@@ -114,16 +114,19 @@ def test_interpreter_conformance(name, prog_text, goal_text, db_text, expected):
     ids=[c[0] for c in CASES],
 )
 def test_analytic_engines_agree(name, prog_text, goal_text, db_text, expected):
-    """Where the fragment allows, the analytic engines must reproduce
-    the interpreter's verdict exactly: the sequential evaluator on every
-    ``|``-free case below full TD, and the engine ``select_engine``
-    routes to on every decidable case."""
+    """The other evaluators must reproduce the interpreter's verdict
+    exactly: the naive interpreter (``tabling=False``) on every case,
+    the sequential evaluator on every read (no ``|`` in the program or
+    goal, no update reached), and the engine ``select_engine`` routes
+    to on every decidable case."""
     program = parse_program(prog_text)
     goal = parse_goal(goal_text)
     db = parse_database(db_text)
     want = _expected_dbs(expected)
+    naive = Interpreter(program, max_configs=500_000, tabling=False)
+    assert naive.final_databases(goal, db) == want
     engine = select_engine(program, goal)
-    if engine.sublanguage is not Sublanguage.FULL and not engine.analysis.uses_conc:
+    if engine.reader is not None and reads_only(program, goal):
         assert SequentialEngine(program).final_databases(goal, db) == want
     if engine.decidable:
         assert engine.final_databases(goal, db) == want

@@ -20,7 +20,8 @@ from repro import (
 
 # Random *sequential nonrecursive* programs over a tiny vocabulary:
 # bodies are sequences of tests / inserts / deletes / negations over
-# p/1, q/1 with constants {a, b}.
+# p/1, q/1 with constants {a, b}.  The tabled interpreter runs them,
+# checked against the naive one.
 
 _ops = st.sampled_from(
     [
@@ -48,6 +49,31 @@ def programs(draw):
     return parse_program("\n".join(rules))
 
 
+# Random *query-only* programs: ``t(X)`` reads p/1, q/1 and the
+# recursive s/1, whose first conjunct binds X.
+_reads = st.sampled_from(
+    ["p(a)", "p(b)", "q(a)", "q(b)", "p(X)", "q(X)", "s(X)", "s(a)",
+     "not p(a)", "not q(b)", "not q(X)"]
+)
+
+
+@st.composite
+def query_programs(draw):
+    rules = ["s(X) <- q(X).", "s(X) <- p(X) * s(X)."]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        first = draw(st.sampled_from(["p(X)", "q(X)", "s(X)"]))
+        rest = [draw(_reads) for _ in range(draw(st.integers(0, 3)))]
+        rules.append("t(X) <- %s." % " * ".join([first] + rest))
+    return parse_program("\n".join(rules))
+
+
+def _answers(solutions):
+    return {
+        (tuple(sorted((str(v), str(t)) for v, t in s.bindings.items())), s.database)
+        for s in solutions
+    }
+
+
 @st.composite
 def small_dbs(draw):
     facts = draw(
@@ -64,10 +90,12 @@ class TestEngineAgreement:
     @settings(max_examples=60, deadline=None)
     @given(programs(), small_dbs())
     def test_interpreter_vs_sequential(self, prog, db):
+        # Sequential programs that update run on the tabled interpreter;
+        # the naive search (``tabling=False``) is its oracle.
         goal = parse_goal("t")
-        bfs = Interpreter(prog, max_configs=200_000).final_databases(goal, db)
-        seq = SequentialEngine(prog).final_databases(goal, db)
-        assert bfs == seq
+        naive = Interpreter(prog, tabling=False).final_databases(goal, db)
+        tabled = Interpreter(prog).final_databases(goal, db)
+        assert tabled == naive
 
     @settings(max_examples=60, deadline=None)
     @given(programs(), small_dbs())
@@ -78,6 +106,18 @@ class TestEngineAgreement:
         bfs = Interpreter(prog, max_configs=200_000).final_databases(goal, db)
         routed = select_engine(prog, goal).final_databases(goal, db)
         assert bfs == routed
+
+    @settings(max_examples=60, deadline=None)
+    @given(query_programs(), small_dbs())
+    def test_query_only_sequential_vs_naive(self, prog, db):
+        # Reads run on the sequential evaluator; the naive interpreter
+        # is its oracle, answer by answer.
+        goal = parse_goal("t(X)")
+        naive = _answers(Interpreter(prog, tabling=False).solve(goal, db))
+        assert _answers(SequentialEngine(prog).solve(goal, db)) == naive
+        engine = select_engine(prog, goal)
+        assert engine.backend is engine.reader
+        assert _answers(engine.solve(goal, db)) == naive
 
     @settings(max_examples=40, deadline=None)
     @given(programs(), small_dbs())
@@ -97,20 +137,6 @@ class TestEngineAgreement:
             assert not finals
         else:
             assert exe.database in finals
-
-
-class TestSequentialReplayOrder:
-    @settings(max_examples=60, deadline=None)
-    @given(programs(), small_dbs())
-    def test_tied_answers_replay_in_database_order(self, prog, db):
-        # Goal ``t`` has no arguments, so every answer ties on its
-        # bindings and the output databases alone decide the order.
-        finals = [
-            sol.database for sol in SequentialEngine(prog).solve(parse_goal("t"), db)
-        ]
-        assert finals == sorted(
-            set(finals), key=lambda d: tuple(str(f) for f in d)
-        )
 
 
 class TestQueryOnlyVsDatalog:
