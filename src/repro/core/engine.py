@@ -197,8 +197,8 @@ class Engine:
         """One successful execution with its full action trace.
 
         Simulation always runs on the interpreter (traces are a
-        small-step notion).  When a store is attached the winning trace
-        is committed to it (see :meth:`Interpreter.simulate`).
+        small-step notion).  When a store is attached the winning
+        execution is committed to it (see :meth:`Interpreter.simulate`).
         """
         try:
             with self._describe(self.interpreter).timer(self._timer_name()):

@@ -50,6 +50,7 @@ __all__ = [
     "Builtin",
     "ArithExpr",
     "BinOp",
+    "NonIntegerArithmetic",
     "seq",
     "conc",
     "iso",
@@ -247,7 +248,8 @@ class Builtin(Formula):
     * For op ``is`` the right side is an arithmetic expression that must
       be ground; the left side is unified with the typed result.
       Arithmetic is over integers only: a string or a boolean operand
-      raises :class:`ValueError`, as an unbound one does.
+      raises :class:`NonIntegerArithmetic` (a :class:`ValueError`), and
+      an unbound one a plain :class:`ValueError`.
     """
 
     op: str
@@ -287,12 +289,17 @@ class Builtin(Formula):
         return subst if holds else None
 
 
+class NonIntegerArithmetic(ValueError):
+    """Arithmetic over a string or boolean operand: the builtin fails,
+    where an unbound operand is a safety error."""
+
+
 def _eval_arith(expr: ArithExpr, subst: Substitution) -> Constant:
     if isinstance(expr, BinOp):
         lv = _eval_arith(expr.left, subst).value
         rv = _eval_arith(expr.right, subst).value
         if type(lv) is not int or type(rv) is not int:
-            raise ValueError("arithmetic over non-integers: %s" % (expr,))
+            raise NonIntegerArithmetic("arithmetic over non-integers: %s" % (expr,))
         if expr.op == "+":
             return Constant(lv + rv)
         if expr.op == "-":

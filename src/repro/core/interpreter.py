@@ -40,12 +40,13 @@ is duck-typed so the core never imports the faults package.
 Storage: a backend passed as ``store=`` (anything speaking the
 :class:`repro.store.Store` protocol -- same duck-typing discipline as
 ``faults=``) supplies the initial state when ``db`` is omitted, and
-:meth:`Interpreter.simulate` *commits* the winning execution's trace to
-it under savepoint-mapped isolation -- top-level savepoint around the
-run, a nested savepoint per ``iso`` subtrace.  The search itself never
-writes to the store (states stay immutable in-memory values), so the
-default ``store=None`` path is byte-identical to before the protocol
-existed.  See docs/STORAGE.md.
+:meth:`Interpreter.simulate` *commits* the winning execution to it with
+one ``store.commit(initial, final, trace)``: the store adopts the final
+state the search built, and a durable one logs the trace's effective
+updates with a savepoint scope per ``iso`` subtrace.  The search itself
+never writes to the store (states stay immutable in-memory values), so
+the default ``store=None`` path is byte-identical to before the
+protocol existed.  See docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ from .transitions import (
     frontier_blocked,
     frontier_blockers,
     is_final,
-    replay_into_store,
     successor,
 )
 from .unify import Substitution, walk
@@ -583,11 +583,12 @@ class Interpreter:
         checkpointable, so budget/deadline errors raised here carry
         ``checkpoint=None``.
 
-        When a store is attached, the winning execution's trace is
-        committed to it before returning -- inserts and deletes
-        replayed in commit order, each ``iso`` subtrace inside a nested
-        savepoint under one top-level savepoint -- so the store's
-        durable state advances iff the simulation succeeded.
+        When a store is attached, the winning execution is committed to
+        it before returning (:meth:`repro.store.Store.commit`): the
+        store's state becomes the final database this search built, so
+        it advances iff the simulation succeeded.  A store whose state
+        moved while the search ran refuses the commit with
+        :class:`~repro.store.StoreError`.
         """
         store, db = self._resolve_state(db)
         goal = self.program.resolve_goal(as_goal(goal))
@@ -619,7 +620,7 @@ class Interpreter:
             return None
         answers, final_db, trace = result
         if store is not None:
-            _commit_execution(store, trace)
+            store.commit(db, final_db, trace)
         return Execution(dict(zip(goal_vars, answers)), final_db, trace)
 
     # -- BFS core ---------------------------------------------------------------
@@ -1148,26 +1149,6 @@ def _ambient_store(db):
     if ctx is None:
         return None
     return ctx.provide_store(db)
-
-
-def _commit_execution(store, trace) -> None:
-    """Commit a successful execution's trace to a store, mapping the
-    trace's isolation structure onto savepoints: one top-level
-    savepoint for the run, a nested one per ``iso`` subtrace.  On any
-    failure the savepoint is rolled back (best-effort on a crashed
-    store -- reopening it rolls back for us) and the error propagates,
-    so a partial commit is never left visible."""
-    sp = store.savepoint()
-    try:
-        replay_into_store(trace, store)
-    except BaseException:
-        try:
-            store.rollback(sp)
-        except Exception:
-            pass
-        raise
-    else:
-        store.release(sp)
 
 
 def _bind(args, values) -> Substitution:

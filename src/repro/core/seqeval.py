@@ -42,6 +42,7 @@ from .formulas import (
     Formula,
     Isol,
     Neg,
+    NonIntegerArithmetic,
     Seq,
     Test,
     Truth,
@@ -327,6 +328,8 @@ class SequentialEngine:
         if isinstance(f, Builtin):
             try:
                 out = f.evaluate(theta)
+            except NonIntegerArithmetic:
+                return  # fails the branch, as in the interpreter
             except ValueError as exc:
                 raise SafetyError(str(exc)) from exc
             if out is not None:

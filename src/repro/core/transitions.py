@@ -545,37 +545,6 @@ def replay_actions(actions, db: Database) -> Database:
     return db
 
 
-def replay_into_store(actions, store) -> None:
-    """The store twin of :func:`replay_actions`: apply a trace's updates
-    to *store* (anything speaking the :class:`repro.store.Store`
-    protocol, duck-typed so the core never imports the store package).
-
-    Queries are skipped and updates applied; each ``iso`` (and
-    ``table``, whose subtrace is the recorded big-step execution)
-    replays inside a nested savepoint, released on success and rolled
-    back on failure -- best-effort, since a crashed store cannot roll
-    back and reopening it does so instead.
-    """
-    for action in actions:
-        kind = action.kind
-        if kind == "ins":
-            store.insert(action.atom)
-        elif kind == "del":
-            store.delete(action.atom)
-        elif kind in ("iso", "table"):
-            sp = store.savepoint()
-            try:
-                replay_into_store(action.subtrace, store)
-            except BaseException:
-                try:
-                    store.rollback(sp)
-                except Exception:
-                    pass
-                raise
-            else:
-                store.release(sp)
-
-
 # ---------------------------------------------------------------------------
 # Dead-configuration pruning
 # ---------------------------------------------------------------------------

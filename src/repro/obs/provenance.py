@@ -66,7 +66,6 @@ __all__ = [
     "active_recorder",
     "recording",
     "action_delta",
-    "db_delta",
     "render_bindings",
     "config_digest",
     "DISPOSITIONS",
@@ -90,11 +89,6 @@ DISPOSITIONS = (
     "table-hit",
     "nested-final",
 )
-
-#: Keep witness db-delta lists bounded; real workloads touch few tuples
-#: per step, but a runaway delta must not balloon the log.
-_DELTA_CAP = 64
-
 
 @dataclass
 class ProvNode:
@@ -365,24 +359,6 @@ def action_delta(action) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
             deleted.append(str(sub.atom))
         elif sub.kind in ("iso", "table"):
             stack[0:0] = list(sub.subtrace)
-    return tuple(inserted), tuple(deleted)
-
-
-def db_delta(
-    db_in, db_out, cap: int = _DELTA_CAP
-) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """Inserted/deleted fact strings between two database states (the
-    big-step engines' delta; small-step engines use :func:`action_delta`)."""
-    if db_in is db_out or db_in == db_out:
-        return (), ()
-    before = set(db_in)
-    after = set(db_out)
-    inserted = sorted(str(f) for f in after - before)
-    deleted = sorted(str(f) for f in before - after)
-    if len(inserted) > cap:
-        inserted = inserted[:cap] + ["... (+%d more)" % (len(inserted) - cap)]
-    if len(deleted) > cap:
-        deleted = deleted[:cap] + ["... (+%d more)" % (len(deleted) - cap)]
     return tuple(inserted), tuple(deleted)
 
 

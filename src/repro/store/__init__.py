@@ -28,7 +28,6 @@ from .base import (
     StoreCorrupt,
     StoreCrashed,
     StoreError,
-    replay_trace,
 )
 from .context import (
     StoreProvider,
@@ -64,7 +63,6 @@ __all__ = [
     "active_store_provider",
     "using_store_provider",
     "provide_store",
-    "replay_trace",
     "open_store",
 ]
 

@@ -9,6 +9,10 @@ touch -- fact enumeration (``facts``), tuple testing (``matching`` /
 forms), content identity for memo keys (``content_hash``), and the
 per-``(pred, position)`` lazy indexes (``arg_index``) -- so that the
 same search code can run against an in-memory state or a durable one.
+One more entry point, ``commit``, publishes an executed transaction:
+the search hands over the state it started from, the final state it
+built and its trace, and the store adopts the final state instead of
+deriving it again.
 
 Two backends ship with the repo (see docs/STORAGE.md for the matrix):
 
@@ -38,8 +42,8 @@ from contextlib import contextmanager
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping
 
 from ..core.database import Database
+from ..core.interpreter import _same_state
 from ..core.terms import Atom
-from ..core.transitions import replay_into_store
 from ..core.unify import Substitution
 
 __all__ = [
@@ -49,7 +53,6 @@ __all__ = [
     "StoreBusy",
     "StoreCrashed",
     "Savepoint",
-    "replay_trace",
 ]
 
 
@@ -111,8 +114,9 @@ class Savepoint:
 
 
 class Store(ABC):
-    """Abstract storage backend: a current database state plus a
-    transactional update API.
+    """Abstract storage backend: a current database state, a
+    transactional update API, and :meth:`commit`, the one way an engine
+    writes an execution to it.
 
     The *query* half of the protocol is implemented here once, by
     delegation to the immutable :meth:`database` snapshot -- backends
@@ -217,6 +221,23 @@ class Store(ABC):
         moment the savepoint was taken (rollback-on-failure leaves no
         trace, as the paper's semantics demand)."""
 
+    @abstractmethod
+    def commit(self, initial: Database, final: Database, trace) -> None:
+        """Publish one execution: a search ran *trace* from *initial* and
+        built *final*, and the store's state becomes *final* (with the
+        trace's ``iso`` and ``table`` subtraces as nested savepoint
+        scopes where the backend has any).  Raises :class:`StoreError`,
+        writing nothing, if the store no longer holds *initial*: a trace
+        searched from another state is not an execution from this one."""
+
+    def _check_initial(self, initial: Database) -> None:
+        """The refusal :meth:`commit` starts with (identity first, then
+        hash and equality)."""
+        if not _same_state(self.database(), initial):
+            raise StoreError(
+                "store state moved since the search started; nothing committed"
+            )
+
     @contextmanager
     def transaction(self) -> Iterator[Savepoint]:
         """``with store.transaction():`` -- savepoint on entry, release
@@ -262,17 +283,3 @@ class Store(ABC):
             "facts": len(db),
             "predicates": counts,
         }
-
-
-def replay_trace(store: Store, actions: Iterable) -> Database:
-    """Replay an execution trace's elementary updates into *store* and
-    return its final state.
-
-    The durable twin of :func:`repro.core.transitions.replay_actions`:
-    ``ins``/``del`` apply directly, each ``iso`` or ``table`` subtrace
-    replays inside a nested savepoint (the savepoint mapping of the
-    paper's isolation construct), and queries are skipped -- see
-    :func:`repro.core.transitions.replay_into_store`.
-    """
-    replay_into_store(actions, store)
-    return store.database()

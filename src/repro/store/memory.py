@@ -50,6 +50,10 @@ class MemoryStore(Store):
         self._db = self._db.delete_all(facts)
         return self._db
 
+    def commit(self, initial: Database, final: Database, trace) -> None:
+        self._check_initial(initial)
+        self._db = final
+
     # -- transactions ---------------------------------------------------------
 
     def savepoint(self) -> Savepoint:

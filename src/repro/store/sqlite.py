@@ -44,9 +44,11 @@ issues no SQL.  The outermost release writes every staged row in one
 SQL transaction (``BEGIN IMMEDIATE``, one ``executemany``, ``COMMIT``),
 so the scope's updates become durable together; a rollback -- or a
 crash before that release -- discards them, which is exactly the
-paper's failed-subexecutions-leave-no-trace rule.  Checkpoints fold the
-WAL into a fresh snapshot in one SQL transaction, and only run when no
-scope is open (a checkpoint must not capture uncommitted state); a
+paper's failed-subexecutions-leave-no-trace rule.  ``commit`` stages a
+whole trace this way without moving the mirror, then sets it to the
+search's final state just before its top-level release.  Checkpoints
+fold the WAL into a fresh snapshot in one SQL transaction, and only run
+when no scope is open (a checkpoint must not capture uncommitted state); a
 threshold that trips inside a scope defers (``store.checkpoint_deferred``)
 and retries as soon as the savepoint stack drains.  The WAL tail's
 length is counted once at open and kept in memory from then on.
@@ -80,7 +82,7 @@ import sqlite3
 import struct
 import time
 import zlib
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.database import Database
 from ..core.terms import Atom
@@ -605,31 +607,58 @@ class SqliteStore(Store):
             obs.metrics.inc("store.wal_batched", len(rows))
             obs.metrics.observe("store.wal_fsync_ms", elapsed_ms)
 
+    def _log_update(self, op: str, fact: Atom, new_db: Database) -> Database:
+        """Log one effective update: its WAL row first, then the mirror
+        moves to *new_db*, then the counter and the checkpoint test.  A
+        commit passes the mirror itself: it moves once, at the end."""
+        self._append(op, fact)
+        self._db = new_db
+        obs = active()
+        if obs.enabled:
+            obs.metrics.inc("store.inserts" if op == "+" else "store.deletes")
+        self._maybe_checkpoint()
+        return new_db
+
     def insert(self, fact: Atom) -> Database:
         self._check_writable()
         new_db = self._db.insert(fact)
         if new_db is self._db:  # already present: sets, like the paper
             return self._db
-        self._append("+", fact)
-        self._db = new_db
-        obs = active()
-        if obs.enabled:
-            obs.metrics.inc("store.inserts")
-        self._maybe_checkpoint()
-        return self._db
+        return self._log_update("+", fact, new_db)
 
     def delete(self, fact: Atom) -> Database:
         self._check_writable()
         new_db = self._db.delete(fact)
         if new_db is self._db:
             return self._db
-        self._append("-", fact)
-        self._db = new_db
-        obs = active()
-        if obs.enabled:
-            obs.metrics.inc("store.deletes")
-        self._maybe_checkpoint()
-        return self._db
+        return self._log_update("-", fact, new_db)
+
+    def commit(self, initial: Database, final: Database, trace) -> None:
+        """Commit one execution without deriving its states: one WAL row
+        per effective update of *trace*, one savepoint scope per ``iso``
+        and ``table`` subtrace under a top-level one, and the mirror set
+        to *final* before the top-level release writes the rows."""
+        self._check_initial(initial)
+        with self.transaction():
+            self._stage(trace, initial, {})
+            self._db = final
+
+    def _stage(self, actions, initial: Database, present: Dict[Atom, bool]) -> None:
+        """Stage the effective updates of *actions*.  An update is
+        effective when it flips its fact's presence in *initial* as the
+        trace's earlier updates left it (*present*)."""
+        for action in actions:
+            kind = action.kind
+            if kind == "ins" or kind == "del":
+                fact = action.atom
+                insert = kind == "ins"
+                if present.get(fact, fact in initial) is not insert:
+                    self._check_writable()
+                    present[fact] = insert
+                    self._log_update("+" if insert else "-", fact, self._db)
+            elif kind == "iso" or kind == "table":
+                with self.transaction():
+                    self._stage(action.subtrace, initial, present)
 
     # -- transactions (iso -> savepoint) ---------------------------------------
     #

@@ -5,6 +5,7 @@ import pytest
 from repro import (
     Database,
     Interpreter,
+    SafetyError,
     SearchBudgetExceeded,
     SequentialEngine,
     Sublanguage,
@@ -71,6 +72,18 @@ class TestRouting:
         with instrumented(inst):
             assert eng.succeeds("transfer(a, b, 3)", db)
         assert inst.metrics.info["engine.backend"] == "Interpreter"
+
+    def test_routed_read_fails_on_bad_arithmetic_as_the_interpreter_does(self):
+        # ``a + 1`` fails the branch on both engines; an unbound
+        # builtin variable stays a safety error on the sequential one.
+        program = parse_program("inc(Y) <- p(X) * Y is X + 1.\nbad(Y) <- Y is X + 1.")
+        db = parse_database("p(a).")
+        eng = select_engine(program, "inc(Y)")
+        assert eng.route(parse_goal("inc(Y)")) is eng.reader
+        assert list(eng.solve("inc(Y)", db)) == []
+        assert list(eng.interpreter.solve("inc(Y)", db)) == []
+        with pytest.raises(SafetyError):
+            list(eng.solve("bad(Y)", db))
 
     def test_sequential_engine_rejects_update_goal(self):
         program = parse_program("p <- q(X) * ins.r(X).\nw(X) <- q(X).")

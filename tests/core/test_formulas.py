@@ -170,10 +170,9 @@ class TestTypedBuiltins:
         assert Builtin("<", Constant(False), Constant(True)).evaluate({}) is None
 
     def test_arithmetic_over_a_bool_fails_as_over_a_string(self, engine):
-        assert self.outcome(engine, "inc(Y)", True) == self.outcome(engine, "inc(Y)", "a")
+        assert self.outcome(engine, "inc(Y)", True) == []
+        assert self.outcome(engine, "inc(Y)", "a") == []
         assert self.outcome(engine, "inc(Y)", 1) == [{"Y": Constant(2)}]
-        if isinstance(engine, Interpreter):
-            assert self.outcome(engine, "inc(Y)", True) == []
         with pytest.raises(ValueError):
             Builtin("is", X, BinOp("+", Constant(True), Constant(1))).evaluate({})
 

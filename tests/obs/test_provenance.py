@@ -16,7 +16,6 @@ from repro.obs.provenance import (
     DISPOSITIONS,
     action_delta,
     config_digest,
-    db_delta,
     render_bindings,
 )
 
@@ -204,16 +203,6 @@ class TestHelpers:
         subst = {"V%02d" % i: i for i in range(12)}
         out = render_bindings(subst, limit=8)
         assert len(out) == 9 and out["..."] == "+4 more"
-
-    def test_db_delta_and_cap(self):
-        before = parse_database("a(1). b(2).")
-        after = parse_database("b(2). c(3).")
-        ins, dels = db_delta(before, after)
-        assert ins == ("c(3)",) and dels == ("a(1)",)
-        assert db_delta(before, before) == ((), ())
-        wide = parse_database(" ".join("f(%d)." % i for i in range(70)))
-        ins, _ = db_delta(parse_database(""), wide, cap=64)
-        assert len(ins) == 65 and ins[-1].endswith("more)")
 
     def test_config_digest_stable_and_distinct(self):
         db1 = parse_database("a(1).")

@@ -127,7 +127,7 @@ class TestEngineCommitAtomicity:
         with SqliteStore(path) as store:
             store.insert_all(db)
         # The append tick is per-instance: the reopened store's third
-        # append lands mid-way through the winning trace's replay.
+        # append lands mid-way through staging the winning trace.
         store = SqliteStore(path, faults=crash_at(3))
         with pytest.raises(StoreCrashed):
             Interpreter(program, store=store).simulate(

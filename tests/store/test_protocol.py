@@ -20,7 +20,8 @@ from repro import (
     parse_database,
     parse_program,
 )
-from repro.store import Savepoint, Store, replay_trace
+from repro.core.transitions import replay_actions
+from repro.store import Savepoint, Store
 
 
 @pytest.fixture(params=["memory", "sqlite"])
@@ -175,8 +176,8 @@ class TestSavepoints:
         assert parse_atom("tmp(2)") not in store
 
 
-class TestReplayTrace:
-    def test_replay_matches_execution(self, make_store):
+class TestCommit:
+    def test_commit_matches_execution(self, make_store):
         program = parse_program(
             """
             transfer(F, T, Amt) <- iso(withdraw(F, Amt) * deposit(T, Amt)).
@@ -192,9 +193,9 @@ class TestReplayTrace:
         execution = Interpreter(program).simulate("transfer(a, b, 30)", db, seed=0)
         assert execution is not None
         store = make_store(db)
-        final = replay_trace(store, execution.trace)
-        assert final == execution.database
-        assert store.database() == execution.database
+        store.commit(db, execution.database, execution.trace)
+        assert store.database() is execution.database
+        assert store.database() == replay_actions(execution.trace, db)
 
 
 class TestOpenStore:
