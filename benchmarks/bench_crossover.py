@@ -8,12 +8,13 @@ numbers.  Two measurable crossovers in this system:
   a query from the chain's start is the whole closure (magic's overhead
   makes it a wash or worse).
 * **goal-directed tabling vs bottom-up materialization** for single
-  reachability questions at growing distances.
+  reachability questions at growing distances, on the interpreter's
+  answer tables (``table.keys``).
 """
 
 import pytest
 
-from repro import SequentialEngine, parse_goal
+from repro import Interpreter, parse_goal
 from repro.complexity import (
     chain_edges,
     measure,
@@ -22,6 +23,7 @@ from repro.complexity import (
 )
 from repro.core.terms import Atom, Constant, Variable
 from repro.datalog import evaluate, from_td, magic_query, magic_transform, query
+from repro.obs import Instrumentation, instrumented
 
 Y = Variable("Y")
 
@@ -71,11 +73,13 @@ def test_tabling_distance_crossover(benchmark):
     rows = []
     key_counts = []
     for distance in (2, 8, 16, 24):
-        engine = SequentialEngine(program)
+        engine = Interpreter(program)
         goal = parse_goal("path(%d, %d)" % (n - distance, n))
-        ok, seconds = measure(lambda: engine.succeeds(goal, db))
+        inst = Instrumentation.create()
+        with instrumented(inst):
+            ok, seconds = measure(lambda: engine.succeeds(goal, db))
         assert ok
-        keys, _answers = engine.table_size
+        keys = inst.metrics.gauge("table.keys")
         key_counts.append(keys)
         rows.append([distance, keys, seconds, bottomup_s])
     print_series(
@@ -86,7 +90,7 @@ def test_tabling_distance_crossover(benchmark):
     assert key_counts == sorted(key_counts)
     assert key_counts[0] < key_counts[-1]
 
-    engine = SequentialEngine(program)
+    engine = Interpreter(program)
     benchmark.pedantic(
         lambda: engine.succeeds(parse_goal("path(16, 24)"), db),
         rounds=5,

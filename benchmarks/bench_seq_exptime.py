@@ -13,7 +13,7 @@ Paper artifact: Theorem 4.5.  Two measured faces:
 
 import pytest
 
-from repro import Interpreter, SequentialEngine, parse_goal, select_engine
+from repro import Interpreter, parse_goal, select_engine
 from repro.complexity import (
     binary_counter_family,
     estimate_growth,
@@ -129,7 +129,7 @@ def test_andor_alternation_crosscheck(benchmark):
     for depth in (2, 3, 4, 5):
         graph = grid_andor_graph(depth=depth, fanout=3, seed=depth)
         program, db = andor_to_td(graph)
-        engine = SequentialEngine(program)
+        engine = select_engine(program)
         native = solve_andor(graph)
         root = "n0_0"
 
@@ -147,7 +147,7 @@ def test_andor_alternation_crosscheck(benchmark):
     graph = grid_andor_graph(depth=4, fanout=3, seed=4)
     program, db = andor_to_td(graph)
     benchmark.pedantic(
-        lambda: SequentialEngine(program).succeeds(parse_goal("solve(n0_0)"), db),
+        lambda: select_engine(program).succeeds(parse_goal("solve(n0_0)"), db),
         rounds=3,
         iterations=1,
     )

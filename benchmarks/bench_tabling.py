@@ -1,25 +1,35 @@
-"""Ablation: the tabled sequential engine's table dynamics.
+"""Ablation: the interpreter's answer-table dynamics.
 
 Tabling is the optimization the paper names for the tame fragments;
-these benchmarks measure its two practical payoffs on our
-dependency-driven implementation:
+these benchmarks measure its two practical payoffs on the interpreter's
+generator/consumer tables:
 
-* warm-table reuse: the table persists across queries, so repeated and
-  overlapping queries cost a fraction of the first;
+* warm-table reuse: a table serves one initial database across
+  queries, so repeated and overlapping queries cost a fraction of the
+  first;
 * goal-directedness: a ground point query touches fewer keys than an
-  open query on the same data.
+  open query on the same data (the ``table.keys`` gauge).
 """
 
 import pytest
 
-from repro import SequentialEngine, parse_goal
+from repro import Interpreter, parse_goal
 from repro.complexity import chain_edges, measure, print_series, transitive_closure_program
+from repro.obs import Instrumentation, instrumented
+
+
+def _keys(engine, goal, db):
+    """Seconds to drain *goal*, and the table keys it left."""
+    inst = Instrumentation.create()
+    with instrumented(inst):
+        _, seconds = measure(lambda: list(engine.solve(parse_goal(goal), db)))
+    return inst.metrics.gauge("table.keys"), seconds
 
 
 def test_warm_table_reuse(benchmark):
     program = transitive_closure_program()
     db = chain_edges(24)
-    engine = SequentialEngine(program)
+    engine = Interpreter(program)
     _, cold_s = measure(lambda: list(engine.solve(parse_goal("path(0, X)"), db)))
     _, warm_s = measure(lambda: list(engine.solve(parse_goal("path(0, X)"), db)))
     _, overlap_s = measure(lambda: list(engine.solve(parse_goal("path(4, X)"), db)))
@@ -32,7 +42,7 @@ def test_warm_table_reuse(benchmark):
     assert warm_s < cold_s
     assert overlap_s < cold_s
 
-    fresh = SequentialEngine(program)
+    fresh = Interpreter(program)
     benchmark.pedantic(
         lambda: list(fresh.solve(parse_goal("path(0, X)"), db)),
         rounds=3,
@@ -45,12 +55,8 @@ def test_goal_directedness(benchmark):
     program = transitive_closure_program()
     db = chain_edges(24)
     rows = []
-    point = SequentialEngine(program)
-    _, point_s = measure(lambda: point.succeeds(parse_goal("path(20, 24)"), db))
-    point_keys, _ = point.table_size
-    full = SequentialEngine(program)
-    _, full_s = measure(lambda: list(full.solve(parse_goal("path(X, Y)"), db)))
-    full_keys, _ = full.table_size
+    point_keys, point_s = _keys(Interpreter(program), "path(20, 24)", db)
+    full_keys, full_s = _keys(Interpreter(program), "path(X, Y)", db)
     rows.append(["point path(20, 24)", point_keys, point_s])
     rows.append(["open path(X, Y)", full_keys, full_s])
     print_series(
@@ -62,7 +68,7 @@ def test_goal_directedness(benchmark):
     assert point_s < full_s
 
     benchmark.pedantic(
-        lambda: SequentialEngine(program).succeeds(parse_goal("path(20, 24)"), db),
+        lambda: Interpreter(program).succeeds(parse_goal("path(20, 24)"), db),
         rounds=3,
         iterations=1,
     )

@@ -9,7 +9,8 @@ A production-quality reproduction of Anthony J. Bonner's PODS 1999 paper
   the sequential / nonrecursive / fully bounded sublanguages, and the
   sublanguage classifier behind the paper's complexity map;
 * :mod:`repro.datalog` -- a classical Datalog substrate (naive and
-  seminaive bottom-up evaluation, stratified negation);
+  seminaive bottom-up evaluation, stratified negation, magic sets) that
+  also evaluates the engine's reads of query-only TD;
 * :mod:`repro.machines` -- Turing machines, two-stack machines, counter
   machines, safe Petri nets, AND/OR graphs, and their encodings into TD
   (the constructions behind the paper's complexity theorems);
@@ -64,7 +65,6 @@ from .core import (
     SafetyError,
     Schema,
     SearchBudgetExceeded,
-    SequentialEngine,
     Solution,
     Sublanguage,
     TDError,
@@ -128,7 +128,6 @@ __all__ = [
     "SafetyError",
     "Schema",
     "SearchBudgetExceeded",
-    "SequentialEngine",
     "Solution",
     "SqliteStore",
     "Store",

@@ -326,7 +326,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
       summary instead, with what the dead branches wait for (also the
       automatic fallback when the goal has no solution).  In ``auto``
       mode the failure side is the interpreter's breadth-first search:
-      the sequential evaluator's big-step recording has no dead leaves.
+      the Datalog reader's bottom-up recording has no dead leaves.
     * ``explain --audit-por [--suite NAME]``: re-verify every recorded
       ample-set pruning decision against its witness and replay with
       reduction off; with a PROGRAM and --goal the audit runs on that

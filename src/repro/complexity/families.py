@@ -134,9 +134,9 @@ path(X, Y) <- e(X, Z) * path(Z, Y).
 
 def transitive_closure_program() -> Program:
     """Query-only recursive TD: transitive closure, the canonical Datalog
-    program.  Evaluated by the tabled sequential engine and by the
-    seminaive Datalog engine; experiment C5 checks the answers coincide
-    and compares the scaling."""
+    program.  Evaluated by the tabled interpreter and by the Datalog
+    engine that serves the reads; experiment C5 checks the answers
+    coincide and compares the scaling."""
     return parse_program(_TC_RULES)
 
 

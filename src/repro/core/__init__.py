@@ -10,12 +10,11 @@ This subpackage is the paper's primary contribution.  The layering:
     the procedural interpretation (small-step semantics) and the full-TD
     engine (BFS semi-decision procedure + DFS simulation scheduler),
     whose answer tables decide the ``|``-free goals that update;
-``seqeval``
-    the tabled decision procedure for reads: goals that use no ``|``
-    and reach no update (query-only TD);
 ``analysis`` / ``engine``
     the sublanguage classifier and the engine façade that routes each
-    goal to the weakest adequate evaluator.
+    goal to the weakest adequate evaluator: a read of query-only TD to
+    the Datalog reader (:mod:`repro.datalog.reader`), every other goal
+    to the interpreter.
 """
 
 from .analysis import Analysis, Sublanguage, analyze, classify
@@ -65,7 +64,6 @@ from .pretty import (
     format_trace,
 )
 from .program import Program, ProgramError, Rule
-from .seqeval import SequentialEngine
 from .terms import Atom, Constant, Variable, atom, const, var
 from .transitions import Action
 
@@ -100,7 +98,6 @@ __all__ = [
     "SchemaError",
     "SearchBudgetExceeded",
     "Seq",
-    "SequentialEngine",
     "Solution",
     "Sublanguage",
     "TDError",

@@ -45,7 +45,7 @@ from .formulas import (
 from .program import Program
 from .terms import Signature, Variable
 
-__all__ = ["Sublanguage", "Analysis", "analyze", "classify", "reads_only"]
+__all__ = ["Sublanguage", "Analysis", "analyze", "classify"]
 
 
 class Sublanguage(enum.Enum):
@@ -426,19 +426,3 @@ def analyze(program: Program, goal: Optional[Formula] = None) -> Analysis:
 def classify(program: Program, goal: Optional[Formula] = None) -> Sublanguage:
     """The smallest paper sublanguage containing *program* (and *goal*)."""
     return analyze(program, goal).classify()
-
-
-def reads_only(program: Program, goal: Formula) -> bool:
-    """True when *goal* uses no ``|`` and nothing it reaches inserts or
-    deletes: its updates and those of its calls' closures in
-    :meth:`Program.signature_footprints` are empty.  Such a goal is a
-    read of one state, the fragment the sequential evaluator decides."""
-    footprints = program.signature_footprints()
-    for sub in walk_formulas(goal):
-        if isinstance(sub, (Conc, Ins, Del)):
-            return False
-        if isinstance(sub, Call):
-            closure = footprints.get(sub.atom.signature)
-            if closure is not None and (closure[1] or closure[2]):
-                return False
-    return True

@@ -3,8 +3,8 @@
 A TD execution is a sequence of database states, and the semantics of a
 transaction is a *binary relation on states* (which states it can carry
 the database from and to).  That makes hashable, immutable states the
-central data structure of the whole system: engines memoize on them, the
-sequential evaluator tables on them, and property tests compare them.
+central data structure of the whole system: engines memoize and table
+on them, and property tests compare them.
 
 A :class:`Database` is a frozenset of ground atoms with a predicate index
 for fast tuple tests.  Updates return new databases and share the
@@ -342,9 +342,33 @@ class Database:
         return self._derive(fact.pred, fact, removed=True)
 
     def insert_all(self, facts: Iterable[Atom]) -> "Database":
-        db = self
+        """One successor state holding *facts* too.
+
+        Unlike a chain of :meth:`insert` calls, this derives one state
+        for the whole batch: untouched predicates keep their query
+        caches, and a touched predicate's are rebuilt on first use, in
+        the order :meth:`insert` would have kept them."""
+        index = self._index
+        added: Dict[str, set] = {}
         for fact in facts:
-            db = db.insert(fact)
+            if not fact.is_ground():
+                raise ValueError("cannot insert non-ground fact: %s" % (fact,))
+            group = index.get(fact.pred)
+            if group is None or fact not in group:
+                added.setdefault(fact.pred, set()).add(fact)
+        if not added:
+            return self
+        new_index = dict(index)
+        for pred, new in added.items():
+            group = index.get(pred)
+            new_index[pred] = frozenset(new) if group is None else group | new
+        db = Database._from_index(new_index)
+        for pred, lst in self._sorted.items():
+            if pred not in added:
+                db._sorted[pred] = lst
+        for key, idx in self._argidx.items():
+            if key[0] not in added:
+                db._argidx[key] = idx
         return db
 
     def delete_all(self, facts: Iterable[Atom]) -> "Database":

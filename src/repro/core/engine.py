@@ -8,8 +8,9 @@ returns routes each goal:
 =============================  =============================  ==============
 goal                           engine                         termination
 =============================  =============================  ==============
-reads (no ``|``, no update     tabled sequential evaluator    decision proc.
-reached), ``|``-free program
+one tuple test, or one call    Datalog reader: magic sets     decision proc.
+whose rules translate to       or seminaive
+Datalog (a read)
 sequential or nonrecursive     tabled interpreter             decision proc.
 TD that updates
 nonrecursive or fully          small-step BFS, tabled         decision proc.
@@ -17,11 +18,13 @@ bounded TD with ``|``
 full TD                        small-step BFS, tabled         semi-decision
 =============================  =============================  ==============
 
-A read is classical Datalog over one state, which the sequential
-evaluator decides.  Every other goal runs on the one interpreter the
-engine owns: on ``|``-free sequential TD its generator/consumer tables
-close every recursion (docs/SEMANTICS.md section 3), and on an acyclic
-call graph they stay polynomial in the data (section 4).  The
+A read is classical Datalog over one state, which the reader
+(:class:`repro.datalog.reader.DatalogReader`) decides whenever
+:func:`repro.datalog.from_td` accepts every rule the goal reaches.
+Every other goal runs on the one interpreter the engine owns: on
+``|``-free sequential TD its generator/consumer tables close every
+recursion (docs/SEMANTICS.md section 3), and on an acyclic call graph
+they stay polynomial in the data (section 4).  The
 classification -- ``Engine.sublanguage``, ``Engine.decidable`` and the
 ``time.<sublanguage>`` timer -- still reports the paper's map.
 
@@ -35,19 +38,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Set, Union
 
+from ..datalog.reader import DatalogReader
 from ..obs.context import Instrumentation, active
-from .analysis import Analysis, Sublanguage, analyze, reads_only
+from .analysis import Analysis, Sublanguage, analyze
 from .database import Database
 from .errors import ReproError
 from .formulas import Formula
 from .interpreter import Checkpoint, Deadline, Execution, Interpreter, Solution
 from .parser import as_goal
 from .program import Program
-from .seqeval import SequentialEngine
 
 __all__ = ["Engine", "select_engine", "solve"]
 
-_Backend = Union[Interpreter, SequentialEngine]
+_Backend = Union[Interpreter, DatalogReader]
 
 
 def _annotate(exc: ReproError, goal: Union[str, Formula]) -> ReproError:
@@ -73,7 +76,7 @@ _DECIDABLE = {
 @dataclass
 class Engine:
     """A program bundled with its evaluators: the interpreter, and the
-    sequential evaluator for the reads of a ``|``-free program."""
+    Datalog reader for the reads."""
 
     program: Program
     #: The evaluator of the goal :func:`select_engine` was given; without
@@ -81,12 +84,11 @@ class Engine:
     backend: _Backend
     analysis: Analysis
     sublanguage: Sublanguage
-    #: Runs every goal that updates or uses ``|``, and every
+    #: Runs every goal the reader does not serve, and every
     #: ``simulate`` and ``resume``.
     interpreter: Interpreter
-    #: Runs the reads; ``None`` when the program (or the goal it was
-    #: built with) uses ``|``.
-    reader: Optional[SequentialEngine]
+    #: Runs the reads (:meth:`DatalogReader.serves`).
+    reader: DatalogReader
 
     @property
     def decidable(self) -> bool:
@@ -94,11 +96,10 @@ class Engine:
         return self.sublanguage in _DECIDABLE
 
     def route(self, goal: Formula) -> _Backend:
-        """The evaluator for *goal*: the reader when it uses no ``|`` and
-        nothing it reaches inserts or deletes, else the interpreter."""
-        if self.reader is not None and reads_only(self.program, goal):
-            return self.reader
-        return self.interpreter
+        """The evaluator for *goal*: the reader when it serves the goal
+        (one test, or one call whose rules translate to Datalog), else
+        the interpreter."""
+        return self.reader if self.reader.serves(goal) else self.interpreter
 
     def _describe(self, backend: _Backend) -> Instrumentation:
         """Stamp the active instrumentation (if any) with what runs here:
@@ -134,10 +135,9 @@ class Engine:
         """Enumerate (answer bindings, final state) pairs.
 
         *deadline* arms a cooperative stop on the interpreter; the
-        sequential evaluator is a decision procedure over reads and
-        ignores it.  With ``db=None`` the initial state comes from the
-        attached store (``store=`` on :func:`select_engine`, or the
-        ambient provider).
+        reader is a decision procedure over reads and ignores it.  With
+        ``db=None`` the initial state comes from the attached store
+        (``store=`` on :func:`select_engine`, or the ambient provider).
 
         Like the backends, the façade reports to the instrumentation
         active at the first pull: that is where it stamps the backend
@@ -221,16 +221,16 @@ def select_engine(
     """Classify *program* (and *goal*, if given) and build its engine.
 
     The engine routes each goal it is asked (see the table in this
-    module's docstring): a read -- no ``|``, and nothing the goal
-    reaches inserts or deletes -- of a ``|``-free program runs on the
-    tabled :class:`SequentialEngine`; every other goal, and every
-    ``simulate`` and ``resume``, runs on the engine's one tabled
-    :class:`Interpreter`.  *goal* only sets ``Engine.backend`` and the
-    reported class.
+    module's docstring): a read -- one tuple test, or one call whose
+    reachable rules :func:`repro.datalog.from_td` translates -- runs on
+    the :class:`~repro.datalog.reader.DatalogReader`; every other goal,
+    and every ``simulate`` and ``resume``, runs on the engine's one
+    tabled :class:`Interpreter`.  *goal* only sets ``Engine.backend``
+    and the reported class.
 
     ``max_configs`` bounds every interpreter search and ``tabling=False``
-    disables its answer tables (docs/PERFORMANCE.md); the sequential
-    evaluator tables by construction and ignores both.  ``store``
+    disables its answer tables (docs/PERFORMANCE.md); the reader
+    evaluates bottom-up and ignores both.  ``store``
     attaches a storage backend (see :class:`repro.store.Store` and
     docs/STORAGE.md) to both evaluators.  Observers are not options:
     every search the engine runs reports to the metrics, derivation
@@ -244,12 +244,12 @@ def select_engine(
     interpreter = Interpreter(
         program, max_configs=max_configs, store=store, tabling=tabling
     )
-    reader = None if analysis.uses_conc else SequentialEngine(program, store=store)
+    reader = DatalogReader(program, store=store)
     # Without a goal, a program none of whose rules updates is all reads.
-    reads = analysis.query_only if goal is None else reads_only(program, goal)
+    reads = analysis.query_only if goal is None else reader.serves(goal)
     return Engine(
         program=program,
-        backend=reader if reader is not None and reads else interpreter,
+        backend=reader if reads else interpreter,
         analysis=analysis,
         sublanguage=analysis.classify(),
         interpreter=interpreter,

@@ -153,4 +153,4 @@ class DeadlineExceeded(ReproError):
 
 class UnsupportedProgramError(ReproError):
     """A program uses features outside the selected engine's sublanguage
-    (e.g. concurrent composition fed to the sequential evaluator)."""
+    (e.g. an update fed to the Datalog reader)."""

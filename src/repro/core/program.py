@@ -202,10 +202,7 @@ class Program:
 
     def _validate(self) -> None:
         for rule in self._rules:
-            if (
-                rule.head.signature in self.schema
-                and not self.is_derived(rule.head.signature)
-            ):
+            if rule.head.signature in self.schema:
                 raise ProgramError(
                     "predicate %s/%d is both base and derived"
                     % rule.head.signature

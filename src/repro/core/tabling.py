@@ -7,8 +7,8 @@ sequential Horn case.  This module tables the interpreter
 (:class:`repro.core.interpreter.Interpreter`), which the engine façade
 runs on every goal that updates, so on ``|``-free programs it is the
 decision procedure of sequential TD (docs/SEMANTICS.md section 3);
-:mod:`repro.core.seqeval` tables reads.  A table is only sound in
-restricted positions:
+reads run bottom-up on the Datalog reader (:mod:`repro.datalog.reader`).
+A table is only sound in restricted positions:
 
 * A call in **head position** -- the whole process is ``p(t)`` or
   ``p(t) * rest`` -- executes with no possibility of external
@@ -63,8 +63,8 @@ __all__ = ["AnswerTable", "TableEntry", "canonical_call"]
 def canonical_call(atom: Atom) -> Tuple[Atom, List[Variable]]:
     """Rename the atom's variables to V0, V1, ... in order of occurrence.
 
-    Constants stay, and repeated variables share one canonical name
-    (the sequential engine's table keys use it too).  Returns the
+    Constants stay, and repeated variables share one canonical name.
+    Returns the
     canonical atom and the original variables in canonical index order,
     so served answers can be mapped back onto the caller's terms.
     """

@@ -7,8 +7,10 @@ sublanguages.  This subpackage provides a standalone bottom-up Datalog
 engine -- naive and seminaive evaluation with stratified negation -- used
 
 * on its own, for monitoring queries over workflow histories;
-* as an oracle: query-only TD programs are translated here and the two
-  evaluators are property-tested against each other (experiment C5).
+* as the engine's reader (:mod:`repro.datalog.reader`): a read of
+  query-only TD -- one test, or one call whose rules :func:`from_td`
+  translates -- runs here, goal-directed by magic sets when the call
+  binds an argument (experiment C5).
 """
 
 from .ast import DatalogProgram, DatalogRule, Literal, StratificationError

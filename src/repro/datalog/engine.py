@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.database import Database, plan_join
-from ..core.formulas import Call, Conc, Isol, Neg, Seq, Test, Truth, walk_formulas
+from ..core.formulas import Call, Conc, Isol, Neg, Seq, Test, Truth
 from ..core.interpreter import _resolve_store
 from ..core.program import Program
 from ..core.terms import Atom
@@ -58,36 +58,43 @@ def _plan_body(
 def _join(
     body: Sequence[Literal],
     facts: Database,
-    delta_index: Optional[Tuple[int, Set[Atom]]] = None,
+    delta: Optional[Tuple[int, Database]] = None,
     plan: Optional[Sequence[Literal]] = None,
 ) -> Iterator[Substitution]:
     """Enumerate substitutions satisfying *body* against *facts*.
 
-    With ``delta_index = (i, delta)``, the i-th positive literal *of the
-    evaluation order* is matched against *delta* only -- the seminaive
-    trick.  *plan* overrides the textual :func:`_order_body` order (the
-    caller must compute ``delta_index`` against the same plan).
+    With ``delta = (i, state)``, the i-th positive literal *of the
+    evaluation order* is matched against *state* only -- the seminaive
+    trick; the caller builds one indexed state per round, so a literal
+    with a bound argument probes it instead of trying every delta fact.
+    *plan* overrides the textual :func:`_order_body` order (the caller
+    must compute the delta position against the same plan).
     """
+    ordered = tuple(plan) if plan is not None else tuple(_order_body(body))
+    position, source = delta if delta is not None else (-1, None)
+    return _join_from(ordered, 0, {}, facts, position, source)
 
-    ordered = list(plan) if plan is not None else _order_body(body)
-    # An indexed state for the delta: a literal with a bound argument
-    # probes it instead of trying every delta fact.
-    delta = Database(delta_index[1]) if delta_index is not None else None
 
-    def recurse(idx: int, subst: Substitution) -> Iterator[Substitution]:
-        if idx == len(ordered):
-            yield subst
-            return
-        lit = ordered[idx]
-        if lit.positive:
-            source = delta if delta is not None and idx == delta_index[0] else facts
-            for theta in source.match(lit.atom, subst):
-                yield from recurse(idx + 1, theta)
-        else:
-            if not facts.holds(lit.atom, subst):
-                yield from recurse(idx + 1, subst)
+def _join_from(
+    ordered: Tuple[Literal, ...], idx: int, subst: Substitution,
+    facts: Database, position: int, delta: Optional[Database],
+) -> Iterator[Substitution]:
+    """The substitutions extending *subst* that satisfy ``ordered[idx:]``.
 
-    yield from recurse(0, {})
+    A module-level generator rather than a closure over the join: a
+    self-referencing closure is a reference cycle, which would keep
+    every state a join touched alive until the next collector pass.
+    """
+    if idx == len(ordered):
+        yield subst
+        return
+    lit = ordered[idx]
+    if lit.positive:
+        source = delta if idx == position else facts
+        for theta in source.match(lit.atom, subst):
+            yield from _join_from(ordered, idx + 1, theta, facts, position, delta)
+    elif not facts.holds(lit.atom, subst):
+        yield from _join_from(ordered, idx + 1, subst, facts, position, delta)
 
 
 def evaluate_naive(program: DatalogProgram, edb: Database) -> Database:
@@ -187,6 +194,7 @@ def _evaluate_seminaive(
 
         while delta:
             new_delta: Set[Atom] = set()
+            delta_db = Database(delta)
             for rule in rules:
                 token = ev.rule(rule.head, rule.head.pred) if ev is not None else None
                 try:
@@ -202,7 +210,7 @@ def _evaluate_seminaive(
                         continue  # already saturated in round 0
                     for i in recursive_positions:
                         for theta in _join(
-                            rule.body, facts, delta_index=(i, delta), plan=plan
+                            rule.body, facts, delta=(i, delta_db), plan=plan
                         ):
                             fact = apply_atom(rule.head, theta)
                             if fact not in facts and fact not in new_delta:
@@ -238,26 +246,51 @@ def from_td(program: Program) -> DatalogProgram:
     In the absence of updates, sequential composition is ordinary
     conjunction and concurrent composition adds nothing (tests commute),
     so the paper's query-only fragment coincides with classical Datalog.
-    Raises :class:`ValueError` if the program contains updates.
+    Raises :class:`ValueError` if the program contains updates, and for
+    a rule the translation would change the meaning of: an absence test
+    reads the stored facts where it runs, binding nothing, so each of
+    its variables must be bound by an earlier test or call in sequence
+    (docs/SEMANTICS.md, [absence]) -- Datalog would evaluate it last.
     """
-    rules: List[DatalogRule] = []
-    for rule in program.rules:
-        literals: List[Literal] = []
-        for sub in walk_formulas(rule.body):
-            if isinstance(sub, (Seq, Conc, Truth)):
-                continue
-            if isinstance(sub, Isol):
-                continue  # isolation of a query is the query
-            if isinstance(sub, Test):
-                literals.append(Literal(sub.atom, True))
-            elif isinstance(sub, Call):
-                literals.append(Literal(sub.atom, True))
-            elif isinstance(sub, Neg):
-                literals.append(Literal(sub.atom, False))
-            else:
-                raise ValueError(
-                    "not a query-only TD program: %s contains %s"
-                    % (rule.head, type(sub).__name__)
-                )
-        rules.append(DatalogRule(rule.head, tuple(literals)))
-    return DatalogProgram(rules)
+    return DatalogProgram(_rule_from_td(rule) for rule in program.rules)
+
+
+def _rule_from_td(rule) -> DatalogRule:
+    """One TD rule as a Datalog rule (see :func:`from_td`)."""
+    literals: List[Literal] = []
+    _literals_from_td(rule.head, rule.body, frozenset(), literals)
+    return DatalogRule(rule.head, tuple(literals))
+
+
+def _literals_from_td(head, f, bound, out: List[Literal]):
+    """Append *f*'s literals to *out*; returns the variables bound once
+    *f* has run, given those in *bound* before it."""
+    if isinstance(f, Truth):
+        return bound
+    if isinstance(f, (Test, Call)):
+        out.append(Literal(f.atom, True))
+        return bound.union(f.atom.variables())
+    if isinstance(f, Neg):
+        unbound = [v for v in f.atom.variables() if v not in bound]
+        if unbound:
+            raise ValueError(
+                "absence test %s in the rule for %s reads %s before any "
+                "test or call binds it" % (f, head, unbound[0])
+            )
+        out.append(Literal(f.atom, False))
+        return bound
+    if isinstance(f, Seq):
+        for part in f.parts:
+            bound = _literals_from_td(head, part, bound, out)
+        return bound
+    if isinstance(f, Conc):
+        # A sibling branch may run after this one: it binds nothing here.
+        after = bound
+        for part in f.parts:
+            after = after | _literals_from_td(head, part, bound, out)
+        return after
+    if isinstance(f, Isol) and f.budget is None:
+        return _literals_from_td(head, f.body, bound, out)  # iso of a query
+    raise ValueError(
+        "not a query-only TD program: %s contains %s" % (head, type(f).__name__)
+    )

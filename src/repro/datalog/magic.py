@@ -1,10 +1,10 @@
-"""Magic-sets transformation for positive Datalog.
+"""Magic-sets transformation for Datalog that negates base predicates only.
 
 The paper points out that in the tame TD sublanguages "well-known
 optimization techniques (such as magic sets or tabling) can be applied".
-Tabling lives in :mod:`repro.core.seqeval` (reads) and
-:mod:`repro.core.tabling` (goals that update); this module supplies the
-other named technique for the Datalog substrate.
+Tabling lives in :mod:`repro.core.tabling` (goals that update); this
+module supplies the other named technique, which the engine's reader
+(:mod:`repro.datalog.reader`) uses for bound reads.
 
 Given a query with some arguments bound, the transformation specializes
 the program so that bottom-up evaluation only derives facts *relevant*
@@ -21,9 +21,13 @@ to the query:
    literals; every original rule is guarded by its own magic fact.
 3. **Seed** -- the query's bound constants become the initial magic fact.
 
-Only positive programs are supported (magic sets with stratified
-negation requires extra care we do not need here); a program with
-negative literals raises :class:`ValueError`.
+A negative literal on a base predicate is copied unadorned into the
+adorned rule and into every magic rule built after its variables are
+bound: it only filters, so a bound read with an absence test (which
+:func:`repro.datalog.from_td` always puts on a base predicate) stays
+goal-directed.  Negating a derived predicate would need its relation
+complete first, which the magic program does not guarantee; such a
+program raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -76,10 +80,10 @@ def magic_transform(
     """
     for rule in program.rules:
         for lit in rule.body:
-            if not lit.positive:
+            if not lit.positive and lit.atom.signature in program.idb:
                 raise ValueError(
-                    "magic sets here supports positive programs only; "
-                    "rule for %s uses negation" % (rule.head,)
+                    "magic sets here negate base predicates only; rule "
+                    "for %s negates %s" % (rule.head, lit.atom)
                 )
 
     query_adornment = _pattern_of(query, set())
@@ -107,9 +111,14 @@ def magic_transform(
                 _magic_name(pred, adornment), _bound_args(rule.head, adornment)
             )
             new_body: List[Literal] = [Literal(magic_head_atom)]
+            # Absence tests wait until their variables are bound, so
+            # every magic rule built from a prefix of the body is safe.
+            waiting: List[Literal] = []
             for lit in rule.body:
                 atom = lit.atom
-                if atom.signature in program.idb:
+                if not lit.positive:
+                    waiting.append(lit)
+                elif atom.signature in program.idb:
                     sub_adornment = _pattern_of(atom, bound_vars)
                     key = (atom.pred, atom.arity, sub_adornment)
                     if key not in seen:
@@ -127,16 +136,26 @@ def magic_transform(
                     new_body.append(Literal(adorned))
                 else:
                     new_body.append(lit)
-                bound_vars |= set(atom.variables())
+                if lit.positive:
+                    bound_vars |= set(atom.variables())
+                ready = [n for n in waiting if bound_vars.issuperset(n.atom.variables())]
+                if ready:
+                    new_body.extend(ready)
+                    waiting = [n for n in waiting if n not in ready]
+            new_body.extend(waiting)
             adorned_head = Atom(_adorn_name(pred, adornment), rule.head.args)
             transformed.append(DatalogRule(adorned_head, tuple(new_body)))
 
-    seed = Atom(
-        _magic_name(query.pred, query_adornment),
+    magic_program = DatalogProgram(transformed)
+    return magic_program, [magic_seed(query)], _adorn_name(query.pred, query_adornment)
+
+
+def magic_seed(query: Atom) -> Atom:
+    """The magic fact that seeds *query*: its bound constants."""
+    return Atom(
+        _magic_name(query.pred, _pattern_of(query, set())),
         tuple(t for t in query.args if isinstance(t, Constant)),
     )
-    magic_program = DatalogProgram(transformed)
-    return magic_program, [seed], _adorn_name(query.pred, query_adornment)
 
 
 def magic_query(

@@ -79,7 +79,8 @@ def andor_to_td(graph: AndOrGraph) -> Tuple[Program, Database]:
     The graph lives in the database (``axiom/1``, ``ornode/1``,
     ``andnode/1``, ``child/3`` with 0-based child indexes, ``nkids/2``);
     the rules below are fixed, so asking ``solve(n)`` is a pure data
-    complexity question for the tabled sequential engine.
+    complexity question for the tabled interpreter (the builtins keep
+    it off the Datalog reader).
 
     Rules::
 

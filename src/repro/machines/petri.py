@@ -6,8 +6,8 @@ net's marking is a *set* of marked places -- exactly a TD database state
 over propositional facts -- and a transition is a TD rule that tests and
 deletes the preset and inserts the postset.  Firing sequences become
 sequential TD executions, so reachability questions route to the tabled
-sequential engine (decidable, as Petri-net reachability is), and the
-native breadth-first explorer below serves as the oracle.
+interpreter (decidable, as Petri-net reachability is), and the native
+breadth-first explorer below serves as the oracle.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def petri_to_td(net: PetriNet, target: Marking) -> Tuple[Program, Formula, Datab
     fires transitions (tail recursion) and commits when the database
     equals the target marking.  Returns (program, goal, initial db) with
     the goal committing iff the target marking is reachable -- routed to
-    the tabled sequential engine, this is a decision procedure.
+    the tabled interpreter, this is a decision procedure.
     """
     rules: List[Rule] = []
     for name, (pre, post) in sorted(net.transitions.items()):

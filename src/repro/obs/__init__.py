@@ -8,9 +8,9 @@ Observability for the Transaction Datalog engines.  Three pieces:
   attempts); timers are kept separate so tests can assert on counters
   without depending on wall time.
 * :class:`~repro.obs.tracer.Tracer` -- lightweight span-based tracing.
-  Engines open spans for ``solve`` / ``simulate`` / ``iso-subsearch`` /
-  ``table-fixpoint``; finished spans serialize as JSON lines with parent
-  ids so external tools can rebuild the search tree.
+  Engines open spans for ``solve`` / ``simulate`` / ``iso-subsearch``;
+  finished spans serialize as JSON lines with parent ids so external
+  tools can rebuild the search tree.
 * :func:`~repro.obs.context.instrumented` -- the activation context.
   Instrumentation is **off by default**: the engines capture a single
   module-level observer slot (metrics, derivation recorder, cost

@@ -11,8 +11,8 @@ Three pieces:
 
 * :func:`profile_suite` -- the fixed, named workloads the baselines
   cover: one per engine family (the tabled interpreter on a
-  nonrecursive update, the tabled sequential evaluator on a recursive
-  read, full-TD BFS, fully-bounded search, workflow simulation), built from the paper's own examples so the gate tracks
+  nonrecursive update, the Datalog reader on a recursive read,
+  full-TD BFS, fully-bounded search, workflow simulation), built from the paper's own examples so the gate tracks
   the programs the repo is *about*.
 * :func:`write_baselines` -- run each workload instrumented and write
   ``<name>.json`` per config (``tdlog profile baseline``).
@@ -116,10 +116,8 @@ def _run_bank() -> None:
 
 
 def _run_path() -> None:
-    # Ground start + acyclic chain: the tabled engine's counters are
-    # exactly reproducible across processes for this shape (the
-    # all-pairs query on a cyclic graph is not -- fixpoint visit order
-    # leaks hash randomization into hit/recompute counts).
+    # A read from a ground start: the reader runs the magic-sets
+    # program of ``path`` with its first argument bound.
     from ..core import parse_database, parse_goal, parse_program, select_engine
 
     engine = select_engine(parse_program(_PATH_TD), "path(a, X)")
@@ -249,7 +247,7 @@ def profile_suite() -> List[ProfileConfig]:
         ),
         ProfileConfig(
             "path_tabled",
-            "transitive closure, all pairs (tabled sequential engine)",
+            "transitive closure from a ground start (Datalog reader, magic sets)",
             _run_path,
         ),
         ProfileConfig(

@@ -166,14 +166,10 @@ class Observers:
         self._peak("budget.spent", used)
         self._gauge("budget.limit", limit)
         if table is not None:
-            self.table_size(table.keys, table.answer_count(), table.capped)
-
-    def table_size(self, keys: int, answers: int, capped: int = 0) -> None:
-        """Answer-table size gauges."""
-        self._gauge("table.keys", keys)
-        self._gauge("table.answers", answers)
-        if capped:
-            self._gauge("table.capped", capped)
+            self._gauge("table.keys", table.keys)
+            self._gauge("table.answers", table.answer_count())
+            if table.capped:
+                self._gauge("table.capped", table.capped)
 
     def answer(self, parent=None, describe=None) -> None:
         """An engine entry hands its caller an answer: ``search.solutions``;
@@ -393,25 +389,6 @@ class Observers:
     def reordered(self) -> None:
         """A join planner changed a body's order: ``join.reorders``."""
         self._inc("join.reorders")
-
-    def recompute(self, calls: dict, call, root) -> Optional[int]:
-        """A seqeval table key, the canonical *call*, is re-evaluated:
-        ``table.recomputes``.  Returns its ``call`` node, recorded once
-        per solve in *calls*."""
-        self._inc("table.recomputes")
-        if self.recorder is None:
-            return None
-        if call not in calls:
-            calls[call] = self._record("call", call, root)
-        return calls[call]
-
-    def derived(self, parent, head, describe) -> None:
-        """Rule *head* added an answer to a seqeval table: one
-        ``steps.expansions``, and an ``answer`` node (*describe* returns
-        ``(label, bindings)``)."""
-        self._charge("steps.expansions", 1)
-        if self.recorder is not None:
-            self._answer_node(parent, describe, witness={"rule": str(head)})
 
     def fact(self, fact, head, premises, nodes: dict, root) -> None:
         """Rule *head* derived a new Datalog fact: one

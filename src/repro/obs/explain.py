@@ -86,8 +86,8 @@ def explain_goal(
     Returns ``(recorder, solutions)``.  *mode*:
 
     * ``"auto"`` -- route through :func:`repro.core.engine.select_engine`
-      (big-step engines record rule-level derivations).  The sequential
-      evaluator's recording has no dead leaves, so when it finds no
+      (the Datalog reader records its fixpoint's derived facts).  The
+      reader's recording has no dead leaves, so when it finds no
       solution the recording returned is the ``"bfs"`` one;
     * ``"bfs"`` -- force the small-step interpreter's fair search, with
       execution traces attached (each solution is an ``Execution``);

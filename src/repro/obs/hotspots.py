@@ -21,7 +21,7 @@ by default**, and the engine counters are byte-identical either way.
 :func:`attributing` fills the attributor channel of the observer slot
 (:mod:`repro.obs.context`); engines capture it at entry with the other
 two channels as one handle, and their entry helpers push one phase
-frame (``bfs``, ``dfs``, ``seqeval``, ``seminaive``, ``statespace``,
+frame (``bfs``, ``dfs``, ``seminaive``, ``statespace``,
 ``parse``) around the search.  Engines never call the attributor
 themselves: every charge comes from an event on the handle
 (:class:`repro.obs.context.Observers`), each behind one ``is None``

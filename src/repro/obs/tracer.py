@@ -1,7 +1,7 @@
 """Span-based tracing for engine searches.
 
 A *span* is one timed region of a search -- a ``solve`` call, a nested
-``iso-subsearch``, a ``table-fixpoint`` drain.  Spans carry sequential
+``iso-subsearch``.  Spans carry sequential
 string ids and a ``parent_id``, so a finished trace reconstructs the
 search tree.  Serialization is JSON lines: one object per line, append
 friendly, parseable by anything.

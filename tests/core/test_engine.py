@@ -5,9 +5,7 @@ import pytest
 from repro import (
     Database,
     Interpreter,
-    SafetyError,
     SearchBudgetExceeded,
-    SequentialEngine,
     Sublanguage,
     UnsupportedProgramError,
     Variable,
@@ -16,6 +14,7 @@ from repro import (
     parse_program,
     select_engine,
 )
+from repro.datalog.reader import DatalogReader
 from repro.obs import Instrumentation, instrumented
 
 
@@ -23,7 +22,7 @@ class TestRouting:
     def test_query_only_routes_to_tabled(self, tc_program):
         eng = select_engine(tc_program)
         assert eng.sublanguage is Sublanguage.QUERY_ONLY
-        assert isinstance(eng.backend, SequentialEngine)
+        assert isinstance(eng.backend, DatalogReader)
         assert eng.decidable
 
     def test_nonrecursive_routes_by_concurrency(self):
@@ -39,7 +38,6 @@ class TestRouting:
         assert eng.sublanguage is Sublanguage.NONRECURSIVE
         assert eng.decidable
         assert isinstance(eng.backend, Interpreter)
-        assert eng.reader is None
         # A | in the goal alone is enough.
         eng = select_engine(parse_program("m(X) <- ins.k(X)."), "m(a) | m(b)")
         assert eng.sublanguage is Sublanguage.NONRECURSIVE
@@ -54,8 +52,8 @@ class TestRouting:
         assert eng.route(parse_goal("m(a) | m(b)")) is eng.interpreter
 
     def test_read_on_updating_program_runs_on_sequential_engine(self):
-        # ``balance(a, B)`` reaches no update, so it stays on the
-        # sequential evaluator even though ``transfer`` updates.
+        # ``balance(a, B)`` is one tuple test, so it runs on the reader
+        # even though ``transfer`` updates.
         eng = select_engine(parse_program(
             "transfer(F, T, A) <- balance(F, B) * B >= A * del.balance(F, B)"
             " * N is B - A * ins.balance(F, N) * ins.paid(T, A)."
@@ -63,36 +61,39 @@ class TestRouting:
         db = parse_database("balance(a, 10).")
         assert eng.backend is eng.interpreter
         assert eng.route(parse_goal("balance(a, B)")) is eng.reader
-        assert isinstance(eng.reader, SequentialEngine)
+        assert isinstance(eng.reader, DatalogReader)
         inst = Instrumentation.create()
         with instrumented(inst):
             (sol,) = eng.solve("balance(a, B)", db)
         assert str(sol.bindings[Variable("B")]) == "10"
-        assert inst.metrics.info["engine.backend"] == "SequentialEngine"
+        assert inst.metrics.info["engine.backend"] == "DatalogReader"
         with instrumented(inst):
             assert eng.succeeds("transfer(a, b, 3)", db)
         assert inst.metrics.info["engine.backend"] == "Interpreter"
 
     def test_routed_read_fails_on_bad_arithmetic_as_the_interpreter_does(self):
-        # ``a + 1`` fails the branch on both engines; an unbound
-        # builtin variable stays a safety error on the sequential one.
+        # Builtins have no Datalog translation, so a read through one
+        # runs on the interpreter: ``a + 1`` fails the branch, and so
+        # does a builtin whose variable nothing binds.
         program = parse_program("inc(Y) <- p(X) * Y is X + 1.\nbad(Y) <- Y is X + 1.")
         db = parse_database("p(a).")
         eng = select_engine(program, "inc(Y)")
-        assert eng.route(parse_goal("inc(Y)")) is eng.reader
+        assert eng.route(parse_goal("inc(Y)")) is eng.interpreter
         assert list(eng.solve("inc(Y)", db)) == []
-        assert list(eng.interpreter.solve("inc(Y)", db)) == []
-        with pytest.raises(SafetyError):
-            list(eng.solve("bad(Y)", db))
+        assert list(eng.solve("bad(Y)", db)) == []
 
     def test_sequential_engine_rejects_update_goal(self):
+        # The reader serves one test or call whose rules translate; it
+        # rejects an update, a conjunction and a `|` goal.
         program = parse_program("p <- q(X) * ins.r(X).\nw(X) <- q(X).")
         db = parse_database("q(a).")
-        with pytest.raises(UnsupportedProgramError):
-            list(SequentialEngine(program).solve("p", db))
-        with pytest.raises(UnsupportedProgramError):
-            list(SequentialEngine(program).solve("w(X) * ins.r(X)", db))
-        assert len(list(SequentialEngine(program).solve("w(X)", db))) == 1
+        reader = DatalogReader(program)
+        for goal in ("p", "w(X) * ins.r(X)", "w(X) * q(X)", "w(X) | w(X)"):
+            assert not reader.serves(parse_goal(goal))
+            with pytest.raises(UnsupportedProgramError):
+                list(reader.solve(goal, db))
+        assert len(list(reader.solve("w(X)", db))) == 1
+        assert len(list(reader.solve("q(X)", db))) == 1
 
     def test_every_update_entry_runs_on_the_interpreter(self):
         # solve, succeeds, final_databases, simulate and resume of a
@@ -180,7 +181,7 @@ class TestUniformAPI:
         db = parse_database("q(a). q(b). r(b).")
         for text, engines in (
             ("t", (Interpreter(prog), Interpreter(prog, tabling=False))),
-            ("u(X)", (Interpreter(prog), SequentialEngine(prog))),
+            ("u(X)", (Interpreter(prog), DatalogReader(prog))),
         ):
             goal = parse_goal(text)
             finals = [e.final_databases(goal, db) for e in engines]
@@ -206,7 +207,7 @@ class TestFacadeOptions:
 
     def test_simulate_over_analytic_backend_honours_options(self, tc_program, chain_db):
         eng = select_engine(tc_program, max_configs=2, tabling=False)
-        assert isinstance(eng.backend, SequentialEngine)
+        assert isinstance(eng.backend, DatalogReader)
         oracle = Interpreter(tc_program, max_configs=2, tabling=False)
         with pytest.raises(SearchBudgetExceeded):
             oracle.simulate("path(a, d)", chain_db)
@@ -239,7 +240,7 @@ class TestUnifiedGoalAPI:
         assert exe is not None
 
     def test_sequential_engine_accepts_string_goals(self, tc_program, chain_db):
-        assert len(list(SequentialEngine(tc_program).solve("path(a, X)", chain_db))) == 3
+        assert len(list(DatalogReader(tc_program).solve("path(a, X)", chain_db))) == 3
 
     def test_nonrec_engine_accepts_string_goals(self):
         eng = select_engine(parse_program("t <- q(X) * ins.r(X)."))

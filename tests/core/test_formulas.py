@@ -22,7 +22,7 @@ from repro.core.formulas import (
     seq,
     walk_formulas,
 )
-from repro import Database, Interpreter, SequentialEngine, parse_program
+from repro import Database, Interpreter, parse_program, select_engine
 from repro.core.errors import SafetyError
 from repro.core.terms import Atom, Constant, Variable, atom
 
@@ -151,10 +151,11 @@ class TestTypedBuiltins:
 
     @pytest.fixture(params=["interpreter", "sequential"])
     def engine(self, request):
+        # "sequential": the façade's route for these |-free reads.
         program = parse_program(self.PROGRAM)
         if request.param == "interpreter":
             return Interpreter(program)
-        return SequentialEngine(program)
+        return select_engine(program)
 
     def test_equality_is_identity(self, engine):
         assert self.outcome(engine, "g(X)", True) == []

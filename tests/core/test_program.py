@@ -56,6 +56,25 @@ class TestValidation:
         prog = parse_program("#base mystery/1.\np <- mystery(X).", strict=True)
         assert prog.is_base(("mystery", 1))
 
+    def test_absence_test_on_a_derived_predicate_is_refused(self):
+        # `not q(X)` reads stored q facts, yet q is derived: TD would
+        # answer a and b over r(a). s(a). s(b)., Datalog only b.
+        with pytest.raises(ProgramError, match="both base and derived"):
+            parse_program("q(X) <- r(X).\np(X) <- s(X) * not q(X).")
+        with pytest.raises(ProgramError, match="both base and derived"):
+            parse_program("#base q/1.\nq(X) <- r(X).")
+
+    def test_absence_test_before_its_binder_keeps_its_td_meaning(self):
+        # `not q(X)` runs first, over q(a): no answer, on every route.
+        from repro import Interpreter, parse_database, select_engine
+
+        program = parse_program("p(X) <- not q(X) * r(X).")
+        db = parse_database("q(a). r(b).")
+        engine = select_engine(program, "p(X)")
+        assert engine.backend is engine.interpreter
+        assert list(engine.solve("p(X)", db)) == []
+        assert list(Interpreter(program, tabling=False).solve("p(X)", db)) == []
+
 
 class TestRuleRenaming:
     def test_rename_is_consistent(self):

@@ -1,8 +1,10 @@
 """Tests for naive/seminaive Datalog evaluation and the TD bridge."""
 
+import gc
+
 import pytest
 
-from repro import Database, SequentialEngine, parse_database, parse_goal, parse_program
+from repro import Database, Interpreter, parse_database, parse_goal, parse_program
 from repro.core.terms import Atom, Variable, atom
 from repro.datalog import (
     DatalogProgram,
@@ -104,7 +106,7 @@ class TestTDBridge:
     def test_td_and_datalog_agree(self, tc_program, chain_db):
         dl = from_td(tc_program)
         dl_facts = evaluate(dl, chain_db)
-        td = SequentialEngine(tc_program)
+        td = Interpreter(tc_program, tabling=False)
         for x in "abcd":
             for y in "abcd":
                 goal = parse_goal("path(%s, %s)" % (x, y))
@@ -122,3 +124,58 @@ class TestTDBridge:
     def test_updates_rejected(self):
         with pytest.raises(ValueError):
             from_td(parse_program("p <- q(X) * ins.r(X)."))
+
+
+class TestAbsenceTests:
+    """TD's ``not p(t)`` reads the stored facts where it runs, binding
+    nothing (docs/SEMANTICS.md, [absence]); Datalog negates last.  The
+    translation refuses every rule on which the two would differ."""
+
+    def test_absence_before_its_binder_is_refused(self):
+        # TD: q(a) is stored, so `not q(X)` fails and p has no answer;
+        # negation-last Datalog would answer p(b).
+        program = parse_program("p(X) <- not q(X) * r(X).")
+        db = parse_database("q(a). r(b).")
+        assert list(Interpreter(program, tabling=False).solve("p(X)", db)) == []
+        with pytest.raises(ValueError, match="before any test or call binds"):
+            from_td(program)
+
+    def test_absence_of_a_derived_predicate_is_refused(self):
+        # TD reads stored q facts (none), so both s facts answer;
+        # Datalog would negate the derived q and answer only b.
+        text = "q(X) <- r(X).\np(X) <- s(X) * not q(X)."
+        with pytest.raises(ValueError, match="both base and derived"):
+            parse_program(text)
+
+    def test_a_sibling_branch_binds_nothing(self):
+        with pytest.raises(ValueError):
+            from_td(parse_program("p(X) <- r(X) | not q(X)."))
+        dl = from_td(parse_program("p(X) <- (r(X) | s(X)) * not q(X)."))
+        facts = evaluate(dl, parse_database("r(a). s(a). r(b). s(b). q(b)."))
+        assert sorted(str(f) for f in facts.facts("p")) == ["p(a)"]
+
+    def test_anonymous_absence_is_refused(self):
+        with pytest.raises(ValueError):
+            from_td(parse_program("idle <- not workitem(_)."))
+
+    def test_bound_absence_translates(self):
+        dl = from_td(parse_program("p(X) <- r(X) * not q(X)."))
+        facts = evaluate(dl, parse_database("q(a). r(a). r(b)."))
+        assert sorted(str(f) for f in facts.facts("p")) == ["p(b)"]
+
+
+class TestNoReferenceCycles:
+    def test_evaluate_leaves_nothing_for_the_collector(self):
+        # A join that recursed through a closure made a reference cycle
+        # per call, keeping every state it touched alive until a
+        # collector pass.
+        program = tc_datalog()
+        edb = chain(20)
+        gc.collect()
+        gc.disable()
+        try:
+            facts = evaluate(program, edb)
+            assert len(facts.facts("path")) == 210
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

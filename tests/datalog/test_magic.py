@@ -1,10 +1,12 @@
 """Tests for the magic-sets transformation."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro import Database, atom
+from repro import Database, atom, parse_database, parse_program
 from repro.core.terms import Atom, Variable
-from repro.datalog import DatalogProgram, DatalogRule, Literal, evaluate, query
+from repro.datalog import DatalogProgram, DatalogRule, Literal, evaluate, from_td, query
 from repro.datalog.magic import magic_query, magic_transform
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
@@ -97,7 +99,9 @@ class TestRelevanceFiltering:
 
 class TestValidation:
     def test_negation_rejected(self):
+        # Negating a derived predicate needs its whole relation first.
         prog = DatalogProgram([
+            DatalogRule(Atom("bad", (X,)), (Literal(Atom("flag", (X,))),)),
             DatalogRule(
                 Atom("ok", (X,)),
                 (Literal(Atom("n", (X,))), Literal(Atom("bad", (X,)), positive=False)),
@@ -105,6 +109,27 @@ class TestValidation:
         ])
         with pytest.raises(ValueError):
             magic_transform(prog, Atom("ok", (X,)))
+
+    def test_base_negation_is_copied_once_bound(self):
+        # `not blocked(Z)` precedes its binder in the body list: it
+        # waits for e(X, Z), so the magic rule for path(Z, Y) is safe
+        # and filtered by it.
+        prog = DatalogProgram([
+            DatalogRule(Atom("path", (X, Y)), (Literal(Atom("e", (X, Y))),)),
+            DatalogRule(Atom("path", (X, Y)), (
+                Literal(Atom("blocked", (Z,)), positive=False),
+                Literal(Atom("e", (X, Z))),
+                Literal(Atom("path", (Z, Y))),
+            )),
+        ])
+        magic_program, _seeds, _answer = magic_transform(prog, Atom("path", (atom("q", 0).args[0], Y)))
+        (magic_rule,) = [r for r in magic_program.rules if r.head.pred.startswith("magic__")]
+        assert [str(l) for l in magic_rule.body] == [
+            "magic__path__bf(X)", "e(X, Z)", "not blocked(Z)",
+        ]
+        db = chain(6).insert(atom("blocked", 3))
+        got = magic_query(prog, db, Atom("path", (atom("q", 0).args[0], Y)))
+        assert {a[Y].value for a in got} == {1, 2, 3}
 
     def test_query_must_be_idb(self):
         with pytest.raises(ValueError):
@@ -136,3 +161,50 @@ class TestMultipleAdornments:
         got = magic_query(prog, db, Atom("p", (atom("q", 0).args[0], Y)))
         plain = query(prog, db, Atom("p", (atom("q", 0).args[0], Y)))
         assert {str(a[Y]) for a in got} == {str(a[Y]) for a in plain}
+
+
+# Generated programs with absence tests: a recursive r/2 over base
+# e/2, n/1 and blocked/1, where every absence test follows its binders
+# (the shape from_td produces).
+_STEPS = ["e(Z, Y)", "r(Z, Y)", "n(Z)", "e(Y, X)", "s(Z)"]
+
+
+@st.composite
+def absence_programs(draw):
+    lines = ["r(X, Y) <- e(X, Y).", "s(X) <- n(X) * not blocked(X)."]
+    for _ in range(draw(st.integers(1, 3))):
+        body = [draw(st.sampled_from(["e(X, Z)", "r(X, Z)"]))]
+        bound = {"X", "Z"}
+        for step in draw(st.lists(st.sampled_from(_STEPS), max_size=3)):
+            body.append(step)
+            bound |= {v for v in "XYZ" if v in step}
+            if draw(st.booleans()):
+                body.append("not blocked(%s)" % draw(st.sampled_from(sorted(bound))))
+        if "Y" not in bound:
+            body.append("e(Z, Y)")
+        lines.append("r(X, Y) <- %s." % " * ".join(body))
+    return from_td(parse_program("\n".join(lines)))
+
+
+@st.composite
+def absence_dbs(draw):
+    nodes = "abc"
+    facts = draw(st.lists(
+        st.sampled_from(
+            ["e(%s, %s)" % (x, y) for x in nodes for y in nodes]
+            + ["n(%s)" % x for x in nodes] + ["blocked(%s)" % x for x in nodes]
+        ),
+        max_size=8, unique=True,
+    ))
+    return parse_database(" ".join(f + "." for f in facts))
+
+
+class TestAbsenceDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(absence_programs(), absence_dbs(), st.sampled_from("abc"))
+    def test_magic_query_equals_query(self, prog, db, node):
+        const = atom("q", node).args[0]
+        for goal in (Atom("r", (const, Y)), Atom("r", (X, const))):
+            magic = {tuple(sorted(map(str, a.items()))) for a in magic_query(prog, db, goal)}
+            plain = {tuple(sorted(map(str, a.items()))) for a in query(prog, db, goal)}
+            assert magic == plain

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SequentialEngine, Sublanguage, classify, parse_goal
+from repro import Sublanguage, classify, parse_goal, select_engine
 from repro.machines import AndOrGraph, andor_to_td, solve_andor
 
 
@@ -59,7 +59,7 @@ class TestTDEncoding:
     def test_encoding_agrees_with_native(self):
         g = diamond_graph()
         program, db = andor_to_td(g)
-        engine = SequentialEngine(program)
+        engine = select_engine(program)
         solvable = solve_andor(g)
         for node in sorted(g.nodes()):
             goal = parse_goal("solve(%s)" % node)
@@ -78,7 +78,7 @@ class TestTDEncoding:
         for seed in range(3):
             g = grid_andor_graph(depth=3, fanout=2, seed=seed)
             program, db = andor_to_td(g)
-            engine = SequentialEngine(program)
+            engine = select_engine(program)
             solvable = solve_andor(g)
             root = "n0_0"
             assert engine.succeeds(parse_goal("solve(%s)" % root), db) == (

@@ -15,7 +15,6 @@ from repro import (
     parse_program,
     select_engine,
 )
-from repro.core.seqeval import SequentialEngine
 from repro.obs import Instrumentation, instrumented
 from repro.obs.analyze import deterministic_record
 from repro.verify import explore
@@ -111,25 +110,27 @@ class TestInterpreterCounters:
 
 
 class TestSeqevalCounters:
-    def test_tabling_hits_misses_exact(self, tc_program, chain_db):
-        def run():
-            engine = SequentialEngine(tc_program)
-            sols = list(engine.solve(parse_goal("path(a, X)"), chain_db))
-            assert len(sols) == 3
-            return engine
+    """Reads on the Datalog reader: bottom-up, so no answer tables."""
 
+    def test_tabling_hits_misses_exact(self, tc_program, chain_db):
+        engine = select_engine(tc_program)
         inst = Instrumentation.create()
         with instrumented(inst):
-            engine = run()
-        m = inst.metrics
-        # One miss per table key registered; the fixpoint then re-derives
-        # answers through hits.
-        assert m.counter("table.misses") == 4
-        assert m.counter("table.hits") == 5
-        assert m.counter("table.recomputes") == 7
-        assert m.gauge("table.keys") == engine.table_size[0]
-        assert m.gauge("table.answers") == engine.table_size[1]
-        assert any(s.name == "table-fixpoint" for s in inst.tracer.spans)
+            sols = list(engine.solve(parse_goal("path(a, X)"), chain_db))
+        assert len(sols) == 3
+        record = deterministic_record(inst.metrics)
+        # The magic program's matches, and one solution per answer; the
+        # reader keeps no table, so no table.* counter or gauge exists.
+        # (An ambient store, under the STORE matrix, adds store.* ones.)
+        counters = {
+            k: v for k, v in record["counters"].items() if not k.startswith("store.")
+        }
+        assert counters == {"unify.attempts": 58, "search.solutions": 3}
+        assert record["gauges"] == {}
+        assert record["info"]["engine.backend"] == "DatalogReader"
+        assert [(s.name, s.attrs) for s in inst.tracer.spans] == [
+            ("solve", {"engine": "datalog", "goal": "path(a, X)"})
+        ]
 
     def test_counters_deterministic_across_runs(self, tc_program, chain_db):
         # Fresh program per run: the rulebase memoizes call-shape head
@@ -137,20 +138,20 @@ class TestSeqevalCounters:
         # unification work on later runs.  Determinism is over
         # from-scratch runs, which is what the profile gate replays.
         def run():
-            engine = SequentialEngine(parse_program(str(tc_program)))
+            engine = select_engine(parse_program(str(tc_program)))
             list(engine.solve(parse_goal("path(X, Y)"), chain_db))
 
         first = deterministic_record(counters_for(run).metrics)
         second = deterministic_record(counters_for(run).metrics)
         assert first == second
-        assert first["counters"]["table.misses"] > 0
+        assert first["counters"]["search.solutions"] == 6
         assert first["counters"]["unify.attempts"] > 0
 
     def test_program_match_cache_reduces_unify_work(self, tc_program, chain_db):
         # The flip side of the above: reusing one program across runs
         # must *keep the same answers* while skipping head unification.
         def run():
-            engine = SequentialEngine(tc_program)
+            engine = select_engine(tc_program)
             return [
                 s.bindings for s in engine.solve(parse_goal("path(X, Y)"), chain_db)
             ]
@@ -196,9 +197,11 @@ class TestNonrecCounters:
         assert "time.nonrecursive" in m.timers
 
     def test_memo_hit_on_repeated_call(self):
+        # The goal updates, so it runs on the interpreter, whose table
+        # serves the second ``step`` call from the same state.
         program = parse_program(
             """
-            twice <- step * step.
+            twice <- step * step * ins.done.
             step <- q(X).
             """
         )
@@ -207,6 +210,7 @@ class TestNonrecCounters:
         with instrumented(inst):
             engine = select_engine(program, "twice")
             list(engine.solve("twice", db))
+        assert inst.metrics.info["engine.backend"] == "Interpreter"
         assert inst.metrics.counter("table.hits") >= 1
 
 

@@ -40,8 +40,12 @@ class TestProofTrees:
         tree = render_proof_tree(recorder)
         for answer in ("path(a, b)", "path(a, c)", "path(a, d)"):
             assert answer in tree
-        # Tabled proofs chain answers through subgoal call nodes.
-        assert any(n.kind == "call" for n in recorder.nodes)
+        # The reader's fixpoint records each derived fact of the magic
+        # program with its premises, under the goal's root.
+        facts = {n.label: n for n in recorder.nodes if n.kind == "fact"}
+        assert facts["path__bf(a, d)"].witness["premises"]
+        root = next(n for n in recorder.nodes if n.parent is None)
+        assert root.label == "path(a, X)"
 
     def test_concurrent_simulation(self, simulate_program):
         db = parse_database("workitem(w1). workitem(w2).")

@@ -115,13 +115,13 @@ class TestSnapshotAndMerge:
         b.inc("c", 3)
         a.gauge_max("g", 10)
         b.gauge_max("g", 4)
-        b.set_info("engine", "seqeval")
+        b.set_info("engine", "datalog")
         b.observe("h", 2.0)
         a.observe("h", 5.0)
         a.merge(b)
         assert a.counter("c") == 5
         assert a.gauge("g") == 10
-        assert a.info["engine"] == "seqeval"
+        assert a.info["engine"] == "datalog"
         assert a.histograms["h"].count == 2
         assert a.histograms["h"].max == 5.0
 

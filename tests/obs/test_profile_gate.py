@@ -43,7 +43,7 @@ class TestSuite:
         snapshot = capture_snapshot(suite_config("genome_simulate"))
         assert "search.configs_expanded" in snapshot["counters"]
         assert "unify.attempts" in snapshot["counters"]
-        snapshot = capture_snapshot(suite_config("path_tabled"))
+        snapshot = capture_snapshot(suite_config("bank_transfer"))
         assert "table.misses" in snapshot["counters"]
 
 
@@ -98,7 +98,7 @@ class TestDiff:
     def test_info_change_fails_the_gate(self):
         base = {
             "config": "x", "counters": {}, "gauges": {},
-            "info": {"engine.backend": "SequentialEngine"},
+            "info": {"engine.backend": "DatalogReader"},
         }
         cur = {"counters": {}, "gauges": {}, "info": {"engine.backend": "Interpreter"}}
         report = diff_snapshot(base, cur)

@@ -23,15 +23,15 @@ class TestSpans:
     def test_children_finish_before_parents(self):
         t = Tracer(clock=fake_clock())
         with t.span("solve"):
-            with t.span("table-fixpoint"):
+            with t.span("iso-subsearch"):
                 pass
-        assert [s.name for s in t.spans] == ["table-fixpoint", "solve"]
+        assert [s.name for s in t.spans] == ["iso-subsearch", "solve"]
 
     def test_attrs_recorded(self):
         t = Tracer(clock=fake_clock())
-        with t.span("solve", engine="seqeval", goal="p(X)") as span:
+        with t.span("solve", engine="datalog", goal="p(X)") as span:
             pass
-        assert span.attrs == {"engine": "seqeval", "goal": "p(X)"}
+        assert span.attrs == {"engine": "datalog", "goal": "p(X)"}
 
     def test_current_span_id_tracks_innermost(self):
         t = Tracer(clock=fake_clock())

@@ -129,10 +129,10 @@ class TestAndOrProperties:
     @settings(max_examples=20, deadline=None)
     @given(andor_graphs())
     def test_td_encoding_agrees_with_fixpoint(self, graph):
-        from repro import SequentialEngine, parse_goal
+        from repro import parse_goal, select_engine
 
         program, db = andor_to_td(graph)
-        engine = SequentialEngine(program)
+        engine = select_engine(program)
         solvable = solve_andor(graph)
         for node in sorted(graph.nodes()):
             goal = parse_goal("solve(%s)" % node)

@@ -17,6 +17,7 @@ from repro import (
     StoreError,
     parse_atom,
     parse_database,
+    parse_goal,
 )
 from repro.obs.context import Instrumentation, instrumented
 from repro.store.sqlite import SCHEMA_VERSION
@@ -327,6 +328,32 @@ tail_ops = st.lists(
     ),
     max_size=30,
 )
+
+
+class TestReadsLeaveTheStoreAlone:
+    """A routed read evaluates over in-memory states: unlike
+    ``datalog.evaluate``, it materializes nothing into the store."""
+
+    def test_recursive_read_writes_no_wal_row(self, path):
+        from repro import parse_program, select_engine
+
+        program = parse_program(
+            "path(X, Y) <- e(X, Y).\npath(X, Y) <- e(X, Z) * path(Z, Y)."
+        )
+        with SqliteStore(path) as store:
+            store.insert_all(parse_database("e(a, b). e(b, c). e(c, d)."))
+            before = store.database()
+            rows = store._conn.execute("SELECT * FROM wal ORDER BY seq").fetchall()
+            engine = select_engine(program, store=store)
+            statements, batches = traced(store)
+            for goal in ("path(a, X)", "path(X, Y)", "e(X, Y)"):
+                assert engine.route(parse_goal(goal)) is engine.reader
+                assert list(engine.solve(goal))
+            assert statements == [] and batches == []
+            assert store.database() is before
+            assert store._conn.execute("SELECT * FROM wal ORDER BY seq").fetchall() == rows
+        with SqliteStore(path) as store:
+            assert store.database() == before
 
 
 def committed_tail(store):
