@@ -29,8 +29,9 @@ from typing import (
     Tuple,
 )
 
-from .terms import Atom, Constant, Signature, Variable
-from .unify import Substitution, apply_atom, match_atom, walk
+from ..obs import context as _obs
+from .terms import Atom, Constant, Signature, Term, Variable
+from .unify import Substitution, walk
 
 __all__ = ["Database", "Schema", "SchemaError", "plan_join"]
 
@@ -99,6 +100,52 @@ def _without(facts: list, fact: Atom) -> list:
     return facts[:i] + facts[i + 1 :]
 
 
+class _Plan:
+    """A tuple-test pattern's arguments resolved through a substitution,
+    and how to test a fact against them.
+
+    *args* holds each argument walked to a constant or to an unbound
+    variable.  *first* is the first position holding a constant (``-1``
+    if none), which picks the index :meth:`Database.match` probes;
+    *checks* pairs every later constant position with its constant;
+    *binds* pairs each variable with the position of its first
+    occurrence; *repeats* pairs each further occurrence's position with
+    that first one.  A pattern with no *binds* is ground.
+    """
+
+    __slots__ = ("args", "first", "checks", "binds", "repeats")
+
+    def __init__(self, args: Tuple[Term, ...], subst: Substitution):
+        resolved: List[Term] = []
+        first = -1
+        checks: List[Tuple[int, Constant]] = []
+        binds: List[Tuple[Variable, int]] = []
+        repeats: List[Tuple[int, int]] = []
+        for pos, term in enumerate(args):
+            while term.__class__ is Variable:
+                value = subst.get(term)
+                if value is None:
+                    for var, earlier in binds:
+                        if var.name == term.name:
+                            repeats.append((pos, earlier))
+                            break
+                    else:
+                        binds.append((term, pos))
+                    break
+                term = value
+            else:
+                if first < 0:
+                    first = pos
+                else:
+                    checks.append((pos, term))
+            resolved.append(term)
+        self.args = tuple(resolved)
+        self.first = first
+        self.checks = checks
+        self.binds = binds
+        self.repeats = repeats
+
+
 class Database:
     """An immutable set of ground atoms, indexed by predicate.
 
@@ -160,7 +207,10 @@ class Database:
         if cached is None:
             cached = {}
             for fact in self._sorted_facts(pred):
-                cached.setdefault(fact.args[pos], []).append(fact)
+                # A fact of *pred* at a smaller arity has no argument
+                # here, so no pattern bound at *pos* can match it.
+                if pos < len(fact.args):
+                    cached.setdefault(fact.args[pos], []).append(fact)
             self._argidx[(pred, pos)] = cached
         return cached
 
@@ -189,18 +239,19 @@ class Database:
         for p, lst in self._sorted.items():
             if p != pred:
                 db._sorted[p] = lst
-        for key, idx in self._argidx.items():
-            if key[0] != pred:
-                db._argidx[key] = idx
         old_sorted = self._sorted.get(pred)
         if old_sorted is not None:
             db._sorted[pred] = (
                 _without(old_sorted, fact) if removed else _with(old_sorted, fact)
             )
+        arity = len(fact.args)
         for key, idx in self._argidx.items():
-            if key[0] != pred:
-                continue
             pos = key[1]
+            if key[0] != pred or pos >= arity:
+                # Another predicate, or a position *fact* is too short
+                # to have (see ``_arg_index``): shared unchanged.
+                db._argidx[key] = idx
+                continue
             value = fact.args[pos]
             # ``copy`` stays on CPython's fast clone path even after a
             # delete has left the dict with a dummy slot; ``dict(idx)``
@@ -278,35 +329,62 @@ class Database:
     def match(
         self, pattern: Atom, subst: Substitution = {}
     ) -> Iterator[Substitution]:
-        """Tuple testing: yield one extended substitution per fact that
-        matches *pattern* under *subst*.
+        """Tuple testing: one extended substitution per fact that
+        matches *pattern* under *subst*, in the predicate's sorted order.
 
-        This is the elementary query operation of TD.  Patterns with
-        variables enumerate matching tuples; ground patterns act as a
-        membership test yielding at most once.
+        This is the elementary query operation of TD.  The pattern's
+        arguments are resolved through *subst* once, into a tuple, and
+        no pattern atom is built: a ground pattern is a membership test
+        through :meth:`Atom.interned`, yielding at most once, and a
+        pattern with variables enumerates the facts its first bound
+        argument indexes (or all of them), counting one
+        ``unify.attempts`` per fact it tries.
         """
-        pattern = apply_atom(pattern, subst)
         group = self._index.get(pattern.pred)
         if not group:
-            return
-        if pattern.is_ground():
-            if pattern in group:
-                yield subst
-            return
-        # Query-mode index selection: probe on the first *bound*
-        # argument position, whichever it is -- the index for that
-        # position is built on first use and shared across states.
-        candidates = None
-        for pos, arg in enumerate(pattern.args):
-            if not isinstance(arg, Variable):
-                candidates = self._arg_index(pattern.pred, pos).get(arg, ())
-                break
-        if candidates is None:
-            candidates = self._sorted_facts(pattern.pred)
+            return iter(())
+        plan = _Plan(pattern.args, subst)
+        if not plan.binds:
+            fact = Atom.interned(pattern.pred, plan.args)
+            return iter((subst,) if fact is not None and fact in group else ())
+        return self._bind(pattern.pred, plan, subst)
+
+    def _bind(
+        self, pred: str, plan: _Plan, subst: Substitution
+    ) -> Iterator[Substitution]:
+        """The facts of *pred* that a non-ground *plan* selects, each
+        tried against the resolved arguments and bound into a copy of
+        *subst*: one ``unify.attempts`` per fact tried."""
+        first = plan.first
+        candidates = (
+            self._sorted_facts(pred)
+            if first < 0
+            else self._arg_index(pred, first).get(plan.args[first], ())
+        )
+        arity = len(plan.args)
+        checks, repeats, binds = plan.checks, plan.repeats, plan.binds
+        # Re-read after each answer: the slot may change between pulls,
+        # and each attempt counts for the observers active when it runs.
+        observers = _obs._ACTIVE
         for fact in candidates:
-            bound = match_atom(pattern, fact, subst)
-            if bound is not None:
-                yield bound
+            if observers is not None:
+                observers.unified(pred)
+            fargs = fact.args
+            if len(fargs) != arity:
+                continue
+            for pos, value in checks:
+                if fargs[pos] is not value:
+                    break
+            else:
+                for pos, earlier in repeats:
+                    if fargs[pos] is not fargs[earlier]:
+                        break
+                else:
+                    out = dict(subst)
+                    for var, pos in binds:
+                        out[var] = fargs[pos]
+                    yield out
+                    observers = _obs._ACTIVE
 
     def holds(self, pattern: Atom, subst: Substitution = {}) -> bool:
         """True if at least one fact matches *pattern*."""

@@ -12,7 +12,7 @@ The module deliberately keeps the data model tiny and explicit:
 * :class:`Variable` -- a logical variable, identified by name.
 * :class:`Atom` -- ``pred(t1, ..., tn)``.
 
-Constants compare by value, variables by name.  ``Atom`` exposes the
+Constants compare by identity, variables by name.  ``Atom`` exposes the
 predicate *signature* ``name/arity`` used throughout schema handling.
 
 Hash-consing
@@ -24,15 +24,23 @@ object.  The engines hash these objects constantly -- every database
 state is a frozenset of atoms, every memo table keys on them -- so each
 instance precomputes its hash once, equality gets an identity fast path,
 and ``Atom`` caches its groundness.  The intern tables hold their entries
-weakly, so transient pattern atoms from a search are reclaimed with the
-search.  Interning is a cache, not an identity guarantee: equality is
-still by value, and code must never rely on ``is`` for term comparison.
+weakly, so atoms no state or formula holds are reclaimed.
+
+The engines rely on two identity guarantees:
+
+* two constants are equal iff they are the same object, one per
+  ``(type, value)``, so ``is`` compares constants;
+* every live atom is its intern table's entry for its ``(pred, args)``,
+  so :meth:`Atom.interned` finding no atom for a key means that no
+  database state holds that fact -- the ground tuple test relies on it.
+
+Variables are not interned: compare them with ``==``.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 __all__ = [
     "Constant",
@@ -191,6 +199,17 @@ class Atom:
         )
         cls._interned[key] = self
         return self
+
+    @classmethod
+    def interned(cls, pred: str, args: Tuple[Term, ...]) -> Optional[Atom]:
+        """The live atom ``pred(args)``, or ``None`` if there is none;
+        builds nothing.  Every live atom is its intern table's entry, so
+        ``None`` means that no state holds such a fact."""
+        # ``data`` maps each key to a weak reference.  Reading it directly
+        # spares a miss the ``KeyError`` that ``WeakValueDictionary.get``
+        # raises and catches, and a miss is every absent tuple tested.
+        ref = cls._interned.data.get((pred, args))
+        return None if ref is None else ref()
 
     def __setattr__(self, name, _value):
         raise AttributeError("Atom is immutable")

@@ -54,7 +54,7 @@ from .formulas import (
 )
 from .program import Program
 from .terms import Atom, Term, Variable
-from .unify import Substitution, apply_atom, unify_atoms
+from .unify import Substitution, apply_atom, unify_atoms, walk
 
 __all__ = [
     "Action",
@@ -613,6 +613,13 @@ def dead_config(
     return False
 
 
+def _ground_under(a: Atom, subst: Substitution) -> bool:
+    """Whether *subst* binds every variable of *a*, building no atom."""
+    return a.is_ground() or not any(
+        isinstance(walk(t, subst), Variable) for t in a.args
+    )
+
+
 def _dead_guard(
     guard: Formula,
     db: Database,
@@ -629,7 +636,7 @@ def _dead_guard(
         # still bind a variable to a value no fact has.
         return (
             guard.atom.pred not in deletable
-            and apply_atom(guard.atom, subst).is_ground()
+            and _ground_under(guard.atom, subst)
             and db.holds(guard.atom, subst)
         )
     try:
@@ -730,7 +737,7 @@ def frontier_blocked(proc: Formula, db: Database, subst: Substitution = {}) -> b
         except ValueError:
             return True  # unbound: cannot fire until a sibling binds it
     if isinstance(proc, (Ins, Del)):
-        return not apply_atom(proc.atom, subst).is_ground()
+        return not _ground_under(proc.atom, subst)
     if isinstance(proc, Seq):
         return frontier_blocked(proc.parts[0], db, subst)
     if isinstance(proc, Conc):

@@ -1,5 +1,7 @@
 """Unit tests for immutable database states."""
 
+import sys
+
 import pytest
 
 from repro.core.database import Database, Schema, SchemaError
@@ -207,6 +209,86 @@ class TestArgIndexes:
         assert list(d1.match(Atom("p", (a_const,)))) == []
         d2 = d1.insert(atom("p", "a"))
         assert list(d2.match(Atom("p", (a_const,)))) == [{}]
+
+
+class TestMixedArities:
+    """One name at two arities: ``p/1`` and ``p/2`` share a name but not
+    a signature, and a fact too short to have a position can never
+    match a pattern bound there."""
+
+    def test_match_skips_shorter_facts(self):
+        db = Database([atom("p", "a"), atom("p", "a", "b")])
+        assert list(db.match(atom("p", X, "b"))) == [{X: Constant("a")}]
+        assert list(db.match(atom("p", "a", X))) == [{X: Constant("b")}]
+        assert list(db.match(atom("p", X))) == [{X: Constant("a")}]
+
+    def test_insert_into_a_warm_index(self):
+        db = Database([atom("p", "a"), atom("p", "a", "b")])
+        list(db.match(atom("p", X, "b")))  # warms the ("p", 1) index
+        grown = db.insert(atom("p", "c"))
+        assert list(grown.match(atom("p", X, "b"))) == [{X: Constant("a")}]
+        assert [s[X] for s in grown.match(atom("p", X))] == [
+            Constant("a"), Constant("c")
+        ]
+        shrunk = grown.delete(atom("p", "a"))
+        assert list(shrunk.match(atom("p", X, "b"))) == [{X: Constant("a")}]
+        assert shrunk == Database([atom("p", "c"), atom("p", "a", "b")])
+
+    def test_solve_reads_one_arity(self, tmp_path, capsys):
+        from repro.cli import main
+
+        program = tmp_path / "r.td"
+        program.write_text("r(Y) <- p(X, Y).")
+        facts = tmp_path / "r.facts"
+        facts.write_text("p(a). p(a, b).")
+        argv = ["solve", str(program), "--goal", "p(X, b)", "--db", str(facts)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("solution")] == [
+            "solution 1: X = a"
+        ]
+
+
+class TestTupleTestsBuildNoAtoms:
+    """A tuple test resolves its pattern's arguments into a tuple: no
+    pattern atom is built, and a ground probe that misses interns
+    nothing."""
+
+    @staticmethod
+    def atoms_built(run):
+        built = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code is Atom.__new__.__code__:
+                built.append(frame.f_locals.get("pred"))
+
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return built
+
+    def test_probes_build_no_atom(self):
+        db = Database([atom("e", "a", "b"), atom("e", "b", "c")])
+        Y = Variable("Y")
+        a, b, z = Constant("a"), Constant("b"), Constant("z")
+        pair, loop = atom("e", X, Y), atom("e", X, X)
+        list(db.match(pair, {X: a}))  # warm the caches
+        checks = {
+            "index probe": lambda: list(db.match(pair, {X: a})),
+            "scan": lambda: list(db.match(pair)),
+            "ground hit": lambda: db.holds(pair, {X: a, Y: b}),
+            "ground miss": lambda: db.holds(pair, {X: a, Y: z}),
+            "repeated variable": lambda: list(db.match(loop)),
+        }
+        for name, check in checks.items():
+            assert self.atoms_built(check) == [], name
+
+    def test_interned_finds_only_live_atoms(self):
+        fact = atom("e", "a", "b")
+        assert Atom.interned("e", fact.args) is fact
+        assert Atom.interned("e", (Constant("a"), Constant("zz"))) is None
 
 
 class TestUpdateCost:

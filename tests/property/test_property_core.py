@@ -35,6 +35,7 @@ from repro.core.transitions import (
     successor,
 )
 from repro.core.unify import apply_atom, match_atom, unify_atoms, walk
+from repro.obs import Instrumentation, instrumented
 
 # -- strategies -------------------------------------------------------------
 
@@ -170,6 +171,100 @@ class TestIncrementalUpdates:
                 assert db.difference(earlier) == model - earlier_model
                 assert earlier.difference(db) == earlier_model - model
             history.append((db, model))
+
+
+# -- the tuple-test kernel against match_atom ---------------------------------
+
+# One name at several arities, zero-arity facts, and True beside 1.
+KERNEL_CONSTANTS = [Constant(c) for c in ("a", "b")] + [
+    Constant(1), Constant(True), Constant(0)
+]
+#: Bound by substitutions only, never held by a fact.
+KERNEL_ABSENT = Constant("absent")
+KERNEL_VARS = [Variable(v) for v in ("X", "Y", "Z")]
+#: Never bound, so a substitution may map a pattern variable to it.
+KERNEL_FREE = Variable("W")
+
+
+@st.composite
+def kernel_atoms(draw, pool):
+    pred = draw(st.sampled_from(["p", "q"]))
+    arity = draw(st.integers(min_value=0, max_value=3))
+    return Atom(pred, tuple(draw(st.sampled_from(pool)) for _ in range(arity)))
+
+
+kernel_facts = kernel_atoms(KERNEL_CONSTANTS)
+kernel_patterns = kernel_atoms(KERNEL_CONSTANTS + KERNEL_VARS + KERNEL_VARS[:1])
+kernel_substs = st.dictionaries(
+    st.sampled_from(KERNEL_VARS),
+    st.sampled_from(KERNEL_CONSTANTS + [KERNEL_ABSENT, KERNEL_FREE]),
+    max_size=3,
+)
+
+
+def _attempts(run):
+    inst = Instrumentation.create()
+    with instrumented(inst):
+        result = run()
+    return result, inst.metrics.counter("unify.attempts")
+
+
+class TestMatchKernel:
+    """``Database.match`` and ``holds`` agree with the reference tuple
+    test: the predicate's sorted facts filtered by ``match_atom`` on the
+    substituted pattern, in the same order, with one ``unify.attempts``
+    per candidate fact and none for a ground probe."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(kernel_facts, max_size=10),
+        st.lists(kernel_patterns, max_size=3),
+        st.lists(st.tuples(st.booleans(), kernel_facts), max_size=4),
+        st.lists(kernel_patterns, min_size=1, max_size=6),
+        st.lists(kernel_substs, min_size=1, max_size=3),
+    )
+    def test_match_equals_reference(self, facts, warm, updates, patterns, substs):
+        db = Database(facts)
+        for w in warm:  # warm indexes the updates must then maintain
+            list(db.match(w))
+        for insert, fact in updates:
+            db = db.insert(fact) if insert else db.delete(fact)
+        # Each state is tested with several patterns and substitutions,
+        # so that bound positions past the first and repeated variables
+        # meet facts they must reject.
+        for pattern in patterns:
+            for subst in substs:
+                self.check(db, pattern, subst)
+
+    @staticmethod
+    def check(db, pattern, subst):
+        # The kernel runs first: the reference below interns the
+        # substituted pattern, which a ground probe would then find.
+        got, attempts = _attempts(lambda: list(db.match(pattern, subst)))
+        held, probes = _attempts(lambda: db.holds(pattern, subst))
+        applied = apply_atom(pattern, subst)
+        group = [f for f in db if f.pred == pattern.pred]
+        reference = [
+            s for s in (match_atom(applied, f, subst) for f in group) if s is not None
+        ]
+        # The candidates: those under the first bound position, if any.
+        first = next(
+            (i for i, t in enumerate(applied.args) if isinstance(t, Constant)), None
+        )
+        candidates = [] if applied.is_ground() else [
+            f
+            for f in group
+            if first is None
+            or (first < len(f.args) and f.args[first] is applied.args[first])
+        ]
+        hits = [match_atom(applied, f, subst) is not None for f in candidates]
+
+        assert got == reference
+        assert [list(s.items()) for s in got] == [list(s.items()) for s in reference]
+        assert attempts == len(candidates)
+        assert held == bool(reference)
+        # ``holds`` stops at the first answer.
+        assert probes == (hits.index(True) + 1 if True in hits else len(candidates))
 
 
 # -- checks under a step's substitution ------------------------------------------
