@@ -218,7 +218,11 @@ class Database:
         """Public name for :meth:`_arg_index`, part of the
         :class:`repro.store.Store` query surface.  Treat the returned
         mapping as read-only: it is shared copy-on-write across
-        successor states."""
+        successor states.  A value may map to an empty bucket: a delete
+        that removes a value's last fact keeps its key.  Once an index
+        holds more than twice as many keys as its predicate has facts, a
+        delete drops it, and the next probe rebuilds it from the live
+        facts."""
         return self._arg_index(pred, pos)
 
     def _derive(self, pred: str, fact: Atom, removed: bool) -> "Database":
@@ -252,20 +256,19 @@ class Database:
                 # to have (see ``_arg_index``): shared unchanged.
                 db._argidx[key] = idx
                 continue
+            if removed and len(idx) > 2 * (len(group) - 1):
+                # More keys than twice the facts left: the emptied
+                # buckets outnumber the live keys.  Drop the index; the
+                # next probe rebuilds it from the live facts.
+                continue
             value = fact.args[pos]
-            # ``copy`` stays on CPython's fast clone path even after a
-            # delete has left the dict with a dummy slot; ``dict(idx)``
-            # falls back to re-inserting every key then.
+            # A delete leaves an emptied bucket in place: popping its key
+            # would leave a dummy slot that every later ``copy`` clones.
             new_idx = idx.copy()
             bucket = new_idx.get(value, [])
-            if removed:
-                new_bucket = _without(bucket, fact)
-                if new_bucket:
-                    new_idx[value] = new_bucket
-                else:
-                    new_idx.pop(value, None)
-            else:
-                new_idx[value] = _with(bucket, fact)
+            new_idx[value] = (
+                _without(bucket, fact) if removed else _with(bucket, fact)
+            )
             db._argidx[key] = new_idx
         return db
 

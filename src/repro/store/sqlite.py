@@ -47,8 +47,9 @@ crash before that release -- discards them, which is exactly the
 paper's failed-subexecutions-leave-no-trace rule.  ``commit`` stages a
 whole trace this way without moving the mirror, then sets it to the
 search's final state just before its top-level release.  Checkpoints
-fold the WAL into a fresh snapshot in one SQL transaction, and only run
-when no scope is open (a checkpoint must not capture uncommitted state); a
+fold the WAL into the snapshot in one SQL transaction, rewriting only the
+rows of facts the tail changed, and only run when no scope is open (a
+checkpoint must not capture uncommitted state); a
 threshold that trips inside a scope defers (``store.checkpoint_deferred``)
 and retries as soon as the savepoint stack drains.  The WAL tail's
 length is counted once at open and kept in memory from then on.
@@ -69,7 +70,7 @@ counters and raises :class:`~repro.store.base.StoreCrashed` at the
 scripted moment.  Four named crash points are supported (see
 :class:`repro.faults.plan.StoreCrash`): ``pre-fsync`` (row never
 written), ``post-fsync`` (row durable, mirror not updated),
-``mid-checkpoint-fold`` (inside the snapshot rewrite transaction) and
+``mid-checkpoint-fold`` (inside the fold's transaction) and
 ``mid-savepoint-release`` (scope popped, its staged rows never written).
 """
 
@@ -217,14 +218,19 @@ def content_digest(facts: Iterable[Atom]) -> int:
     first 8 bytes of the combined hash are truncated to fit ``meta``'s
     INTEGER column.
     """
-    return _payload_digest(pickle.dumps(fact, protocol=4) for fact in facts)
+    return _combine_digests(
+        hashlib.sha256(pickle.dumps(fact, protocol=4)).digest() for fact in facts
+    )
 
 
-def _payload_digest(payloads: Iterable[bytes]) -> int:
-    """:func:`content_digest` over already-pickled facts (the payloads
-    :func:`frame_record` frames), so a fold pickles each fact once."""
-    parts = sorted(hashlib.sha256(payload).digest() for payload in payloads)
-    combined = hashlib.sha256(b"".join(parts)).digest()
+def _record_digest(blob: bytes) -> bytes:
+    """The per-fact SHA-256 digest :func:`content_digest` takes, read
+    off a framed record's payload instead of a fresh pickle."""
+    return hashlib.sha256(blob[_HEADER.size:]).digest()
+
+
+def _combine_digests(digests: Iterable[bytes]) -> int:
+    combined = hashlib.sha256(b"".join(sorted(digests))).digest()
     return int.from_bytes(combined[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 
@@ -288,6 +294,11 @@ class SqliteStore(Store):
         # Committed WAL rows past the checkpoint, counted at open and
         # kept by appends, flushes and folds.
         self._wal_tail = 0
+        # Each snapshot fact's rowid and record digest, read at open and
+        # replaced by each fold, plus the rowids of duplicate rows the
+        # next fold deletes: a fold writes only what the mirror changed.
+        self._snapshot_rows: Dict[Atom, Tuple[int, bytes]] = {}
+        self._duplicate_rows: List[int] = []
         self._serial = 0
         self._lease: Optional[WriterLease] = None
         if readonly:
@@ -386,7 +397,7 @@ class SqliteStore(Store):
         if self.degraded is not None:  # readonly, foreign schema version
             return Database()
         obs = active()
-        facts = []
+        rows = self._snapshot_rows
         try:
             snapshot_rows = list(
                 self._conn.execute("SELECT rowid, fact FROM snapshot")
@@ -401,24 +412,26 @@ class SqliteStore(Store):
             raise self._sqlite_guard(exc)
         for rowid, blob in snapshot_rows:
             try:
-                facts.append(
-                    decode_record(blob, path=self.path, table="snapshot",
-                                  rowid=rowid)
-                )
+                fact = decode_record(blob, path=self.path, table="snapshot",
+                                     rowid=rowid)
             except (TornRecord, StoreCorrupt) as exc:
-                # The snapshot is rewritten in one SQL transaction, so a
-                # torn snapshot row is damage, never an interrupted
+                # A fold writes the snapshot in one SQL transaction, so
+                # a torn snapshot row is damage, never an interrupted
                 # append.
                 if self.readonly:
                     self.degraded = "snapshot row %d: %s" % (
                         rowid, getattr(exc, "reason", exc))
-                    return Database(facts)
+                    return Database(rows)
                 if isinstance(exc, TornRecord):
                     raise StoreCorrupt(
                         self.path, "snapshot", rowid, exc.reason
                     )
                 raise
-        db = Database(facts)
+            if fact in rows:
+                self._duplicate_rows.append(rowid)
+            else:
+                rows[fact] = (rowid, _record_digest(blob))
+        db = Database(rows)
         replayed = 0
         truncated_from: Optional[int] = None
         for index, (seq, op, blob) in enumerate(wal_rows):
@@ -757,9 +770,13 @@ class SqliteStore(Store):
         self.checkpoint()
 
     def checkpoint(self) -> int:
-        """Fold the WAL tail into a fresh snapshot; returns the new
-        generation.  One SQL transaction, so a crash during the fold
-        leaves the previous snapshot + WAL intact."""
+        """Fold the WAL tail into the snapshot; returns the new
+        generation.  The fold writes only where the snapshot and the
+        mirror differ: it deletes the rows of facts the mirror no longer
+        holds (and any duplicate row), inserts a row for each fact that
+        has none, and combines ``snapshot_digest`` from the per-row
+        digests it keeps.  One SQL transaction, so a crash during the
+        fold leaves the previous snapshot + WAL intact."""
         self._check_writable()
         if self._stack:
             raise StoreError("cannot checkpoint inside an open savepoint")
@@ -768,11 +785,31 @@ class SqliteStore(Store):
             "SELECT COALESCE(MAX(seq), 0) FROM wal"
         ).fetchone()[0]
         generation = self._meta("generation") + 1
-        rows = [(fact.pred, frame_record(fact)) for fact in self._db]
+        rows = self._snapshot_rows
+        kept: Dict[Atom, Tuple[int, bytes]] = {}
+        added = []
+        for fact in self._db:
+            entry = rows.get(fact)
+            if entry is None:
+                added.append((fact, frame_record(fact)))
+            else:
+                kept[fact] = entry
+        stale = [(rowid,) for fact, (rowid, _) in rows.items() if fact not in kept]
+        stale += [(rowid,) for rowid in self._duplicate_rows]
         self._exec("BEGIN IMMEDIATE")
         try:
-            self._exec("DELETE FROM snapshot")
-            self._exec_many("INSERT INTO snapshot (pred, fact) VALUES (?, ?)", rows)
+            self._exec_many("DELETE FROM snapshot WHERE rowid=?", stale)
+            first = self._exec(
+                "SELECT COALESCE(MAX(rowid), 0) + 1 FROM snapshot"
+            ).fetchone()[0]
+            inserts = []
+            for rowid, (fact, blob) in enumerate(added, first):
+                kept[fact] = (rowid, _record_digest(blob))
+                inserts.append((rowid, fact.pred, blob))
+            self._exec_many(
+                "INSERT INTO snapshot (rowid, pred, fact) VALUES (?, ?, ?)",
+                inserts,
+            )
             self._exec(
                 "UPDATE meta SET value=? WHERE key='generation'", (generation,)
             )
@@ -783,10 +820,10 @@ class SqliteStore(Store):
             self._exec(
                 "INSERT INTO meta (key, value) VALUES ('snapshot_digest', ?) "
                 "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (_payload_digest(blob[_HEADER.size:] for _pred, blob in rows),),
+                (_combine_digests(digest for _, digest in kept.values()),),
             )
             self._exec("DELETE FROM wal WHERE seq <= ?", (watermark,))
-            # The torn moment of a fold: everything rewritten, nothing
+            # The torn moment of a fold: every row written, nothing
             # committed -- the implicit rollback on reopen restores the
             # previous snapshot + WAL exactly.
             self._maybe_crash("mid-checkpoint-fold", self._checkpoints)
@@ -797,6 +834,7 @@ class SqliteStore(Store):
             if not self._crashed:
                 self._conn.execute("ROLLBACK")
             raise
+        self._snapshot_rows, self._duplicate_rows = kept, []
         self._wal_tail = 0
         self._checkpoint_deferred = False
         obs = active()

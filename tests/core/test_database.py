@@ -210,6 +210,37 @@ class TestArgIndexes:
         d2 = d1.insert(atom("p", "a"))
         assert list(d2.match(Atom("p", (a_const,)))) == [{}]
 
+    def test_delete_then_reinsert_keeps_the_key(self):
+        # A transfer's shape: del.balance(a, V) then ins.balance(a, V').
+        # The emptied bucket keeps its key, so the index keeps its key
+        # order and its size across any number of such updates.
+        db = Database([atom("balance", "a%d" % i, 0) for i in range(50)])
+        keys = list(db.arg_index("balance", 0))
+        size = sys.getsizeof(db.arg_index("balance", 0))
+        for step in range(200):
+            name, value = "a%d" % (step % 50), step // 50
+            db = db.delete(atom("balance", name, value))
+            emptied = db.arg_index("balance", 0)
+            assert emptied[atom("x", name).args[0]] == []
+            db = db.insert(atom("balance", name, value + 1))
+            assert list(db.arg_index("balance", 0)) == keys
+            assert sys.getsizeof(db.arg_index("balance", 0)) == size
+        assert [str(s[X]) for s in db.match(Atom("balance", (keys[7], X)))] == ["4"]
+
+    def test_churn_of_fresh_values_keeps_the_index_bounded(self):
+        # Every update moves a fact to a value never seen before, so
+        # each one leaves an emptied bucket behind at position 1.
+        current = {k: k for k in range(10)}
+        db = Database([atom("c", k, v) for k, v in current.items()])
+        for step in range(3000):
+            k, fresh = step % 10, 10 + step
+            db = db.delete(atom("c", k, current[k])).insert(atom("c", k, fresh))
+            current[k] = fresh
+            index = db.arg_index("c", 1)
+            assert len(index) <= 2 * len(db) + 1
+        live = {bucket[0].args[1].value for bucket in index.values() if bucket}
+        assert live == set(current.values())
+
 
 class TestMixedArities:
     """One name at two arities: ``p/1`` and ``p/2`` share a name but not

@@ -19,8 +19,10 @@ from repro import (
     parse_database,
     parse_goal,
 )
+from repro.faults import FaultPlan, StoreCrash, Window
 from repro.obs.context import Instrumentation, instrumented
-from repro.store.sqlite import SCHEMA_VERSION
+from repro.store import StoreCrashed, fsck
+from repro.store.sqlite import SCHEMA_VERSION, content_digest, decode_record
 
 
 @pytest.fixture
@@ -363,12 +365,30 @@ def committed_tail(store):
     ).fetchone()[0]
 
 
+def assert_folded(store):
+    """What a fold leaves: one snapshot row per mirror fact, the
+    mirror's content digest recorded, and fsck finding nothing but the
+    writer lease this open store holds."""
+    db = store.database()
+    rows = [
+        decode_record(blob, path=store.path, table="snapshot", rowid=rowid)
+        for rowid, blob in store._conn.execute("SELECT rowid, fact FROM snapshot")
+    ]
+    assert len(rows) == len(db) and set(rows) == set(db)
+    recorded = store._conn.execute(
+        "SELECT value FROM meta WHERE key='snapshot_digest'"
+    ).fetchone()[0]
+    assert recorded == content_digest(db)
+    assert [i.check for i in fsck(store.path).issues] == ["lease"]
+
+
 class TestWalTailBookkeeping:
     """The WAL tail is counted in memory: after every operation it
     equals SQLite's own count; an automatic fold fires exactly when that
-    count reaches ``snapshot_every`` with no scope open; and a reopened
-    store equals the :class:`MemoryStore` oracle fed the same
-    operations (a reopen drops open scopes, as a crash does)."""
+    count reaches ``snapshot_every`` with no scope open, and leaves the
+    snapshot equal to the mirror; and a reopened store equals the
+    :class:`MemoryStore` oracle fed the same operations (a reopen drops
+    open scopes, as a crash does)."""
 
     @settings(max_examples=60, deadline=None)
     @given(tail_ops)
@@ -421,11 +441,13 @@ class TestWalTailBookkeeping:
                         checks_fold = False
                     else:
                         checks_fold = False
+                    folded = store.stats()["generation"] > generation
                     if checks_fold:
-                        folded = store.stats()["generation"] > generation
                         assert folded == (not scopes and tail >= SNAPSHOT_EVERY)
                         if folded:
                             tail = 0
+                    if folded:
+                        assert_folded(store)
                     assert store._wal_tail == committed_tail(store) == tail
                     assert store.database() == oracle.database()
                 store.close()
@@ -436,3 +458,107 @@ class TestWalTailBookkeeping:
                     assert reopened._wal_tail == committed_tail(reopened)
             finally:
                 store.close()
+
+
+def p(i):
+    return parse_atom("p(%d)" % i)
+
+
+#: Single updates that fold every four rows under ``snapshot_every=4``;
+#: after the first, each fold both drops and adds snapshot facts.
+FOLD_SCRIPT = (
+    [("insert", p(i)) for i in range(4)]
+    + [("delete", p(0)), ("insert", p(4)), ("delete", p(1)), ("insert", p(5))]
+    + [("delete", p(2)), ("insert", p(6)), ("insert", p(0)), ("delete", p(4))]
+    + [("delete", p(3)), ("insert", p(7)), ("delete", p(5)), ("insert", p(1))]
+)
+
+
+def scripted(ops):
+    db = Database()
+    for kind, fact in ops:
+        db = getattr(db, kind)(fact)
+    return db
+
+
+class TestIncrementalFolds:
+    """A fold writes only the rows the mirror changed, from a row map
+    that it replaces only once the fold commits."""
+
+    def test_failed_fold_leaves_the_next_fold_correct(self, path):
+        with SqliteStore(path, snapshot_every=100) as store:
+            store.insert_all(facts(4))
+            store.checkpoint()
+            store.delete(p(0))
+            store.insert(p(4))
+
+            exec_many = store._exec_many
+
+            def broken(sql, rows):
+                # The stale rows' deletes run; the inserts fail.
+                if sql.startswith("INSERT INTO snapshot"):
+                    raise StoreError("disk gone")
+                exec_many(sql, rows)
+
+            store._exec_many = broken
+            with pytest.raises(StoreError, match="disk gone"):
+                store.checkpoint()
+            assert not store._conn.in_transaction
+            assert store.stats()["generation"] == 1
+            assert store.stats()["snapshot_facts"] == 4
+            del store._exec_many
+            store.delete(p(1))
+            store.insert(p(0))
+            assert store.checkpoint() == 2
+            assert_folded(store)
+            expected = store.database()
+        assert fsck(path).ok
+        with SqliteStore(path) as store:
+            assert store.database() == expected
+
+    def test_duplicate_snapshot_row_is_gone_after_the_next_fold(self, path):
+        with SqliteStore(path) as store:
+            store.insert_all(facts(3))
+            store.checkpoint()
+        conn = sqlite3.connect(path, isolation_level=None)
+        conn.execute(
+            "INSERT INTO snapshot (pred, fact) SELECT pred, fact FROM snapshot "
+            "WHERE rowid = (SELECT MIN(rowid) FROM snapshot)"
+        )
+        conn.close()
+        flagged = [i.reason for i in fsck(path).issues if i.check == "snapshot"]
+        assert flagged and "digest mismatch" in flagged[0]
+        with SqliteStore(path) as store:
+            assert store.database() == Database(facts(3))
+            store.checkpoint()
+            assert_folded(store)
+        assert fsck(path).ok
+
+    @pytest.mark.parametrize("fold", [2, 3])
+    def test_crash_mid_fold_reopens_to_the_state_before_it(self, path, fold):
+        crash = StoreCrash(Window(fold, fold + 1), point="mid-checkpoint-fold")
+        store = SqliteStore(
+            path, snapshot_every=4, faults=FaultPlan(seed=0, store_crashes=(crash,))
+        )
+        with pytest.raises(StoreCrashed):
+            for kind, fact in FOLD_SCRIPT:
+                getattr(store, kind)(fact)
+        store.close()
+        done = 4 * fold  # the update that tripped the crashed fold
+        with SqliteStore(path, snapshot_every=4) as store:
+            assert store.database() == scripted(FOLD_SCRIPT[:done])
+            assert store.stats()["generation"] == fold - 1
+            snapshot = {
+                decode_record(blob, path=path, table="snapshot", rowid=rowid)
+                for rowid, blob in store._conn.execute(
+                    "SELECT rowid, fact FROM snapshot"
+                )
+            }
+            assert snapshot == set(scripted(FOLD_SCRIPT[: done - 4]))
+            store.checkpoint()
+            assert_folded(store)
+            for kind, fact in FOLD_SCRIPT[done:]:
+                getattr(store, kind)(fact)
+            assert store.stats()["generation"] == fold + (len(FOLD_SCRIPT) - done) // 4
+            assert_folded(store)
+        assert fsck(path).ok
